@@ -1040,7 +1040,7 @@ pub fn e12(opts: &ExpOpts, log: &mut JsonLog) -> String {
 /// exactly the batching effects. `ops_per_descent` splits the win into
 /// its mechanism: root-to-leaf walks saved by prefix-stack sharing
 /// (> 1 when fusion engages) vs per-call amortization (pin, pooled
-/// scan stack, combiner). The roster is capability-filtered to
+/// scan stack). The roster is capability-filtered to
 /// structures declaring [`workload::Caps::batched`] (the PNB tree and
 /// its sharded front-end); everything else would only re-measure the
 /// singleton fallback at 1.0 ops/descent.

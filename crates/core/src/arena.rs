@@ -48,7 +48,7 @@
 use std::alloc::{alloc as global_alloc, dealloc as global_dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::atomic::Ordering::{AcqRel, Relaxed, Release};
 use std::sync::atomic::{AtomicPtr, AtomicUsize};
 
 /// Split point for a thread's free list: past this, half the list is
@@ -149,19 +149,30 @@ struct Chunk {
 /// use-after-free on `next` traversal (the classic Treiber pop hazard
 /// never arises). Unabsorbed chunks are re-pushed.
 struct GlobalClass {
-    /// Claim/match state: 0 = free slot, 1 = mid-claim, 2 = ready.
-    state: AtomicUsize,
-    size: AtomicUsize,
-    align: AtomicUsize,
+    /// Claim word: 0 = free slot, otherwise the registered layout as
+    /// encoded by [`layout_word`]. Written once, by the single CAS that
+    /// claims the slot.
+    layout: AtomicUsize,
     head: AtomicPtr<Chunk>,
+}
+
+/// A layout as a non-zero claim word: size above the low byte, log2 of
+/// the alignment (plus one, so no layout encodes as "free") in it.
+fn layout_word(layout: Layout) -> usize {
+    debug_assert!(layout.size() < 1 << (usize::BITS - 8));
+    layout.size() << 8 | (layout.align().trailing_zeros() as usize + 1)
+}
+
+/// Inverse of [`layout_word`] for a claimed slot.
+fn word_layout(word: usize) -> Layout {
+    Layout::from_size_align(word >> 8, 1 << ((word & 0xff) - 1))
+        .expect("registered class layouts are valid")
 }
 
 impl GlobalClass {
     const fn new() -> Self {
         GlobalClass {
-            state: AtomicUsize::new(0),
-            size: AtomicUsize::new(0),
-            align: AtomicUsize::new(0),
+            layout: AtomicUsize::new(0),
             head: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
@@ -211,41 +222,27 @@ impl GlobalClass {
 unsafe impl Sync for GlobalClass {}
 
 /// Fixed global registry of spillover classes (a process uses a couple
-/// of `Node`/`Info` layouts; 16 slots is generous). Lock-free: slots
-/// are claimed with a 0→1→2 state CAS; a full registry just means that
+/// of `Node`/`Info` layouts; 16 slots is generous).
+/// Wait-free: a slot is claimed by one CAS that installs the layout
+/// itself, so a slot is either free or fully registered and a thread
+/// that loses the CAS just reads what won. A full registry means that
 /// layout degrades to thread-local pooling.
 static GLOBAL_CLASSES: [GlobalClass; 16] = [const { GlobalClass::new() }; 16];
 
 fn global_class(layout: Layout) -> Option<&'static GlobalClass> {
-    'slots: for slot in &GLOBAL_CLASSES {
-        loop {
-            match slot.state.load(Acquire) {
-                0 => {
-                    if slot.state.compare_exchange(0, 1, AcqRel, Acquire).is_ok() {
-                        slot.size.store(layout.size(), Relaxed);
-                        slot.align.store(layout.align(), Relaxed);
-                        // Release: readers matching on state == 2 see
-                        // the layout fields.
-                        slot.state.store(2, Release);
-                        return Some(slot);
-                    }
-                    // Lost the claim: re-read the slot (now 1 or 2).
-                }
-                // Mid-claim by another thread: its layout may be ours.
-                // The window is two plain stores — spin until the slot
-                // is ready rather than skipping ahead, which could
-                // claim a duplicate slot for the same layout and
-                // permanently shadow this one (stranding its chunks).
-                1 => std::hint::spin_loop(),
-                _ => {
-                    if slot.size.load(Relaxed) == layout.size()
-                        && slot.align.load(Relaxed) == layout.align()
-                    {
-                        return Some(slot);
-                    }
-                    continue 'slots;
-                }
-            }
+    let want = layout_word(layout);
+    for slot in &GLOBAL_CLASSES {
+        // Relaxed: the word is the whole registration — it publishes no
+        // other data (`head` starts null and orders its own chunks).
+        let mut seen = slot.layout.load(Relaxed);
+        if seen == 0 {
+            seen = match slot.layout.compare_exchange(0, want, Relaxed, Relaxed) {
+                Ok(_) => want,
+                Err(winner) => winner,
+            };
+        }
+        if seen == want {
+            return Some(slot);
         }
     }
     None
@@ -504,11 +501,11 @@ pub fn trim() {
         p.stacks.clear();
     });
     for slot in &GLOBAL_CLASSES {
-        if slot.state.load(Acquire) != 2 {
+        let word = slot.layout.load(Relaxed);
+        if word == 0 {
             continue;
         }
-        let layout = Layout::from_size_align(slot.size.load(Relaxed), slot.align.load(Relaxed))
-            .expect("registered class layouts are valid");
+        let layout = word_layout(word);
         while let Some(blocks) = slot.pop_blocks() {
             for blk in blocks {
                 // SAFETY: spillover blocks were allocated with the
@@ -581,6 +578,45 @@ mod tests {
         let b2 = alloc([2u128; 4]);
         assert_eq!(b2, b, "16-align class must not be served the u64 block");
         free_now(b2);
+    }
+
+    #[test]
+    fn concurrent_registration_yields_one_slot_per_layout() {
+        // Layouts no other test uses: the registry is process-global,
+        // so only these two are asserted on.
+        let layouts = [
+            Layout::from_size_align(4104, 8).unwrap(),
+            Layout::from_size_align(4160, 64).unwrap(),
+        ];
+        let barrier = std::sync::Barrier::new(8);
+        let got: Vec<[usize; 2]> = std::thread::scope(|s| {
+            let hs: Vec<_> = (0..8)
+                .map(|t| {
+                    let (barrier, layouts) = (&barrier, &layouts);
+                    s.spawn(move || {
+                        barrier.wait();
+                        // Half the threads register in the opposite order.
+                        let mut at = [0usize; 2];
+                        for i in [t % 2, 1 - t % 2] {
+                            let slot = global_class(layouts[i]).expect("registry has room");
+                            at[i] = slot as *const GlobalClass as usize;
+                        }
+                        at
+                    })
+                })
+                .collect();
+            hs.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|at| *at == got[0]), "same slot per layout");
+        assert_ne!(got[0][0], got[0][1]);
+        for layout in layouts {
+            let word = layout_word(layout);
+            assert_eq!(word_layout(word), layout);
+            let slots = GLOBAL_CLASSES
+                .iter()
+                .filter(|s| s.layout.load(Relaxed) == word);
+            assert_eq!(slots.count(), 1, "{layout:?} registered exactly once");
+        }
     }
 
     #[test]

@@ -178,10 +178,6 @@ impl<K, V> PrefixStack<K, V> {
     }
 }
 
-/// Consecutive failed attempts on one batch operation before falling
-/// back to the gated singleton driver (which may flat-combine).
-const BATCH_COMBINE_GATE: u32 = 4;
-
 impl<K, V> PnbBst<K, V>
 where
     K: Ord + Clone + 'static,
@@ -252,7 +248,6 @@ where
         report: &mut BatchReport,
         guard: &Guard,
     ) -> BatchOutcome<V> {
-        let mut failures = 0u32;
         loop {
             let k = op.key();
             let seq = self.read_phase();
@@ -287,14 +282,7 @@ where
                             return BatchOutcome::Upserted(commit);
                         }
                     }
-                    AttemptOutcome::Retry => {
-                        // A hot single key can starve the whole batch;
-                        // past the gate, route through the contention-
-                        // aware singleton driver (which may combine).
-                        if failures + 1 >= BATCH_COMBINE_GATE {
-                            return BatchOutcome::Upserted(self.upsert_in(k, v, guard));
-                        }
-                    }
+                    AttemptOutcome::Retry => {}
                 },
                 BatchOp::Delete(k) => match self.delete_attempt_at(k, gp, p, l, seq, guard) {
                     AttemptOutcome::Decided(r) => return BatchOutcome::Removed(r),
@@ -310,7 +298,6 @@ where
                     AttemptOutcome::Retry => {}
                 },
             }
-            failures += 1;
             stack.retreat(); // resume strictly shallower next time
         }
     }

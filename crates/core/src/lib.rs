@@ -111,9 +111,6 @@
 //! * `testing-internals` — deterministic fault injection
 //!   (`testing::PausedUpdate`): suspend an update right after it
 //!   becomes visible, to exercise helping and crash tolerance.
-//! * `failpoints` — programmatic failpoint hooks (`failpoint::set`),
-//!   used by the flat-combining battery to stall a combiner at a chosen
-//!   point. Off by default; zero-cost when disabled.
 //!
 //! ## Batched operations
 //!
@@ -127,11 +124,6 @@
 
 mod arena;
 mod batch;
-mod combine;
-#[cfg(feature = "failpoints")]
-pub mod failpoint;
-#[cfg(not(feature = "failpoints"))]
-mod failpoint;
 mod handle;
 mod help;
 mod info;

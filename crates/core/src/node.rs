@@ -1,4 +1,4 @@
-//! Tree nodes (paper Figure 2, lines 15–27), laid out hot/cold.
+//! Tree nodes (paper Figure 2, lines 15–27).
 //!
 //! The paper distinguishes `Internal` and `Leaf` subtypes of `Node`. We
 //! use a single struct with a `leaf` discriminant: leaves have null child
@@ -6,30 +6,17 @@
 //! have two non-null children and no value.
 //!
 //! Immutability discipline (paper Observation 1): `key`, `value`, `seq`,
-//! `prev` and `leaf` never change after construction. Only the
-//! [`NodeHot`] words (`update`, `left`, `right`) are mutated, and only by
-//! CAS after initialization.
+//! `prev` and `leaf` never change after construction. Only the three
+//! CAS words (`update`, `left`, `right`) are mutated, and only by CAS
+//! after initialization.
 //!
-//! # Hot/cold layout (`hot-cold-layout` feature, default on)
+//! # Layout
 //!
-//! The three CAS words are segregated into their own cache line
-//! ([`NodeHot`], `align(64)`): freeze and child-swing CAS traffic from
-//! updaters invalidates only the hot line, while the immutable routing
-//! fields (`key`, `seq`, `prev`, `leaf`, `value`) that searchers and
-//! `prev`-chain walkers read stay in a line that is never written after
-//! construction — no false sharing between searchers and updaters.
-//! `#[repr(C)]` pins the cold fields in front so the split is a layout
-//! guarantee, not an optimizer mood.
-//!
-//! The split is a genuine *trade*: the 64-byte alignment grows a
-//! `u64→u64` node from 80 B to 128 B, and on a single core — where no
-//! other cache can invalidate anything — that is pure read tax
-//! (measured 20–30% on E2 large-tree searches; DESIGN.md §3.5).
-//! Building with `--no-default-features` drops the alignment: `NodeHot`
-//! stays a distinct `#[repr(C)]` tail section (same field order, same
-//! code), it just packs flush against the cold fields again. Every
-//! protocol invariant is layout-independent; only the false-sharing
-//! isolation is feature-gated.
+//! One `#[repr(C)]` record: the immutable routing fields first, the
+//! three CAS words last, pointer-aligned — 80 B for `u64→u64`
+//! (DESIGN.md §3.5 records why the words are not cache-line isolated).
+//! Other modules reach the CAS words only through `update_word()` /
+//! `child_word()` / `load_*`.
 //!
 //! The `prev` pointer is what makes the tree *persistent*: whenever a
 //! child CAS replaces node `u` by `u'`, `u'.prev == u`, so
@@ -42,25 +29,10 @@ use std::sync::atomic::Ordering::{Acquire, SeqCst};
 use crate::info::{FreezeTag, Info, InfoPtr, NodePtr, UpdateWord};
 use crate::key::SKey;
 
-/// The CAS-hot words of a node — cache-line-isolated from the immutable
-/// routing fields when the `hot-cold-layout` feature (default on) is
-/// enabled, densely packed after them when it is not (see module docs
-/// for the tradeoff).
-#[repr(C)]
-#[cfg_attr(feature = "hot-cold-layout", repr(align(64)))]
-pub(crate) struct NodeHot<K, V> {
-    /// The paper's `Update` CAS word: tagged pointer to an [`Info`].
-    pub update: Atomic<Info<K, V>>,
-    /// Left child (null iff leaf).
-    pub left: Atomic<Node<K, V>>,
-    /// Right child (null iff leaf).
-    pub right: Atomic<Node<K, V>>,
-}
-
 /// A tree node. See module docs for the invariants and the layout.
 #[repr(C)]
 pub(crate) struct Node<K, V> {
-    // ---- cold: immutable after construction, read by every search ----
+    // ---- immutable after construction, read by every search ----
     /// Routing / stored key (leaf-oriented: only leaf keys are elements).
     pub key: SKey<K>,
     /// User value; `Some` only on leaves with finite keys.
@@ -72,8 +44,13 @@ pub(crate) struct Node<K, V> {
     pub prev: NodePtr<K, V>,
     /// Leaf / internal discriminant.
     pub leaf: bool,
-    // ---- hot: the only mutable words, on their own cache line ----
-    pub(crate) hot: NodeHot<K, V>,
+    // ---- the only mutable words: CAS after initialization ----
+    /// The paper's `Update` CAS word: tagged pointer to an [`Info`].
+    update: Atomic<Info<K, V>>,
+    /// Left child (null iff leaf).
+    left: Atomic<Node<K, V>>,
+    /// Right child (null iff leaf).
+    right: Atomic<Node<K, V>>,
 }
 
 impl<K, V> Node<K, V> {
@@ -91,11 +68,9 @@ impl<K, V> Node<K, V> {
             seq,
             prev,
             leaf: true,
-            hot: NodeHot {
-                update: Atomic::from(dummy_word(dummy)),
-                left: Atomic::null(),
-                right: Atomic::null(),
-            },
+            update: Atomic::from(dummy_word(dummy)),
+            left: Atomic::null(),
+            right: Atomic::null(),
         }
     }
 
@@ -114,27 +89,25 @@ impl<K, V> Node<K, V> {
             seq,
             prev,
             leaf: false,
-            hot: NodeHot {
-                update: Atomic::from(dummy_word(dummy)),
-                left: Atomic::from(Shared::from(left)),
-                right: Atomic::from(Shared::from(right)),
-            },
+            update: Atomic::from(dummy_word(dummy)),
+            left: Atomic::from(Shared::from(left)),
+            right: Atomic::from(Shared::from(right)),
         }
     }
 
     /// The raw `update` CAS word (for the freeze CAS steps).
     #[inline]
     pub(crate) fn update_word(&self) -> &Atomic<Info<K, V>> {
-        &self.hot.update
+        &self.update
     }
 
     /// The raw child word for `CAS-Child` / teardown.
     #[inline]
     pub(crate) fn child_word(&self, left: bool) -> &Atomic<Node<K, V>> {
         if left {
-            &self.hot.left
+            &self.left
         } else {
-            &self.hot.right
+            &self.right
         }
     }
 
@@ -148,7 +121,7 @@ impl<K, V> Node<K, V> {
     /// ordering.
     #[inline]
     pub(crate) fn load_update(&self, guard: &Guard) -> UpdateWord<K, V> {
-        let s = self.hot.update.load(Acquire, guard);
+        let s = self.update.load(Acquire, guard);
         UpdateWord::new(FreezeTag::from_bit(s.tag()), s.as_raw())
     }
 
@@ -163,7 +136,7 @@ impl<K, V> Node<K, V> {
         // Counter increment, the scan MUST observe the published Info
         // here (and help it); only a single SeqCst order on all four
         // accesses excludes the both-miss outcome.
-        let s = self.hot.update.load(SeqCst, guard); // sc-ok: scan-side SB load (see above)
+        let s = self.update.load(SeqCst, guard); // sc-ok: scan-side SB load (see above)
         UpdateWord::new(FreezeTag::from_bit(s.tag()), s.as_raw())
     }
 
@@ -252,41 +225,11 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "hot-cold-layout"))]
     #[test]
-    fn compact_layout_without_the_feature() {
-        // Opting out must actually shed the alignment cost: the hot
-        // words pack flush against the cold fields (pointer-aligned,
-        // not line-aligned) and a u64→u64 node stays under the two
-        // cache lines the split costs.
-        assert_eq!(std::mem::align_of::<NodeHot<u64, u64>>(), 8);
-        assert!(std::mem::size_of::<Node<u64, u64>>() < 128);
-    }
-
-    #[cfg(feature = "hot-cold-layout")]
-    #[test]
-    fn hot_cold_split_is_a_layout_guarantee() {
-        // The mutable words must live in a different cache line than
-        // every immutable routing field.
-        let d = dummy();
-        let dp: InfoPtr<u64, u64> = &*d;
-        let n = Node::leaf(SKey::Fin(1), Some(2), 0, std::ptr::null(), dp);
-        let base = &n as *const _ as usize;
-        let hot = &n.hot as *const _ as usize;
-        assert_eq!(hot % 64, 0, "hot section must be cache-line aligned");
-        let hot_line = (hot - base) / 64;
-        for (name, addr) in [
-            ("key", &n.key as *const _ as usize),
-            ("value", &n.value as *const _ as usize),
-            ("seq", &n.seq as *const _ as usize),
-            ("prev", &n.prev as *const _ as usize),
-            ("leaf", &n.leaf as *const _ as usize),
-        ] {
-            assert_ne!(
-                (addr - base) / 64,
-                hot_line,
-                "cold field `{name}` shares a cache line with the hot words"
-            );
-        }
+    fn layout_is_one_packed_record() {
+        // The size every workload's RSS scales with: the CAS words pack
+        // flush against the immutable fields, pointer-aligned.
+        assert_eq!(std::mem::size_of::<Node<u64, u64>>(), 80);
+        assert_eq!(std::mem::align_of::<Node<u64, u64>>(), 8);
     }
 }

@@ -769,7 +769,6 @@ where
             counter: CachePadded::new(AtomicU64::new(0)),
             dummy,
             stats: Stats::default(),
-            combine: crate::combine::PubList::new(),
         }
     }
 }

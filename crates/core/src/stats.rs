@@ -31,9 +31,6 @@ pub struct StatsSnapshot {
     pub scans: u64,
     /// In-progress operations helped by scans specifically.
     pub scan_helps: u64,
-    /// Upserts completed through a flat-combining drain pass (counted
-    /// per record at the moment a combiner marks it done).
-    pub combined_ops: u64,
 }
 
 impl StatsSnapshot {
@@ -63,8 +60,6 @@ pub(crate) struct Stats {
     scans: CachePadded<AtomicU64>,
     #[cfg(feature = "stats")]
     scan_helps: CachePadded<AtomicU64>,
-    #[cfg(feature = "stats")]
-    combined_ops: CachePadded<AtomicU64>,
 }
 
 macro_rules! bump_impl {
@@ -94,16 +89,6 @@ impl Stats {
         scan_helps,
     );
 
-    /// Record `n` operations completed by one combining drain pass.
-    #[cfg(feature = "stats")]
-    #[inline]
-    pub(crate) fn combined_ops_n(&self, n: u64) {
-        self.combined_ops.fetch_add(n, Ordering::Relaxed);
-    }
-    #[cfg(not(feature = "stats"))]
-    #[inline(always)]
-    pub(crate) fn combined_ops_n(&self, _n: u64) {}
-
     /// Read all counters. Without the `stats` feature this returns zeros.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         #[cfg(feature = "stats")]
@@ -117,7 +102,6 @@ impl Stats {
                 validation_failures: self.validation_failures.load(Ordering::Relaxed),
                 scans: self.scans.load(Ordering::Relaxed),
                 scan_helps: self.scan_helps.load(Ordering::Relaxed),
-                combined_ops: self.combined_ops.load(Ordering::Relaxed),
             }
         }
         #[cfg(not(feature = "stats"))]

@@ -14,7 +14,6 @@ use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::{Acquire, Relaxed};
 
 use crate::arena;
-use crate::combine::{PubList, COMBINE_GATE};
 use crate::info::{Info, InfoPtr, NodePtr, OpKind, UpdateWord};
 use crate::key::SKey;
 use crate::node::Node;
@@ -61,9 +60,6 @@ pub struct PnbBst<K, V> {
     /// The per-tree Dummy `Info` object (state permanently `Abort`).
     pub(crate) dummy: InfoPtr<K, V>,
     pub(crate) stats: Stats,
-    /// Publication list for the flat-combining upsert fallback
-    /// (DESIGN.md §11.3); engaged only past the contention gate.
-    pub(crate) combine: PubList<K, V>,
 }
 
 // SAFETY: the structure is designed for concurrent use — all shared
@@ -144,7 +140,6 @@ where
             counter: CachePadded::new(AtomicU64::new(0)),
             dummy,
             stats: Stats::default(),
-            combine: PubList::new(),
         }
     }
 
@@ -313,38 +308,8 @@ where
         }
     }
 
-    /// Full `Upsert` driver under a caller-provided guard, with the
-    /// flat-combining fallback: past [`COMBINE_GATE`] consecutive failed
-    /// attempts (the observable signature of a hot leaf being CAS-fought
-    /// over), the operation publishes itself on the tree's publication
-    /// list and lets one combiner drain the hot key's queued updates in
-    /// a single Execute cycle (DESIGN.md §11.3).
+    /// Full `Upsert` driver under a caller-provided guard.
     pub(crate) fn upsert_in(&self, key: &K, value: &V, guard: &Guard) -> Option<V> {
-        let mut consecutive_failures = 0u32;
-        loop {
-            match self.upsert_attempt(key, value, guard) {
-                AttemptOutcome::Decided(r) => return r,
-                AttemptOutcome::Published { info, commit } => {
-                    if self.finish_published(info, guard) {
-                        return commit;
-                    }
-                }
-                AttemptOutcome::Retry => {}
-            }
-            consecutive_failures += 1;
-            if consecutive_failures >= COMBINE_GATE {
-                if let Some(displaced) = self.try_combine(key, value, guard) {
-                    return displaced;
-                }
-                consecutive_failures = 0; // combining declined: back off to CAS
-            }
-        }
-    }
-
-    /// The ungated `Upsert` driver: used by the combiner itself (which
-    /// must never recurse into combining) and anywhere the publication
-    /// path is unwanted.
-    pub(crate) fn upsert_plain_in(&self, key: &K, value: &V, guard: &Guard) -> Option<V> {
         loop {
             match self.upsert_attempt(key, value, guard) {
                 AttemptOutcome::Decided(r) => return r,
@@ -492,10 +457,6 @@ where
             self.stats.validation_failures();
             return AttemptOutcome::Retry;
         };
-        // Failpoint between validation and the freeze CAS: lets tests
-        // widen the race window (a yield here on a small machine makes
-        // contended CAS failures reproducible). No-op in normal builds.
-        crate::failpoint::hit("upsert::pre_publish");
         let (kind, new_child, displaced) = if l_ref.key.fin_eq(key) {
             // Replace shape: one fresh leaf, prev = the old leaf, so
             // version-`seq` readers still reach the displaced value.

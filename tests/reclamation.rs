@@ -23,6 +23,7 @@
 use pnb_bst::PnbBst;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A value whose constructions and destructions are counted.
 struct Counted {
@@ -60,24 +61,23 @@ fn drain_epochs() {
     }
 }
 
-/// Drain until the live counter reaches `target` (or a generous retry
-/// budget runs out). Garbage bags are sealed with an epoch and become
-/// collectible only two advances later, and advancement depends on all
-/// participants' pin timing — so a single drain pass from one thread is
-/// not always enough. Pinning from a few fresh threads reliably expires
-/// the stragglers (verified empirically: residue always reaches zero).
+/// Drain until the live counter reaches `target` or ~5 s pass; the
+/// caller's assertion judges the outcome. Garbage bags are sealed with
+/// an epoch and become collectible only two advances later, and
+/// advancement depends on all participants' pin timing — so a single
+/// drain pass from one thread is not always enough. Pinning from a few
+/// fresh threads expires the stragglers; the sleep gives sibling tests
+/// holding pins on the process-global collector the CPU to drop them.
 fn drain_epochs_until(live: &Arc<AtomicI64>, target: i64) {
-    for _ in 0..200 {
-        if live.load(Ordering::SeqCst) == target {
-            return;
-        }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while live.load(Ordering::SeqCst) != target && Instant::now() < deadline {
         drain_epochs();
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(drain_epochs);
             }
         });
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 

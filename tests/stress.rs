@@ -20,7 +20,7 @@
 //! for CI, while e.g. `PNBBST_TEST_ITERS=50` is the "deep" overnight
 //! setting (see README.md).
 
-use pnb_bst::PnbBst;
+use pnb_bst::{BatchOp, BatchOutcome, Handle, PnbBst};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -101,6 +101,69 @@ fn contended_single_key_has_one_winner() {
         assert_eq!(del_wins, 1, "exactly one delete wins round {round}");
     }
     assert_eq!(tree.check_invariants(), 0);
+}
+
+const HOT_KEY: u64 = 1;
+
+/// 8 threads write distinct values to [`HOT_KEY`] through `write_all`,
+/// which returns what each write displaced. Upsert is atomic iff every
+/// write is displaced exactly once except the final survivor:
+/// `{initial} ∪ {writes} == {displaced} ∪ {final}` as multisets.
+fn hot_key_upserts_chain(write_all: fn(&Handle<'_, u64, u64>, &[u64]) -> Vec<u64>) {
+    let tree = PnbBst::<u64, u64>::new();
+    tree.insert(HOT_KEY, 0);
+    let per_thread = scaled(200);
+    let writes_of = |w: u64| (0..per_thread).map(move |i| (w << 32) | (i + 1));
+    let displaced: Vec<u64> = thread::scope(|s| {
+        let handles: Vec<_> = (0..8u64)
+            .map(|w| {
+                let tree = &tree;
+                s.spawn(move || write_all(&tree.pin(), &writes_of(w).collect::<Vec<_>>()))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    let last = tree.get(&HOT_KEY).unwrap();
+    let mut lhs: Vec<u64> = std::iter::once(0)
+        .chain((0..8).flat_map(writes_of))
+        .collect();
+    let mut rhs: Vec<u64> = displaced.into_iter().chain(std::iter::once(last)).collect();
+    lhs.sort_unstable();
+    rhs.sort_unstable();
+    assert_eq!(lhs, rhs, "every write displaced exactly once");
+    assert_eq!(tree.check_invariants(), 1);
+}
+
+#[test]
+fn contended_upserts_preserve_displacement_chain() {
+    hot_key_upserts_chain(|h, writes| {
+        writes
+            .iter()
+            .map(|&v| h.upsert(HOT_KEY, v).expect("key stays present"))
+            .collect()
+    });
+}
+
+#[test]
+fn contended_batched_upserts_preserve_displacement_chain() {
+    // Every op of every batch is an upsert of the hot key, so a lost
+    // freeze CAS retries through the batch path's own retreat arm.
+    hot_key_upserts_chain(|h, writes| {
+        writes
+            .chunks(16)
+            .flat_map(|chunk| {
+                let ops: Vec<_> = chunk.iter().map(|&v| BatchOp::Upsert(HOT_KEY, v)).collect();
+                h.apply_batch(&ops)
+            })
+            .map(|out| match out {
+                BatchOutcome::Upserted(d) => d.expect("key stays present"),
+                other => panic!("upsert answered {other:?}"),
+            })
+            .collect()
+    });
 }
 
 #[test]
