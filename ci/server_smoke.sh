@@ -5,7 +5,9 @@
 # the interval log has rows, then SIGTERM the server and require a clean
 # graceful-drain exit. Everything a PR could break on the wire path —
 # codec, worker loop, session refresh, NetMap adapter, drain — has to
-# work for this to pass.
+# work for this to pass. Before the load, one idle second must cost the
+# server at most one clock tick of CPU: its threads block, they do not
+# poll.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +42,17 @@ done
 [[ -s "$addr_file" ]] || { echo "server never wrote --addr-file" >&2; exit 1; }
 addr=$(cat "$addr_file")
 echo "   bound at $addr"
+
+echo "== one idle second burns no CPU =="
+cpu_ticks() { awk '{print $14 + $15}' "/proc/$server_pid/stat"; } # utime + stime
+before=$(cpu_ticks)
+sleep 1
+idle_ticks=$(($(cpu_ticks) - before))
+echo "   $idle_ticks tick(s)"
+if [[ "$idle_ticks" -gt 1 ]]; then
+    echo "idle server used $idle_ticks clock ticks of CPU in one second (want <= 1)" >&2
+    exit 1
+fi
 
 echo "== driving it with pnb-load (open-loop, 2s, range mix) =="
 ./target/release/pnb-load --addr "$addr" --threads 2 --rate 2000 \

@@ -1,7 +1,12 @@
-//! Per-connection state for the nonblocking worker loop: a read-side
+//! Per-connection state for the worker's readiness loop: a read-side
 //! [`FrameBuf`], a write-side pending buffer with partial-write
 //! handling, and an explicit closing state ("flush what's queued, then
 //! close") used both for protocol-error closes and graceful drain.
+//!
+//! The socket is registered edge-triggered (`server.rs`), which
+//! [`read_ready`](Conn::read_ready) and [`flush`](Conn::flush) honour by
+//! running until `WouldBlock`: whatever arrives or drains after that is
+//! a fresh edge.
 //!
 //! ## Slow-reader policy
 //!
@@ -40,19 +45,8 @@ pub struct Conn {
     /// When the connection *entered* the current write-paused stretch;
     /// `None` while under the cap.
     stalled_since: Option<Instant>,
-}
-
-/// What a read pass observed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReadOutcome {
-    /// Connection open; zero or more bytes buffered.
-    Open {
-        /// Whether any new bytes arrived (progress indicator for the
-        /// worker's idle heuristic).
-        progressed: bool,
-    },
-    /// Peer closed its write side (EOF).
-    Eof,
+    /// `read`/`write` calls issued since [`take_syscalls`](Conn::take_syscalls).
+    syscalls: u64,
 }
 
 impl Conn {
@@ -68,30 +62,31 @@ impl Conn {
             closing: false,
             write_cap,
             stalled_since: None,
+            syscalls: 0,
         }
     }
 
+    /// `read`/`write` calls issued since the last take.
+    pub fn take_syscalls(&mut self) -> u64 {
+        std::mem::take(&mut self.syscalls)
+    }
+
     /// Drain everything the socket currently has into the frame buffer.
-    pub fn read_ready(&mut self) -> io::Result<ReadOutcome> {
-        if self.closing {
-            return Ok(ReadOutcome::Open { progressed: false });
-        }
+    /// `false` once the peer has finished sending (EOF) or the socket
+    /// has failed: flush what is queued, then close.
+    pub fn read_ready(&mut self) -> bool {
         let mut chunk = [0u8; READ_CHUNK];
-        let mut progressed = false;
-        loop {
+        while !self.closing {
+            self.syscalls += 1;
             match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(ReadOutcome::Eof),
-                Ok(n) => {
-                    self.frames.feed(&chunk[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Ok(ReadOutcome::Open { progressed });
-                }
+                Ok(0) => return false,
+                Ok(n) => self.frames.feed(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(_) => return false,
             }
         }
+        true
     }
 
     /// Pull the next complete request frame (`Ok(None)`: need bytes).
@@ -122,6 +117,7 @@ impl Conn {
     /// returns whether everything queued has been sent.
     pub fn flush(&mut self) -> io::Result<bool> {
         while self.wpos < self.wbuf.len() {
+            self.syscalls += 1;
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
                     return Err(io::Error::new(
@@ -168,6 +164,13 @@ impl Conn {
         }
         let since = *self.stalled_since.get_or_insert(now);
         now.duration_since(since) > window
+    }
+
+    /// When the current write-paused stretch exceeds `window` (`None`
+    /// while the stall clock is not running): the worker's wait deadline.
+    pub fn stall_deadline(&self, window: Duration) -> Option<Instant> {
+        self.stalled_since
+            .and_then(|since| since.checked_add(window))
     }
 
     /// Enter the closing state: what is queued still flushes, nothing

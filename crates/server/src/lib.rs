@@ -10,13 +10,15 @@
 //!   request id, payload length) and all-`u64` payloads — no parsing
 //!   ambiguity, no allocation on the point-op path, pipelining for
 //!   free via the echoed request id.
-//! * **Thread-per-core workers** ([`server`]): a nonblocking accept
-//!   loop hands connections round-robin to a fixed worker pool; each
-//!   worker multiplexes its connections and owns **one long-lived
-//!   [`pnb_shard::ShardedSession`]**, refreshed every N ops and on
-//!   idle passes so a long-lived server never wedges epoch reclamation
-//!   (DESIGN.md §6: the session must drop *all* shard handles before
-//!   re-pinning).
+//! * **Thread-per-core workers on a readiness loop** ([`server`]): an
+//!   acceptor hands connections round-robin to a fixed worker pool;
+//!   every thread blocks in `epoll_wait` and is woken by socket
+//!   readiness, an eventfd or a real deadline — never by a timer — so
+//!   an idle server does nothing and a request is served on the wake-up
+//!   its bytes cause. **Linux only.** Each worker serves over **one
+//!   [`pnb_shard::ShardedSession`]**, re-pinned every N ops and dropped
+//!   while the worker is blocked, so a long-lived server never wedges
+//!   epoch reclamation (DESIGN.md §6.3, §8.3).
 //! * **Typed error frames** ([`codec::DecodeError`]): malformed input
 //!   gets a status-coded error response and closes *that* connection
 //!   only — a fuzzer on one socket cannot disturb its neighbours.
@@ -39,6 +41,7 @@ pub mod codec;
 pub mod conn;
 mod failpoint;
 pub mod handler;
+mod poll;
 pub mod proto;
 pub mod retry;
 pub mod server;

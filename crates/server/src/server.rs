@@ -1,47 +1,61 @@
-//! The TCP server: a nonblocking accept loop feeding a fixed pool of
-//! worker threads, each owning a long-lived [`ShardedSession`](pnb_shard::ShardedSession).
+//! The TCP server: an acceptor feeding a fixed pool of worker threads,
+//! each serving its connections over one [`ShardedSession`]. Linux only
+//! (see `poll.rs`).
 //!
 //! ## Threading model
 //!
 //! Thread-per-core, not thread-per-connection: `workers` threads are
 //! spawned once (default: available parallelism, capped at 8) and every
-//! accepted connection is handed to one of them round-robin. A worker
-//! multiplexes its connections with nonblocking reads — no per-request
-//! thread, no locks on the request path, and exactly one epoch-pinned
-//! session per worker, amortized over every request it will ever serve.
+//! accepted connection is handed to one of them round-robin. No thread
+//! sleeps on a timer to find out whether there is work: the acceptor and
+//! every worker block in `epoll_wait` and are woken by socket readiness,
+//! by an eventfd (connection hand-off, shutdown), or by the nearest real
+//! deadline (drain end, a write-paused connection's stall window).
 //!
-//! ## Session refresh
+//! A worker's epoll set holds its wake eventfd and every adopted
+//! connection, registered **once**, edge-triggered, for `IN | OUT`, with
+//! its slab slot as token. A pass visits only *runnable* connections —
+//! named by an event, just adopted, just un-paused by a flush, or past
+//! their stall deadline — and the worker blocks only when none is. No
+//! wake-up is lost: `read_ready` and `flush` stop only at `WouldBlock`,
+//! and a readiness change after that is an edge, which stays on the
+//! epoll ready list until an `epoll_wait` returns it; the acceptor
+//! writes a worker's eventfd *after* its channel send, and the worker
+//! empties the channel after *every* return from `epoll_wait`.
 //!
-//! A long-lived session pins the epoch; if it never re-pins, no memory
-//! retired after the pin is ever reclaimed. Each worker therefore calls
-//! [`ShardedSession::refresh`](pnb_shard::ShardedSession::refresh) every [`ServerConfig::refresh_every`]
-//! operations — and on every idle pass, so an *idle* worker cannot
-//! wedge reclamation for the busy ones. `refresh` drops all shard
-//! handles before re-pinning (the pin count must reach zero —
-//! `Guard::repin` is a no-op while sibling guards exist; DESIGN.md §6).
+//! ## Session lifetime
+//!
+//! A pinned [`ShardedSession`] holds back reclamation of everything
+//! retired after the pin. A busy worker therefore drops its session
+//! every [`ServerConfig::refresh_every`] operations, and a worker about
+//! to block flushes its deferred garbage and drops it too — **not pinned
+//! while idle**, so a blocked worker cannot wedge reclamation for the
+//! busy ones (DESIGN.md §6.3, §8.3). The next request served pins afresh.
 //!
 //! ## Graceful shutdown
 //!
 //! [`ShutdownHandle::signal`] (wired to SIGTERM/SIGINT by the
-//! `pnb-server` binary) stops the accept loop; workers keep serving for
-//! a [`ServerConfig::drain_grace`] window — so every request already
-//! sent (including pipelined ones still in socket buffers) is read,
-//! executed, and answered — then flush, close their connections, drop
-//! their sessions (releasing the epoch pins), and exit.
+//! `pnb-server` binary) wakes the acceptor, which adopts what is still
+//! in the accept backlog, closes the hand-off channels and wakes every
+//! worker; workers keep serving for a [`ServerConfig::drain_grace`]
+//! window — so every request already sent (including pipelined ones
+//! still in socket buffers) is read, executed, and answered — then
+//! flush, close their connections and exit.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pnb_shard::ShardedPnbBst;
+use pnb_shard::{ShardedPnbBst, ShardedSession};
 
 use crate::codec::{decode_request, encode_decode_error, encode_response, Frame};
-use crate::conn::{Conn, ReadOutcome};
+use crate::conn::Conn;
 use crate::handler::handle;
+use crate::poll::{self, Event, Poller, Waker};
 use crate::proto::{Opcode, RespBody, Response, MAX_PAYLOAD};
 use crate::stats::ServerStats;
 
@@ -179,24 +193,35 @@ impl ServerConfig {
 
 /// Cloneable shutdown trigger for a running [`Server`].
 #[derive(Clone, Debug)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+    /// Wakes the acceptor to read the flag; `None` where it is polled.
+    waker: Option<Arc<Waker>>,
+}
 
 impl ShutdownHandle {
-    /// A fresh, unsignalled handle (for components that reuse the
-    /// polled-flag pattern, e.g. the chaos proxy).
+    /// A fresh, unsignalled handle with nothing to wake (for components
+    /// that poll the flag, e.g. the chaos proxy).
     pub(crate) fn fresh() -> Self {
-        ShutdownHandle(Arc::new(AtomicBool::new(false)))
+        ShutdownHandle {
+            flag: Arc::new(AtomicBool::new(false)),
+            waker: None,
+        }
     }
 
-    /// Ask the server to drain and exit (idempotent).
+    /// Ask the server to drain and exit (idempotent, any thread).
     pub fn signal(&self) {
-        // Relaxed: the flag is polled; no data is published through it.
-        self.0.store(true, Ordering::Relaxed);
+        // Relaxed: no data is published through the flag; the eventfd
+        // write after it is what makes the acceptor look.
+        self.flag.store(true, Ordering::Relaxed);
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
     }
 
     /// Whether shutdown has been requested.
     pub fn is_signalled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed)
     }
 }
 
@@ -208,7 +233,7 @@ pub struct Server {
     map: ShardedPnbBst<u64, u64>,
     cfg: ServerConfig,
     stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
 }
 
 impl Server {
@@ -235,7 +260,10 @@ impl Server {
             map,
             cfg,
             stats: Arc::new(ServerStats::default()),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: ShutdownHandle {
+                waker: Some(Arc::new(Waker::new()?)),
+                ..ShutdownHandle::fresh()
+            },
         })
     }
 
@@ -251,72 +279,81 @@ impl Server {
 
     /// A trigger that makes [`run`](Self::run) drain and return.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.shutdown))
+        self.shutdown.clone()
     }
 
     /// Serve until shutdown is signalled, then drain and return.
     pub fn run(self) -> io::Result<()> {
-        let workers = self.cfg.resolved_workers();
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers);
-        let mut receivers: Vec<Receiver<TcpStream>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
+        let (map, stats, cfg, shutdown) = (&self.map, &*self.stats, &self.cfg, &self.shutdown);
+        let acceptor = Poller::new()?;
+        acceptor.add(&self.listener, poll::IN | poll::ET, 0)?;
+        if let Some(waker) = &shutdown.waker {
+            acceptor.add(&**waker, poll::IN | poll::ET, WAKE)?;
         }
-        let map = &self.map;
-        let stats = &*self.stats;
-        let cfg = &self.cfg;
-        let shutdown = &*self.shutdown;
-        let mut accept_err: Option<io::Error> = None;
+        // Per worker: a channel for accepted streams and an eventfd in the
+        // worker's epoll set. The eventfds outlive the workers: closing
+        // one would take its pending wake off the worker's ready list.
+        let (mut senders, mut wakers, mut intakes) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..cfg.resolved_workers() {
+            let (tx, rx) = channel();
+            let (waker, poller) = (Waker::new()?, Poller::new()?);
+            poller.add(&waker, poll::IN | poll::ET, WAKE)?;
+            senders.push(tx);
+            wakers.push(waker);
+            intakes.push((rx, poller));
+        }
+        let mut result = Ok(());
         std::thread::scope(|s| {
-            for rx in receivers.drain(..) {
-                s.spawn(move || worker_loop(rx, map, stats, shutdown, cfg));
+            for (rx, poller) in intakes {
+                s.spawn(move || worker_loop(rx, poller, map, stats, cfg));
             }
+            // Accept until the backlog is empty (the listener is
+            // edge-triggered), handing each stream to the next worker.
             let mut next = 0usize;
-            while !shutdown.load(Ordering::Relaxed) {
+            let mut accept_ready = || loop {
+                stats.io_syscalls(1);
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
-                        if configure(&stream).is_err() {
+                        if stream.set_nonblocking(true).is_err()
+                            || stream.set_nodelay(true).is_err()
+                        {
                             continue; // peer already gone
                         }
                         stats.accepted();
-                        // Senders live until the loop ends, so a worker
-                        // can only observe disconnect after shutdown.
-                        let _ = senders[next % workers].send(stream);
+                        // Send, then wake: a worker empties its channel
+                        // after every wake, so it cannot miss the stream.
+                        let worker = next % senders.len();
+                        let _ = senders[worker].send(stream);
+                        wakers[worker].wake();
+                        stats.io_syscalls(1);
                         next = next.wrapping_add(1);
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_micros(500));
-                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
-                    Err(e) => {
-                        // Fatal listener error: drain and report.
-                        accept_err = Some(e);
-                        shutdown.store(true, Ordering::Relaxed);
-                    }
+                    Err(e) => return Err(e),
                 }
+            };
+            while !shutdown.is_signalled() {
+                result = accept_ready();
+                if result.is_err() {
+                    shutdown.signal(); // fatal listener error: drain and report
+                    break;
+                }
+                // Until a connection arrives or `signal` wakes us.
+                acceptor.wait(&mut [Event::default(); 2], None);
+                stats.wakeup();
+                stats.io_syscalls(1);
             }
             // Final sweep: connections already established (sitting in
             // the OS accept backlog) when shutdown arrived are still
             // adopted, so anything a client sent on an established
             // connection is served during the drain.
-            // (Errors — WouldBlock included — mean the backlog is empty.)
-            while let Ok((stream, _peer)) = self.listener.accept() {
-                if configure(&stream).is_err() {
-                    continue;
-                }
-                stats.accepted();
-                let _ = senders[next % workers].send(stream);
-                next = next.wrapping_add(1);
-            }
-            drop(senders); // workers see Disconnected and start draining
+            let _ = accept_ready();
+            drop(senders); // workers see Disconnected and start draining …
+            wakers.iter().for_each(Waker::wake); // … within one wake-up
         });
-        match accept_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        result
     }
 
     /// Run on a fresh thread; returns the bound address, the shutdown
@@ -336,18 +373,18 @@ impl Server {
     }
 }
 
-fn configure(stream: &TcpStream) -> io::Result<()> {
-    stream.set_nonblocking(true)?;
-    stream.set_nodelay(true)
-}
+/// Token of a wake eventfd: no slab slot. The eventfds are
+/// edge-triggered and never read — each write is a fresh edge, and all
+/// it has to do is end the wait.
+const WAKE: u64 = u64::MAX;
 
 /// One worker: multiplex the connections routed here over a single
-/// long-lived session, under the per-worker admission limits.
+/// session, under the per-worker admission limits.
 ///
-/// Each pass is two-phase. **Phase A** adopts new connections and
-/// reads from every connection that is not write-paused, then counts
-/// the backlog of complete buffered frames. **Phase B** serves, with
-/// overload protection applied per frame:
+/// Each pass is two-phase, over the runnable connections only.
+/// **Phase A** reads from every one that is not write-paused, then
+/// counts the backlog of complete buffered frames. **Phase B** serves,
+/// with overload protection applied per frame:
 ///
 /// - At most [`AdmissionConfig::max_inflight`] requests are *executed*
 ///   per pass; the rest of the backlog is answered with typed
@@ -363,138 +400,159 @@ fn configure(stream: &TcpStream) -> io::Result<()> {
 ///   continuously paused longer than [`AdmissionConfig::stall_window`].
 fn worker_loop(
     rx: Receiver<TcpStream>,
+    poller: Poller,
     map: &ShardedPnbBst<u64, u64>,
     stats: &ServerStats,
-    shutdown: &AtomicBool,
     cfg: &ServerConfig,
 ) {
     let admission = cfg.admission;
-    let mut session = map.pin();
-    let mut conns: Vec<Conn> = Vec::new();
+    // `None` while blocked: an idle worker holds no epoch pin.
+    let mut session: Option<ShardedSession<'_, u64, u64>> = None;
     let mut ops_since_refresh = 0u64;
-    // Set when shutdown is first observed; serving continues until it
-    // passes so already-sent (pipelined) requests are still answered.
+    // The connection slab (index = epoll token) and its free slots.
+    let mut conns: Vec<Option<Conn>> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    // Slots the next pass visits, the slots of the pass under way, and
+    // slots whose stall clock runs.
+    let mut runnable: Vec<usize> = Vec::new();
+    let mut pass: Vec<usize> = Vec::new();
+    let mut paused: Vec<usize> = Vec::new();
+    // Sum of every connection's pending-write buffer.
+    let mut queued_bytes = 0usize;
+    // Set when the intake closes; serving continues until it passes so
+    // already-sent (pipelined) requests are still answered.
     let mut drain_deadline: Option<Instant> = None;
+    let mut events = [Event::default(); 64];
     loop {
-        // Phase A: adopt newly accepted connections, then read.
-        let mut intake_open = true;
+        // Block only with nothing runnable, and only until the nearest
+        // real deadline: drain end, or a paused connection's stall
+        // window (a connection already past it is runnable instead).
+        let now = Instant::now();
+        if drain_deadline.is_some_and(|d| now >= d) {
+            break;
+        }
+        let window = admission.stall_window;
+        let stall_at = |slot: &usize| conns[*slot].as_ref()?.stall_deadline(window);
+        paused.retain(|slot| stall_at(slot).is_some());
+        runnable.extend(paused.iter().filter(|slot| stall_at(slot) < Some(now)));
+        let stalls = paused.iter().filter_map(stall_at);
+        let deadline = stalls.chain(drain_deadline).min();
+        let ready = if runnable.is_empty() {
+            // Idle. Not pinned while blocked: hand this thread's garbage
+            // to the collector and release the epoch.
+            if let Some(s) = session.take() {
+                s.flush();
+            }
+            ops_since_refresh = 0;
+            let timeout = deadline.map(|d| d.saturating_duration_since(now));
+            let ready = poller.wait(&mut events, timeout);
+            stats.wakeup();
+            ready
+        } else {
+            poller.wait(&mut events, Some(Duration::ZERO))
+        };
+        stats.io_syscalls(1);
+        // An event names its connection's slot; `WAKE` names none.
+        runnable.extend(events[..ready].iter().map(|ev| ev.token as usize));
+        runnable.retain(|&slot| conns.get(slot).is_some_and(Option::is_some));
+        // Adopt what the acceptor handed off.
         loop {
             match rx.try_recv() {
-                Ok(stream) => conns.push(Conn::new(
-                    stream,
-                    cfg.max_payload,
-                    admission.max_conn_pending_write,
-                )),
+                Ok(stream) => {
+                    let slot = free.pop().unwrap_or_else(|| {
+                        conns.push(None);
+                        conns.len() - 1
+                    });
+                    let interest = poll::IN | poll::OUT | poll::ET;
+                    stats.io_syscalls(1);
+                    if poller.add(&stream, interest, slot as u64).is_err() {
+                        free.push(slot);
+                        stats.closed();
+                        continue;
+                    }
+                    let cap = admission.max_conn_pending_write;
+                    conns[slot] = Some(Conn::new(stream, cfg.max_payload, cap));
+                    runnable.push(slot); // bytes may already be waiting
+                }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
-                    intake_open = false;
+                    drain_deadline.get_or_insert_with(|| Instant::now() + cfg.drain_grace);
                     break;
                 }
             }
         }
-        if drain_deadline.is_none() && (shutdown.load(Ordering::Relaxed) || !intake_open) {
-            drain_deadline = Some(Instant::now() + cfg.drain_grace);
-        }
+        runnable.sort_unstable();
+        runnable.dedup();
+        std::mem::swap(&mut runnable, &mut pass);
 
-        let mut progressed = false;
+        // Phase A: read.
         let now = Instant::now();
-        let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            let mut dead = false;
-            if conn.stalled_beyond(now, admission.stall_window) {
-                // Slow-reader policy: continuously over the write cap
-                // for longer than the stall window — disconnect.
-                stats.slow_reader_disconnect();
-                dead = true;
-            } else if !conn.write_paused() {
-                match conn.read_ready() {
-                    Ok(ReadOutcome::Open { progressed: p }) => progressed |= p,
-                    Ok(ReadOutcome::Eof) => {
-                        // Peer finished sending; answer what's
-                        // buffered, flush, then close.
-                        conn.begin_close();
-                    }
-                    Err(_) => dead = true,
+        let mut backlog = 0usize;
+        for &slot in &pass {
+            if let Some(conn) = conns[slot].as_mut() {
+                if !conn.write_paused() && !conn.read_ready() {
+                    conn.begin_close(); // flush what is queued, then close
                 }
-            }
-            if dead {
-                conns.swap_remove(i);
-                stats.closed();
-            } else {
-                i += 1;
+                backlog += conn.buffered_frames();
             }
         }
-        let mut backlog: usize = conns.iter().map(Conn::buffered_frames).sum();
-        let mut queued_bytes: usize = conns.iter().map(Conn::pending_write_bytes).sum();
         let busy_hint = admission.retry_after_hint_ms(backlog);
 
         // Phase B: serve the backlog under the admission budget.
         let mut serve_budget = admission.max_inflight;
-        let mut i = 0;
-        while i < conns.len() {
-            let mut dead = false;
-            let conn = &mut conns[i];
+        for slot in pass.drain(..) {
+            let Some(conn) = conns[slot].as_mut() else {
+                continue;
+            };
             // Serve complete frames buffered on this connection, until
             // its write side pauses.
             while !conn.write_paused() {
-                match conn.next_frame() {
+                let bytes = match conn.next_frame() {
                     Ok(Some(frame)) => {
-                        progressed = true;
-                        backlog = backlog.saturating_sub(1);
                         crate::failpoint::hit("worker-frame", conn);
                         if conn.is_closing() {
                             break; // failpoint closed the connection
                         }
                         let shed = serve_budget == 0 || queued_bytes >= admission.max_queued_bytes;
-                        if shed {
-                            // Over the admission limit: answer (in
-                            // order) with a typed Busy frame instead of
-                            // executing. The op did NOT run — always
-                            // safe to retry.
-                            if let Some(op) = crate::proto::Opcode::from_u8(frame.opcode) {
+                        // Over the admission limit: answer (in order)
+                        // with a typed Busy frame instead of executing.
+                        // The op did NOT run — always safe to retry. An
+                        // unknown opcode falls through so the decode
+                        // path answers with BadOpcode and closes.
+                        match Opcode::from_u8(frame.opcode).filter(|_| shed) {
+                            Some(op) => {
                                 stats.shed_n(frame_op_weight(&frame));
-                                let resp = Response {
-                                    id: frame.id,
-                                    body: RespBody::Busy {
-                                        retry_after_ms: busy_hint,
-                                    },
+                                let body = RespBody::Busy {
+                                    retry_after_ms: busy_hint,
                                 };
-                                let bytes = encode_response(op, &resp);
-                                queued_bytes += bytes.len();
-                                conn.queue(&bytes);
-                                continue;
+                                encode_response(op, &Response { id: frame.id, body })
                             }
-                            // Unknown opcode: fall through so the
-                            // decode path answers with the typed
-                            // BadOpcode error and closes.
-                        }
-                        match decode_request(&frame) {
-                            Ok(req) => {
-                                // Budget is op-granular: a 64-op batch
-                                // spends 64 slots, so batching cannot
-                                // smuggle load past admission control.
-                                serve_budget =
-                                    serve_budget.saturating_sub(req.body.op_weight() as usize);
-                                stats.request();
-                                let resp =
-                                    handle(&req, &session, stats, cfg.checkpoint_dir.as_deref());
-                                let bytes = encode_response(req.body.opcode(), &resp);
-                                queued_bytes += bytes.len();
-                                conn.queue(&bytes);
-                                ops_since_refresh += 1;
-                            }
-                            Err(e) => {
-                                // Malformed but framable (bad
-                                // version/opcode/payload): typed
-                                // error, then close this connection
-                                // only.
-                                stats.protocol_error();
-                                let bytes = encode_decode_error(&e);
-                                queued_bytes += bytes.len();
-                                conn.queue(&bytes);
-                                conn.begin_close();
-                            }
+                            None => match decode_request(&frame) {
+                                Ok(req) => {
+                                    // Budget is op-granular: a 64-op batch
+                                    // spends 64 slots, so batching cannot
+                                    // smuggle load past admission control.
+                                    serve_budget =
+                                        serve_budget.saturating_sub(req.body.op_weight() as usize);
+                                    stats.request();
+                                    ops_since_refresh += 1;
+                                    let session = session.get_or_insert_with(|| map.pin());
+                                    let dir = cfg.checkpoint_dir.as_deref();
+                                    encode_response(
+                                        req.body.opcode(),
+                                        &handle(&req, session, stats, dir),
+                                    )
+                                }
+                                Err(e) => {
+                                    // Malformed but framable (bad
+                                    // version/opcode/payload): typed
+                                    // error, then close this connection
+                                    // only.
+                                    stats.protocol_error();
+                                    conn.begin_close();
+                                    encode_decode_error(&e)
+                                }
+                            },
                         }
                     }
                     Ok(None) => break,
@@ -502,58 +560,54 @@ fn worker_loop(
                         // Unframeable stream (bad magic, oversized
                         // length): error frame, close.
                         stats.protocol_error();
-                        let bytes = encode_decode_error(&e);
-                        queued_bytes += bytes.len();
-                        conn.queue(&bytes);
                         conn.begin_close();
-                        break;
+                        encode_decode_error(&e)
                     }
-                }
+                };
+                queued_bytes += bytes.len();
+                conn.queue(&bytes);
             }
-            let before = conn.pending_write_bytes();
+            let (before, was_paused) = (conn.pending_write_bytes(), conn.write_paused());
             stats.note_conn_pending(before as u64);
-            match conn.flush() {
-                // Saturating: belt-and-braces against any queue path
-                // that didn't add to `queued_bytes` — an accounting
-                // slip must never panic the worker.
-                Ok(_) => {
-                    queued_bytes = queued_bytes.saturating_sub(before - conn.pending_write_bytes());
-                }
-                Err(_) => dead = true,
+            let flushed = conn.flush();
+            stats.io_syscalls(conn.take_syscalls());
+            // Saturating: an accounting slip must never panic the worker.
+            queued_bytes = queued_bytes.saturating_sub(before - conn.pending_write_bytes());
+            let mut dead = flushed.is_err() || conn.done();
+            if !dead && conn.stalled_beyond(now, window) {
+                // Slow-reader policy: continuously over the write cap
+                // for longer than the stall window — disconnect.
+                stats.slow_reader_disconnect();
+                dead = true;
             }
-            if dead || conns[i].done() {
-                conns.swap_remove(i);
+            if dead {
+                // Counted first, so a peer that has seen the close finds
+                // it in the stats. Dropping the stream closes it, which
+                // also takes it out of the epoll set.
                 stats.closed();
-            } else {
-                i += 1;
+                queued_bytes = queued_bytes.saturating_sub(conn.pending_write_bytes());
+                conns[slot] = None;
+                free.push(slot);
+            } else if conn.write_paused() {
+                if !paused.contains(&slot) {
+                    paused.push(slot); // woken by OUT, or by its stall deadline
+                }
+            } else if was_paused {
+                // Un-paused by this flush: input skipped while paused
+                // (socket bytes, buffered frames) is due another pass.
+                runnable.push(slot);
             }
         }
-        let _ = backlog; // fully accounted; kept for the hint above
 
         if ops_since_refresh >= cfg.refresh_every {
-            session.refresh();
-            ops_since_refresh = 0;
-        }
-
-        if let Some(deadline) = drain_deadline {
-            if Instant::now() >= deadline {
-                break;
-            }
-        }
-        if !progressed {
-            // Idle: re-pin so an idle worker never wedges reclamation,
-            // then yield the CPU briefly.
-            session.refresh();
-            ops_since_refresh = 0;
-            std::thread::sleep(Duration::from_micros(500));
+            // Unpin so the epoch can move; the next request pins afresh.
+            (session, ops_since_refresh) = (None, 0);
         }
     }
     // Drain expired: flush leftovers best-effort and close everything.
-    for mut conn in conns {
+    for mut conn in conns.into_iter().flatten() {
         conn.begin_close();
         let _ = conn.flush();
         stats.closed();
     }
-    // `session` drops here: the worker's epoch pins are released.
-    drop(session);
 }

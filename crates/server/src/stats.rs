@@ -20,6 +20,8 @@ pub struct ServerStats {
     shed: AtomicU64,
     slow_reader_disconnects: AtomicU64,
     peak_conn_pending_bytes: AtomicU64,
+    wakeups: AtomicU64,
+    io_syscalls: AtomicU64,
 }
 
 /// A point-in-time read of [`ServerStats`].
@@ -44,6 +46,14 @@ pub struct ServerStatsSnapshot {
     /// bytes. Bounded by the per-connection write cap plus one maximal
     /// response — the overload tests assert exactly that.
     pub peak_conn_pending_bytes: u64,
+    /// Returns from a *blocking* wait by any server thread (acceptor or
+    /// worker). An idle server adds none. In-process only: not part of
+    /// the wire `Stats` payload.
+    pub wakeups: u64,
+    /// `epoll_wait`, `epoll_ctl`, `accept`, `read` and `write` calls
+    /// issued by server threads — four per low-rate request, however
+    /// many idle connections the worker holds. In-process only.
+    pub io_syscalls: u64,
 }
 
 impl ServerStats {
@@ -92,6 +102,16 @@ impl ServerStats {
             .fetch_max(bytes, Ordering::Relaxed);
     }
 
+    /// Count a return from a blocking wait.
+    pub fn wakeup(&self) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count `n` I/O system calls issued by a server thread.
+    pub fn io_syscalls(&self, n: u64) {
+        self.io_syscalls.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Read every counter.
     pub fn snapshot(&self) -> ServerStatsSnapshot {
         ServerStatsSnapshot {
@@ -102,6 +122,8 @@ impl ServerStats {
             shed: self.shed.load(Ordering::Relaxed),
             slow_reader_disconnects: self.slow_reader_disconnects.load(Ordering::Relaxed),
             peak_conn_pending_bytes: self.peak_conn_pending_bytes.load(Ordering::Relaxed),
+            wakeups: self.wakeups.load(Ordering::Relaxed),
+            io_syscalls: self.io_syscalls.load(Ordering::Relaxed),
         }
     }
 }
@@ -123,6 +145,8 @@ mod tests {
         s.slow_reader_disconnect();
         s.note_conn_pending(100);
         s.note_conn_pending(40); // high-water mark keeps the max
+        s.wakeup();
+        s.io_syscalls(3);
         let snap = s.snapshot();
         assert_eq!(snap.accepted, 2);
         assert_eq!(snap.requests, 1);
@@ -131,5 +155,6 @@ mod tests {
         assert_eq!(snap.shed, 1);
         assert_eq!(snap.slow_reader_disconnects, 1);
         assert_eq!(snap.peak_conn_pending_bytes, 100);
+        assert_eq!((snap.wakeups, snap.io_syscalls), (1, 3));
     }
 }

@@ -3,7 +3,7 @@
 //! for a fixed wall-clock duration, each drawing operations from the mix
 //! and keys from the distribution, and report aggregate counts.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -124,12 +124,16 @@ pub fn run_throughput<M: ConcurrentMap>(
 
     let stop = AtomicBool::new(false);
     let start_line = std::sync::Barrier::new(cfg.threads + 1);
+    // Workers whose clock is running; the controller's sleep starts once
+    // it reaches `threads` (workers never wait on it).
+    let clocks_started = AtomicUsize::new(0);
 
     let totals: Vec<(Counts, Duration)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.threads)
             .map(|tid| {
                 let stop = &stop;
                 let start_line = &start_line;
+                let clocks_started = &clocks_started;
                 let mix = cfg.mix;
                 let dist = cfg.key_dist.clone();
                 let wseed = seed::worker_seed(cfg.seed, tid as u64);
@@ -147,6 +151,9 @@ pub fn run_throughput<M: ConcurrentMap>(
                     // denominator, coupling reported throughput to
                     // thread-exit order.
                     let t0 = Instant::now();
+                    // Release: the clock read stays before the count the
+                    // controller's Acquire load observes.
+                    clocks_started.fetch_add(1, Ordering::Release);
                     while !stop.load(Ordering::Relaxed) {
                         // Batch 64 ops per stop-flag check to keep the
                         // flag off the hot path.
@@ -188,6 +195,13 @@ pub fn run_throughput<M: ConcurrentMap>(
             .collect();
 
         start_line.wait();
+        // A worker takes `t0` when it is first scheduled after the
+        // barrier, which on a loaded box is later than this thread's
+        // release: sleep only once every clock is running, so each
+        // window is at least the configured duration by construction.
+        while clocks_started.load(Ordering::Acquire) < cfg.threads {
+            std::thread::yield_now();
+        }
         std::thread::sleep(cfg.duration);
         stop.store(true, Ordering::Relaxed);
         handles.into_iter().map(|h| h.join().unwrap()).collect()
