@@ -18,6 +18,7 @@ step() {
 
 step cargo fmt --check
 step cargo clippy --all-targets --all-features --offline -- -D warnings
+step ci/sanitize.sh
 step ci/check_seqcst.sh
 step ci/check_links.sh
 step ci/server_smoke.sh

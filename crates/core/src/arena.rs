@@ -8,25 +8,27 @@
 //! performs the collection pass, so the global allocator also pays
 //! cross-thread arena traffic for nearly every retirement.
 //!
-//! This module closes the loop instead with a **two-level pool**:
-//! every `Node`/`Info` allocation first tries a thread-local free list
-//! keyed by layout class; the epoch collector returns ripe memory
-//! *back to a pool* through the typed
+//! This module closes the loop instead with a **two-level pool** over
+//! **slabs it carves itself**: every `Node`/`Info` allocation first
+//! tries a thread-local free list keyed by layout class; the epoch
+//! collector returns ripe memory *back to a pool* through the typed
 //! [`crossbeam_epoch::Guard::defer_recycle`] hook rather than freeing
 //! it. Because ripe garbage lands in bursts on whichever thread ran
 //! the collection pass, each class also has a lock-free **global
 //! spillover stack** of block chunks: overflowing locals push surplus
-//! there, and a thread whose local list runs dry pulls a chunk back
-//! before falling through to the global allocator. After warm-up, a
-//! steady-state update loop allocates from and recycles into pools
-//! only; the global allocator remains the fallback for genuinely cold
-//! pools.
+//! there, and a thread whose local list runs dry pulls a chunk back.
+//! Only when both are empty does the thread take the next block of its
+//! current slab, and only when that is used up does it ask the global
+//! allocator — for a whole line-aligned slab (about [`SLAB_BYTES`]),
+//! not a block. So a 64-byte `Node` costs 64 bytes of heap and sits on
+//! its own cache line, and a cold update performs no `malloc` at all.
 //!
 //! # Why this is sound
 //!
-//! * Pool memory is allocated with `std::alloc::alloc(Layout::new::<T>())`
-//!   — exactly a `Box<T>` allocation — so every pointer handed out here
-//!   may still be released with `Box::from_raw` (tree teardown does).
+//! * A block belongs to its slab for life: it goes back to a pool
+//!   ([`free_now`], [`recycle_raw`]), never to `Box::from_raw` or
+//!   `dealloc` on its own. Each class lists its slabs, and [`trim`]
+//!   frees one only while it privately holds every block of it.
 //! * Recycling obeys the same two-epoch rule as freeing: a block enters
 //!   a free list only when `defer_recycle` proves no pinned thread can
 //!   still reference it, so reuse introduces no ABA hazard that freeing
@@ -40,10 +42,9 @@
 //!
 //! Local lists spill past [`LOCAL_CAP`] blocks; exiting threads hand
 //! their pools to the spillover so survivors inherit the warm memory.
-//! The pools retain their peak working set by design — [`trim`]
-//! releases everything back to the global allocator at workload
-//! boundaries. The `stats` feature adds process-global
-//! hit/miss/recycle counters ([`ArenaStats`]).
+//! The pools retain their peak working set by design — [`trim`] frees
+//! every wholly unused slab at workload boundaries. The `stats` feature
+//! adds process-global hit/miss/recycle counters ([`ArenaStats`]).
 
 use std::alloc::{alloc as global_alloc, dealloc as global_dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
@@ -64,10 +65,102 @@ const CHUNK_BLOCKS: usize = 2048;
 /// Upper bound on pooled scan-stack buffers per thread.
 const MAX_STACK_BUFS: usize = 8;
 
-/// One layout class: a free list of uniform raw blocks.
+/// Bytes per slab: big enough that the global allocator's own header
+/// and page rounding cost under half a percent, small enough that a
+/// thread's untouched tail of one (never resident) is no burden.
+const SLAB_BYTES: usize = 1 << 20;
+
+/// Floor on blocks per slab, for layouts past `SLAB_BYTES / 512`.
+const MIN_SLAB_BLOCKS: usize = 512;
+
+/// Distance between two blocks of a class in its slabs.
+fn stride(block: Layout) -> usize {
+    block.pad_to_align().size()
+}
+
+/// The slabs a class carves: whole blocks only, based on a cache line
+/// (or the block's own alignment).
+fn slab_of(block: Layout) -> Layout {
+    let bytes = (SLAB_BYTES / stride(block)).max(MIN_SLAB_BLOCKS) * stride(block);
+    Layout::from_size_align(bytes, block.align().max(64)).expect("slab size overflows")
+}
+
+fn global_alloc_checked(layout: Layout) -> *mut u8 {
+    // SAFETY: every caller passes a non-zero size (`alloc` asserts it).
+    let raw = unsafe { global_alloc(layout) };
+    if raw.is_null() {
+        handle_alloc_error(layout);
+    }
+    raw
+}
+
+/// One layout class: a free list of uniform raw blocks, and the part
+/// of this thread's latest slab that has never been handed out.
 struct Class {
     layout: Layout,
+    /// The class's spillover and slab registry. `None` when the
+    /// registry is full: such a layout is not pooled at all, each block
+    /// is its own global allocation.
+    global: Option<&'static GlobalClass>,
     free: Vec<*mut u8>,
+    /// `fresh..fresh_end` is the uncarved tail of a registered slab.
+    fresh: *mut u8,
+    fresh_end: *mut u8,
+}
+
+impl Class {
+    /// A raw block: from the free list, a spillover chunk, or the slab.
+    fn take(&mut self) -> *mut u8 {
+        if self.free.is_empty() {
+            // Local miss: pull a spillover chunk first — this is what
+            // rebalances bursts of ripe garbage from the collecting
+            // thread to the allocating ones.
+            if let Some(refill) = self.global.and_then(|g| g.free.pop()) {
+                self.free = refill;
+            }
+        }
+        if let Some(raw) = self.free.pop() {
+            counters::hit();
+            return raw;
+        }
+        let Some(g) = self.global else {
+            counters::miss();
+            return global_alloc_checked(self.layout);
+        };
+        if self.fresh == self.fresh_end {
+            counters::miss();
+            let slab = slab_of(self.layout);
+            self.fresh = global_alloc_checked(slab);
+            // SAFETY: one past the end of the slab just allocated.
+            self.fresh_end = unsafe { self.fresh.add(slab.size()) };
+            g.slabs.push(vec![self.fresh]);
+        } else {
+            counters::hit();
+        }
+        let raw = self.fresh;
+        // SAFETY: the tail is a whole number of strides long.
+        self.fresh = unsafe { raw.add(stride(self.layout)) };
+        raw
+    }
+
+    /// Pool a raw block; past [`LOCAL_CAP`], half the list spills to
+    /// the global stack (other threads pull it back on their misses).
+    ///
+    /// # Safety
+    ///
+    /// `raw` must come from [`Class::take`] of this layout and be
+    /// exclusively owned.
+    unsafe fn give(&mut self, raw: *mut u8) {
+        let Some(g) = self.global else {
+            // SAFETY: unpooled layouts allocate each block with it.
+            return unsafe { global_dealloc(raw, self.layout) };
+        };
+        self.free.push(raw);
+        if self.free.len() >= LOCAL_CAP {
+            g.free
+                .push(self.free.split_off(self.free.len() - CHUNK_BLOCKS));
+        }
+    }
 }
 
 /// A thread's pools: a handful of layout classes (one per concrete
@@ -86,7 +179,10 @@ impl Pools {
             None => {
                 self.classes.push(Class {
                     layout,
+                    global: global_class(layout),
                     free: Vec::new(),
+                    fresh: std::ptr::null_mut(),
+                    fresh_end: std::ptr::null_mut(),
                 });
                 self.classes.len() - 1
             }
@@ -97,24 +193,18 @@ impl Pools {
 
 impl Drop for Pools {
     fn drop(&mut self) {
-        // Thread exit: hand every pooled block to the global spillover
-        // so surviving threads inherit the warm memory (benchmark
-        // drivers respawn worker threads constantly). Classes whose
-        // global slot could not be claimed fall back to deallocation.
+        // Thread exit: hand every pooled block, carved or not, to the
+        // global spillover so surviving threads inherit the warm memory
+        // (benchmark drivers respawn worker threads constantly).
         for c in &mut self.classes {
-            let blocks = std::mem::take(&mut c.free);
-            if blocks.is_empty() {
-                continue;
+            let Some(g) = c.global else { continue };
+            while c.fresh < c.fresh_end {
+                c.free.push(c.fresh);
+                // SAFETY: the tail is a whole number of strides long.
+                c.fresh = unsafe { c.fresh.add(stride(c.layout)) };
             }
-            match global_class(c.layout) {
-                Some(g) => g.push_chunk(blocks),
-                None => {
-                    for p in blocks {
-                        // SAFETY: pooled blocks were allocated with
-                        // exactly this layout (classes are keyed by it).
-                        unsafe { global_dealloc(p, c.layout) };
-                    }
-                }
+            for blocks in c.free.chunks(CHUNK_BLOCKS) {
+                g.free.push(blocks.to_vec());
             }
         }
     }
@@ -131,29 +221,92 @@ thread_local! {
     };
 }
 
+/// Run `f` on this thread's pools — or, for reclamation running during
+/// thread teardown after the TLS slot is gone, on a temporary set whose
+/// drop hands whatever it ends up holding to the spillover.
+fn with_pools<R>(f: impl FnOnce(&mut Pools) -> R) -> R {
+    let mut f = Some(f);
+    let mut run = |p: &mut Pools| (f.take().expect("runs once"))(p);
+    match POOLS.try_with(|p| run(&mut p.borrow_mut())) {
+        Ok(r) => r,
+        Err(_) => run(&mut Pools::default()),
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Global spillover (second pool level)
+// Global spillover and slab registry (second pool level)
 // ---------------------------------------------------------------------------
 
-/// A batch of free blocks travelling between threads on a class's
-/// spillover stack.
+/// A batch of pointers travelling between threads on a [`Stack`].
 struct Chunk {
     next: *mut Chunk,
     blocks: Vec<*mut u8>,
 }
 
-/// Global side of one layout class: a Treiber stack of [`Chunk`]s.
+/// A Treiber stack of [`Chunk`]s.
 ///
-/// Pops take the *entire* stack with one `swap(null)` — the popper then
-/// owns every node outright, so there is no ABA window and no
+/// Takers take the *entire* stack with one `swap(null)` and then own
+/// every node outright, so there is no ABA window and no
 /// use-after-free on `next` traversal (the classic Treiber pop hazard
-/// never arises). Unabsorbed chunks are re-pushed.
+/// never arises).
+struct Stack(AtomicPtr<Chunk>);
+
+impl Stack {
+    fn push(&self, blocks: Vec<*mut u8>) {
+        let chunk = Box::into_raw(Box::new(Chunk {
+            next: std::ptr::null_mut(),
+            blocks,
+        }));
+        loop {
+            let head = self.0.load(Relaxed);
+            // SAFETY: `chunk` is unpublished — we still own it.
+            unsafe { (*chunk).next = head };
+            // Release: publishes the chunk's contents to the taker.
+            if self
+                .0
+                .compare_exchange_weak(head, chunk, Release, Relaxed)
+                .is_ok()
+            {
+                return;
+            }
+        }
+    }
+
+    fn take_all(&self) -> Vec<Vec<*mut u8>> {
+        // Acquire pairs with the push's Release; after the swap the
+        // whole chain is exclusively ours.
+        let mut head = self.0.swap(std::ptr::null_mut(), AcqRel);
+        let mut all = Vec::new();
+        while !head.is_null() {
+            // SAFETY: exclusive ownership of every node in the chain.
+            let chunk = unsafe { Box::from_raw(head) };
+            head = chunk.next;
+            all.push(chunk.blocks);
+        }
+        all
+    }
+
+    /// Take one chunk, re-pushing any surplus chunks.
+    fn pop(&self) -> Option<Vec<*mut u8>> {
+        let mut all = self.take_all().into_iter();
+        let first = all.next();
+        all.for_each(|surplus| self.push(surplus));
+        first
+    }
+}
+
+/// Global side of one layout class.
 struct GlobalClass {
     /// Claim word: 0 = free slot, otherwise the registered layout as
     /// encoded by [`layout_word`]. Written once, by the single CAS that
     /// claims the slot.
     layout: AtomicUsize,
-    head: AtomicPtr<Chunk>,
+    /// Spillover: chunks of free blocks.
+    free: Stack,
+    /// Base addresses of the class's live slabs. Read only by [`trim`],
+    /// which takes the lot, so a concurrent trim (or one racing a
+    /// carve) just sees fewer slabs and leaves their blocks pooled.
+    slabs: Stack,
 }
 
 /// A layout as a non-zero claim word: size above the low byte, log2 of
@@ -173,67 +326,25 @@ impl GlobalClass {
     const fn new() -> Self {
         GlobalClass {
             layout: AtomicUsize::new(0),
-            head: AtomicPtr::new(std::ptr::null_mut()),
+            free: Stack(AtomicPtr::new(std::ptr::null_mut())),
+            slabs: Stack(AtomicPtr::new(std::ptr::null_mut())),
         }
-    }
-
-    fn push_chunk(&self, blocks: Vec<*mut u8>) {
-        let chunk = Box::into_raw(Box::new(Chunk {
-            next: std::ptr::null_mut(),
-            blocks,
-        }));
-        loop {
-            let head = self.head.load(Relaxed);
-            // SAFETY: `chunk` is unpublished — we still own it.
-            unsafe { (*chunk).next = head };
-            // Release: publishes the chunk's contents to the popper.
-            if self
-                .head
-                .compare_exchange_weak(head, chunk, Release, Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Take one chunk's worth of blocks, re-pushing any surplus chunks.
-    fn pop_blocks(&self) -> Option<Vec<*mut u8>> {
-        // Acquire pairs with the push's Release; after the swap the
-        // whole chain is exclusively ours.
-        let mut head = self.head.swap(std::ptr::null_mut(), AcqRel);
-        if head.is_null() {
-            return None;
-        }
-        // SAFETY: exclusive ownership of every node in the chain.
-        let first = unsafe { Box::from_raw(head) };
-        head = first.next;
-        while !head.is_null() {
-            let chunk = unsafe { Box::from_raw(head) };
-            head = chunk.next;
-            self.push_chunk(chunk.blocks);
-        }
-        Some(first.blocks)
     }
 }
-
-// SAFETY: the raw pointers inside are either atomics or owned blocks
-// whose cross-thread hand-off is exactly what this type mediates.
-unsafe impl Sync for GlobalClass {}
 
 /// Fixed global registry of spillover classes (a process uses a couple
 /// of `Node`/`Info` layouts; 16 slots is generous).
 /// Wait-free: a slot is claimed by one CAS that installs the layout
 /// itself, so a slot is either free or fully registered and a thread
 /// that loses the CAS just reads what won. A full registry means that
-/// layout degrades to thread-local pooling.
+/// layout is not pooled.
 static GLOBAL_CLASSES: [GlobalClass; 16] = [const { GlobalClass::new() }; 16];
 
 fn global_class(layout: Layout) -> Option<&'static GlobalClass> {
     let want = layout_word(layout);
     for slot in &GLOBAL_CLASSES {
         // Relaxed: the word is the whole registration — it publishes no
-        // other data (`head` starts null and orders its own chunks).
+        // other data (the stacks start null and order their own chunks).
         let mut seen = slot.layout.load(Relaxed);
         if seen == 0 {
             seen = match slot.layout.compare_exchange(0, want, Relaxed, Relaxed) {
@@ -248,49 +359,15 @@ fn global_class(layout: Layout) -> Option<&'static GlobalClass> {
     None
 }
 
-/// Allocate a `T` from the current thread's pool — refilled from the
-/// class's global spillover on a miss, global allocator as the final
-/// fallback — and initialize it with `value`. The returned pointer is
-/// `Box`-compatible: it may be released with `Box::from_raw`,
-/// [`free_now`], or retired through `defer_recycle` + [`recycle_raw`].
+/// Allocate a `T` from the current thread's pool (see [`Class::take`]
+/// for the order it falls through) and initialize it with `value`. The
+/// block stays the arena's: release it with [`free_now`], or retire it
+/// through `defer_recycle` + [`recycle_raw`] — never with `Box`.
 pub(crate) fn alloc<T>(value: T) -> *mut T {
     let layout = Layout::new::<T>();
     debug_assert!(layout.size() > 0, "arena does not pool ZSTs");
-    // `try_with` so reclamation running during thread teardown (after
-    // this TLS slot is gone) degrades to the global allocator.
-    let pooled = POOLS
-        .try_with(|p| {
-            let mut p = p.borrow_mut();
-            let class = p.class_mut(layout);
-            if let Some(raw) = class.free.pop() {
-                return Some(raw);
-            }
-            // Local miss: pull a spillover chunk before giving up —
-            // this is what rebalances bursts of ripe garbage from the
-            // collecting thread to the allocating ones.
-            let refill = global_class(layout).and_then(GlobalClass::pop_blocks)?;
-            let class = p.class_mut(layout);
-            class.free = refill;
-            class.free.pop()
-        })
-        .ok()
-        .flatten();
-    let ptr = match pooled {
-        Some(raw) => {
-            counters::hit();
-            raw as *mut T
-        }
-        None => {
-            counters::miss();
-            // SAFETY: non-zero size asserted above.
-            let raw = unsafe { global_alloc(layout) };
-            if raw.is_null() {
-                handle_alloc_error(layout);
-            }
-            raw as *mut T
-        }
-    };
-    // SAFETY: freshly allocated, properly aligned, uninitialized block.
+    let ptr = with_pools(|p| p.class_mut(layout).take()) as *mut T;
+    // SAFETY: a free block of `T`'s layout, exclusively ours.
     unsafe { ptr.write(value) };
     ptr
 }
@@ -300,10 +377,7 @@ pub(crate) fn alloc<T>(value: T) -> *mut T {
 /// the sole owner (the immediate-free counterpart of [`recycle_raw`]).
 pub(crate) fn free_now<T>(ptr: *mut T) {
     // SAFETY: caller owns `ptr` exclusively (see doc contract).
-    unsafe {
-        std::ptr::drop_in_place(ptr);
-        release(ptr as *mut u8, Layout::new::<T>());
-    }
+    unsafe { recycle_raw(ptr) }
 }
 
 /// The `defer_recycle` hook: destroy the value and pool the memory on
@@ -311,52 +385,17 @@ pub(crate) fn free_now<T>(ptr: *mut T) {
 ///
 /// # Safety
 ///
-/// `ptr` must be a live, exclusively-owned allocation of `T` compatible
-/// with `Layout::new::<T>()` (the epoch collector guarantees exclusivity
-/// when it runs ripe bags).
+/// `ptr` must be a live, exclusively-owned `T` from [`alloc`] (the
+/// epoch collector guarantees exclusivity when it runs ripe bags).
 pub(crate) unsafe fn recycle_raw<T>(ptr: *mut T) {
+    let layout = Layout::new::<T>();
     // Destructor first: it may itself allocate or defer, so it must run
     // outside the pool borrow.
     unsafe {
         std::ptr::drop_in_place(ptr);
-        release(ptr as *mut u8, Layout::new::<T>());
+        with_pools(|p| p.class_mut(layout).give(ptr as *mut u8));
     }
-}
-
-/// Pool a raw block. When the thread's free list passes [`LOCAL_CAP`],
-/// half of it spills to the class's global stack (other threads pull it
-/// back on their misses); the global allocator is touched only when the
-/// thread is mid-teardown or the class registry is full.
-///
-/// # Safety
-///
-/// `raw` must have been allocated with `layout` and be exclusively owned.
-unsafe fn release(raw: *mut u8, layout: Layout) {
-    let pooled = POOLS
-        .try_with(|p| {
-            let mut p = p.borrow_mut();
-            let class = p.class_mut(layout);
-            class.free.push(raw);
-            if class.free.len() >= LOCAL_CAP {
-                let spill: Vec<*mut u8> = class.free.split_off(class.free.len() - CHUNK_BLOCKS);
-                match global_class(layout) {
-                    Some(g) => g.push_chunk(spill),
-                    None => {
-                        for p in spill {
-                            // SAFETY: allocated with `layout` (class key).
-                            unsafe { global_dealloc(p, layout) };
-                        }
-                    }
-                }
-            }
-        })
-        .is_ok();
-    if pooled {
-        counters::recycled(layout.size() as u64);
-    } else {
-        // SAFETY: allocated with `layout` per this function's contract.
-        unsafe { global_dealloc(raw, layout) };
-    }
+    counters::recycled(layout.size() as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -441,7 +480,8 @@ impl<T> Drop for ScanStack<T> {
 pub struct ArenaStats {
     /// Allocations served from a thread-local free list.
     pub pool_hits: u64,
-    /// Allocations that fell back to the global allocator.
+    /// Allocations that had to take a new slab from the global
+    /// allocator.
     pub pool_misses: u64,
     /// Bytes returned to thread-local free lists by the collector.
     pub recycled_bytes: u64,
@@ -479,8 +519,10 @@ mod counters {
     pub(super) fn recycled(_bytes: u64) {}
 }
 
-/// Release every block pooled by *this thread* and by the global
-/// spillover stacks back to the global allocator.
+/// Return to the global allocator every slab whose blocks are *all*
+/// pooled — on this thread's lists or the global spillover stacks — and
+/// keep the rest pooled. Blocks held live, or by another thread's
+/// lists, pin their slab until a later call.
 ///
 /// The pools deliberately retain their peak working set (that is what
 /// makes warm updates allocation-free), which also means that memory is
@@ -491,28 +533,65 @@ mod counters {
 pub fn trim() {
     let _ = POOLS.try_with(|p| {
         let mut p = p.borrow_mut();
-        for c in &mut p.classes {
-            for blk in c.free.drain(..) {
-                // SAFETY: pooled blocks were allocated with exactly the
-                // class layout.
-                unsafe { global_dealloc(blk, c.layout) };
-            }
-        }
         p.stacks.clear();
-    });
-    for slot in &GLOBAL_CLASSES {
-        let word = slot.layout.load(Relaxed);
-        if word == 0 {
-            continue;
-        }
-        let layout = word_layout(word);
-        while let Some(blocks) = slot.pop_blocks() {
-            for blk in blocks {
-                // SAFETY: spillover blocks were allocated with the
-                // class layout.
-                unsafe { global_dealloc(blk, layout) };
+        for g in &GLOBAL_CLASSES {
+            match g.layout.load(Relaxed) {
+                0 => break, // slots are claimed in order
+                word => trim_class(p.class_mut(word_layout(word)), g),
             }
         }
+    });
+}
+
+fn trim_class(local: &mut Class, g: &GlobalClass) {
+    let (stride, slab) = (stride(local.layout), slab_of(local.layout));
+    // Own everything poolable outright: the chunks stay the vectors
+    // they already are, and the only new memory is one word pair per
+    // slab — a trim must not raise the footprint it is there to cut.
+    let chunks = g.free.take_all();
+    let mut slabs: Vec<(usize, usize)> = (g.slabs.take_all().into_iter().flatten())
+        .map(|base| (base as usize, 0))
+        .collect();
+    slabs.sort_unstable();
+    // The registered slab holding `block`, if this call took it.
+    let find = |slabs: &[(usize, usize)], block: *mut u8| {
+        let at = slabs.partition_point(|s| s.0 <= block as usize);
+        let i = at.checked_sub(1)?;
+        (block as usize - slabs[i].0 < slab.size()).then_some(i)
+    };
+    for &block in chunks.iter().flatten().chain(&local.free) {
+        if let Some(i) = find(&slabs, block) {
+            slabs[i].1 += 1;
+        }
+    }
+    // This thread's uncarved tail is as good as pooled.
+    if let Some(i) = find(&slabs, local.fresh) {
+        slabs[i].1 += (local.fresh_end as usize - local.fresh as usize) / stride;
+    }
+    let whole = |s: &(usize, usize)| s.1 * stride == slab.size();
+    let doomed = |block: &*mut u8| find(&slabs, *block).is_some_and(|i| whole(&slabs[i]));
+    if doomed(&local.fresh) {
+        local.fresh = local.fresh_end;
+    }
+    local.free.retain(|b| !doomed(b));
+    for mut chunk in chunks {
+        chunk.retain(|b| !doomed(b));
+        chunk.shrink_to_fit();
+        if !chunk.is_empty() {
+            g.free.push(chunk);
+        }
+    }
+    slabs.retain(|s| {
+        if whole(s) {
+            // SAFETY: allocated with `slab` by `Class::take`; every
+            // block of it was in the lists this call owns and has been
+            // dropped from them, so nothing can reach it again.
+            unsafe { global_dealloc(s.0 as *mut u8, slab) };
+        }
+        !whole(s)
+    });
+    if !slabs.is_empty() {
+        g.slabs.push(slabs.iter().map(|s| s.0 as *mut u8).collect());
     }
 }
 
@@ -561,12 +640,42 @@ mod tests {
     }
 
     #[test]
-    fn box_from_raw_is_compatible_with_pool_blocks() {
-        // Tree teardown releases current-tree nodes with Box::from_raw,
-        // whether they came from the pool or not.
+    fn free_now_releases_what_tree_teardown_holds() {
+        // Tree teardown releases current-tree nodes with free_now,
+        // whether they were recycled before or not.
         let p = alloc(vec![1u8, 2, 3]);
-        let b = unsafe { Box::from_raw(p) };
-        assert_eq!(*b, vec![1, 2, 3]);
+        assert_eq!(unsafe { &*p }, &vec![1, 2, 3]);
+        free_now(p);
+    }
+
+    #[test]
+    fn node_blocks_are_line_aligned_across_slab_boundaries() {
+        use crate::{key::SKey, node::Node};
+        use std::ptr::null;
+        let leaf = |k| Node::<u64, u64>::leaf(SKey::Fin(k), Some(k), 0, null(), null());
+        // Whatever the pools held, this many cross two slab ends.
+        let slab = slab_of(Layout::new::<Node<u64, u64>>());
+        let count = 2 * slab.size() as u64 / 64 + 1;
+        let nodes: Vec<_> = (0..count).map(|k| alloc(leaf(k))).collect();
+        assert!(nodes.iter().all(|n| *n as usize & 63 == 0));
+        nodes.into_iter().for_each(free_now);
+    }
+
+    #[test]
+    fn trim_keeps_a_slab_with_a_live_block() {
+        // A layout of this test's own, so the counts are its alone.
+        let live = alloc([7u32; 11]);
+        let spare: Vec<_> = (0..100).map(|_| alloc([0u32; 11])).collect();
+        spare.into_iter().for_each(free_now);
+        trim();
+        let class = global_class(Layout::new::<[u32; 11]>()).unwrap();
+        let slabs = class.slabs.take_all().concat();
+        assert_eq!(slabs.len(), 1, "its one slab must survive");
+        class.slabs.push(slabs);
+        assert_eq!(unsafe { *live }, [7u32; 11]);
+        free_now(live);
+        trim();
+        assert!(class.slabs.take_all().is_empty(), "now wholly pooled");
     }
 
     #[test]

@@ -206,7 +206,7 @@ where
                 if self.validate_leaf(gp, p_ref, l, k, guard).is_some() {
                     let l_ref = unsafe { l.deref() };
                     if l_ref.key.fin_eq(k) {
-                        out[oi as usize] = l_ref.value.clone();
+                        out[oi as usize] = l_ref.value().cloned();
                     }
                     break;
                 }
@@ -258,7 +258,7 @@ where
                     if self.validate_leaf(gp, p_ref, l, k, guard).is_some() {
                         let l_ref = unsafe { l.deref() };
                         let v = if l_ref.key.fin_eq(k) {
-                            l_ref.value.clone()
+                            l_ref.value().cloned()
                         } else {
                             None
                         };
@@ -350,7 +350,7 @@ where
         loop {
             // SAFETY: read_child returns non-null reachable nodes.
             let l_ref = unsafe { l.deref() };
-            if l_ref.leaf {
+            if l_ref.is_leaf() {
                 break;
             }
             // Descending left tightens the bound to the node we leave.

@@ -175,14 +175,15 @@ where
         self.range(lo.clone()..=hi.clone()).collect()
     }
 
-    /// Count keys in `[lo, hi]` without cloning values (wait-free).
+    /// Count keys in `[lo, hi]` without cloning keys or values
+    /// (wait-free): the tree's visitor scan, under its own nested pin.
     pub fn scan_count(&self, lo: &K, hi: &K) -> usize {
-        self.range(lo.clone()..=hi.clone()).count()
+        self.tree.scan_count(lo, hi)
     }
 
-    /// Linearizable cardinality (one wait-free full scan).
+    /// Linearizable cardinality (one wait-free full scan, no clones).
     pub fn len(&self) -> usize {
-        self.iter().count()
+        self.tree.len()
     }
 
     /// Linearizable emptiness test.
@@ -247,6 +248,28 @@ mod tests {
         assert_eq!(h.remove(&5), Some(55));
         assert!(!h.delete(&5));
         assert_eq!(h.tree().len(), 1);
+    }
+
+    #[test]
+    fn counting_scans_clone_nothing() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        static CLONES: AtomicUsize = AtomicUsize::new(0);
+        struct Loud;
+        impl Clone for Loud {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Relaxed);
+                Loud
+            }
+        }
+        let t: PnbBst<u32, Loud> = PnbBst::new();
+        let h = t.pin();
+        for k in 0..1000 {
+            h.insert(k, Loud);
+        }
+        let built = CLONES.load(Relaxed);
+        assert_eq!(h.scan_count(&100, &899), 800);
+        assert_eq!(h.len(), 1000);
+        assert_eq!(CLONES.load(Relaxed), built, "counting cloned values");
     }
 
     #[test]

@@ -102,11 +102,11 @@ where
             // SAFETY: every stacked pointer is the root or came from
             // `read_child` under `self.guard`, which outlives `self`.
             let node = unsafe { &*ptr };
-            if node.leaf {
+            if node.is_leaf() {
                 // Line 137: {node.key} ∩ bounds — sentinels never match.
                 if let SKey::Fin(k) = &node.key {
                     if bounds_contain(&self.lo.as_ref(), &self.hi.as_ref(), k) {
-                        let v = node.value.clone().expect("finite leaf has a value");
+                        let v = node.value().cloned().expect("finite leaf has a value");
                         return Some((k.clone(), v));
                     }
                 }

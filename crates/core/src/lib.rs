@@ -96,11 +96,12 @@
 //! operations is preserved because the phase counter is monotonic (see
 //! `DESIGN.md` §3 in the repository for the full argument).
 //!
-//! Allocation is arena-pooled: every `Node`/`Info` comes from a
-//! per-thread free list that the epoch collector itself refills (ripe
-//! garbage is *recycled* into pools rather than freed), so steady-state
-//! update loops bypass the global allocator and read-only operations
-//! never allocate at all (`DESIGN.md` §3.5).
+//! Allocation is arena-pooled: every `Node`/`Info` is a block of a
+//! line-aligned slab, handed out from a per-thread free list that the
+//! epoch collector itself refills (ripe garbage is *recycled* into
+//! pools rather than freed), so update loops bypass the global
+//! allocator, a `u64→u64` node is exactly one cache line, and
+//! read-only operations never allocate at all (`DESIGN.md` §3.5).
 //!
 //! ## Feature flags
 //!

@@ -1,22 +1,25 @@
 //! Tree nodes (paper Figure 2, lines 15–27).
 //!
 //! The paper distinguishes `Internal` and `Leaf` subtypes of `Node`. We
-//! use a single struct with a `leaf` discriminant: leaves have null child
-//! pointers and (for finite keys) carry the user value; internal nodes
-//! have two non-null children and no value.
+//! use a single struct whose common header ends in a `leaf`
+//! discriminant and whose last field is a union: a leaf carries the
+//! user value there (for finite keys), an internal node its two
+//! non-null child words — never both.
 //!
-//! Immutability discipline (paper Observation 1): `key`, `value`, `seq`,
-//! `prev` and `leaf` never change after construction. Only the three
-//! CAS words (`update`, `left`, `right`) are mutated, and only by CAS
-//! after initialization.
+//! Immutability discipline (paper Observation 1): `key`, the value,
+//! `seq`, `prev` and `leaf` never change after construction. Only the
+//! three CAS words (`update` and an internal node's children) are
+//! mutated, and only by CAS after initialization.
 //!
 //! # Layout
 //!
-//! One `#[repr(C)]` record: the immutable routing fields first, the
-//! three CAS words last, pointer-aligned — 80 B for `u64→u64`
-//! (DESIGN.md §3.5 records why the words are not cache-line isolated).
-//! Other modules reach the CAS words only through `update_word()` /
-//! `child_word()` / `load_*`.
+//! One `#[repr(C, align(64))]` record: the immutable routing fields
+//! first, then the `update` word, then the 16-byte union tail — for
+//! `u64→u64` exactly one cache line, so a descent step touches one
+//! line and no two nodes share one (DESIGN.md §3.5; the arena's slabs
+//! are what make the alignment free). `leaf` is private and the tail is
+//! reached only through [`Node::value`] / `child_word()` / `load_child`,
+//! which check it.
 //!
 //! The `prev` pointer is what makes the tree *persistent*: whenever a
 //! child CAS replaces node `u` by `u'`, `u'.prev == u`, so
@@ -24,33 +27,39 @@
 //! first node in the chain whose `seq ≤ i` (§4.1).
 
 use crossbeam_epoch::{Atomic, Guard, Shared};
+use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering::{Acquire, SeqCst};
 
 use crate::info::{FreezeTag, Info, InfoPtr, NodePtr, UpdateWord};
 use crate::key::SKey;
 
 /// A tree node. See module docs for the invariants and the layout.
-#[repr(C)]
+#[repr(C, align(64))]
 pub(crate) struct Node<K, V> {
     // ---- immutable after construction, read by every search ----
     /// Routing / stored key (leaf-oriented: only leaf keys are elements).
     pub key: SKey<K>,
-    /// User value; `Some` only on leaves with finite keys.
-    pub value: Option<V>,
     /// Sequence number of the operation that created this node.
     pub seq: u64,
     /// Previous version of the tree position this node occupies; null for
     /// fresh leaves and the initial nodes. Immutable.
     pub prev: NodePtr<K, V>,
-    /// Leaf / internal discriminant.
-    pub leaf: bool,
+    /// Leaf / internal discriminant — and the tag of `tail`, which is
+    /// why only the two constructors below ever write it.
+    leaf: bool,
     // ---- the only mutable words: CAS after initialization ----
     /// The paper's `Update` CAS word: tagged pointer to an [`Info`].
     update: Atomic<Info<K, V>>,
-    /// Left child (null iff leaf).
-    left: Atomic<Node<K, V>>,
-    /// Right child (null iff leaf).
-    right: Atomic<Node<K, V>>,
+    tail: Tail<K, V>,
+}
+
+/// What only one of the paper's two subtypes needs, overlaid.
+#[repr(C)]
+union Tail<K, V> {
+    /// `leaf`: the user value; `Some` only for finite keys.
+    value: ManuallyDrop<Option<V>>,
+    /// `!leaf`: the left and right child words, both non-null.
+    children: ManuallyDrop<[Atomic<Node<K, V>>; 2]>,
 }
 
 impl<K, V> Node<K, V> {
@@ -64,13 +73,13 @@ impl<K, V> Node<K, V> {
     ) -> Self {
         Node {
             key,
-            value,
             seq,
             prev,
             leaf: true,
             update: Atomic::from(dummy_word(dummy)),
-            left: Atomic::null(),
-            right: Atomic::null(),
+            tail: Tail {
+                value: ManuallyDrop::new(value),
+            },
         }
     }
 
@@ -83,16 +92,34 @@ impl<K, V> Node<K, V> {
         right: NodePtr<K, V>,
         dummy: InfoPtr<K, V>,
     ) -> Self {
+        let children = [left, right].map(|c| Atomic::from(Shared::from(c)));
         Node {
             key,
-            value: None,
             seq,
             prev,
             leaf: false,
             update: Atomic::from(dummy_word(dummy)),
-            left: Atomic::from(Shared::from(left)),
-            right: Atomic::from(Shared::from(right)),
+            tail: Tail {
+                children: ManuallyDrop::new(children),
+            },
         }
+    }
+
+    /// Whether this is a leaf (the paper's `Leaf` subtype).
+    #[inline]
+    pub(crate) fn is_leaf(&self) -> bool {
+        self.leaf
+    }
+
+    /// The user value: `Some` only on a leaf with a finite key.
+    #[inline]
+    pub(crate) fn value(&self) -> Option<&V> {
+        if !self.leaf {
+            return None;
+        }
+        // SAFETY: `leaf` is immutable and `Node::leaf` — the only place
+        // that sets it — initialised the value arm.
+        unsafe { self.tail.value.as_ref() }
     }
 
     /// The raw `update` CAS word (for the freeze CAS steps).
@@ -101,14 +128,15 @@ impl<K, V> Node<K, V> {
         &self.update
     }
 
-    /// The raw child word for `CAS-Child` / teardown.
+    /// The raw child word for `CAS-Child` / teardown. Asking a leaf is
+    /// a bug in the caller: every protocol step that reads a child
+    /// holds an internal node.
     #[inline]
     pub(crate) fn child_word(&self, left: bool) -> &Atomic<Node<K, V>> {
-        if left {
-            &self.left
-        } else {
-            &self.right
-        }
+        assert!(!self.leaf, "a leaf has no children");
+        // SAFETY: `leaf` is immutable and `Node::internal` — the only
+        // place that clears it — initialised the children arm.
+        unsafe { &self.tail.children[usize::from(!left)] }
     }
 
     /// Load and decode this node's update word (validation/helping
@@ -145,11 +173,22 @@ impl<K, V> Node<K, V> {
     ///
     /// Acquire: pairs with the Release child CAS (or the Release freeze
     /// CAS that first published the parent), so the child's immutable
-    /// fields (`key`, `seq`, `prev`, `value`) are visible before the
+    /// fields (`key`, `seq`, `prev`, the value) are visible before the
     /// caller dereferences.
     #[inline]
     pub(crate) fn load_child<'g>(&self, left: bool, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
         self.child_word(left).load(Acquire, guard)
+    }
+}
+
+impl<K, V> Drop for Node<K, V> {
+    fn drop(&mut self) {
+        if self.leaf {
+            // SAFETY: a leaf's tail is its value arm, dropped only
+            // here. (The children arm has no destructor: child words
+            // do not own their pointees.)
+            unsafe { ManuallyDrop::drop(&mut self.tail.value) }
+        }
     }
 }
 
@@ -184,11 +223,9 @@ mod tests {
         assert!(l.leaf);
         assert_eq!(l.seq, 3);
         assert_eq!(l.key, SKey::Fin(42));
-        assert_eq!(l.value, Some(7));
+        assert_eq!(l.value(), Some(&7));
         assert!(l.prev.is_null());
         let g = crossbeam_epoch::pin();
-        assert!(l.load_child(true, &g).is_null());
-        assert!(l.load_child(false, &g).is_null());
         let w = l.load_update(&g);
         assert_eq!(w.tag, FreezeTag::Flag);
         assert!(std::ptr::eq(w.info, dp));
@@ -206,7 +243,7 @@ mod tests {
         let (pa, pb): (NodePtr<u64, u64>, NodePtr<u64, u64>) = (&a, &b);
         let i = Node::internal(SKey::Fin(2), 5, pa, pa, pb, dp);
         assert!(!i.leaf);
-        assert!(i.value.is_none());
+        assert!(i.value().is_none());
         assert!(std::ptr::eq(i.prev, pa));
         let g = crossbeam_epoch::pin();
         assert_eq!(i.load_child(true, &g).as_raw(), pa);
@@ -226,10 +263,14 @@ mod tests {
     }
 
     #[test]
-    fn layout_is_one_packed_record() {
-        // The size every workload's RSS scales with: the CAS words pack
-        // flush against the immutable fields, pointer-aligned.
-        assert_eq!(std::mem::size_of::<Node<u64, u64>>(), 80);
-        assert_eq!(std::mem::align_of::<Node<u64, u64>>(), 8);
+    fn layout_is_one_cache_line() {
+        use std::mem::{align_of, size_of};
+        // The size every workload's RSS scales with, and the unit a
+        // descent step touches: header + union tail fill one line.
+        assert_eq!(size_of::<Node<u64, u64>>(), 64);
+        assert_eq!(size_of::<Node<u64, ()>>(), 64);
+        assert_eq!(align_of::<Node<u64, u64>>(), 64);
+        assert_eq!(align_of::<Node<u64, ()>>(), 64);
+        assert_eq!(size_of::<Node<String, String>>() % 64, 0);
     }
 }

@@ -674,6 +674,7 @@ where
     /// If the keys are not strictly ascending (the on-disk readers
     /// validate sortedness before calling this).
     pub fn from_sorted(entries: Vec<(K, V)>) -> Self {
+        use crate::arena;
         use crate::info::{Info, InfoPtr, NodePtr};
         use crate::node::Node;
 
@@ -681,20 +682,21 @@ where
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "from_sorted requires strictly ascending keys"
         );
-        let dummy: InfoPtr<K, V> = Box::into_raw(Box::new(Info::dummy()));
-        // One leaf per entry, in key order. `Box::into_raw`, exactly
-        // like `PnbBst::new`, so `Drop`'s `Box::from_raw` teardown and
-        // the update-time retire rules stay correct for these nodes.
+        let dummy: InfoPtr<K, V> = arena::alloc(Info::dummy());
+        // One leaf per entry, in key order. `arena::alloc`, exactly
+        // like `PnbBst::new`, so a restored tree's nodes are line-
+        // aligned slab blocks too and `Drop`'s `free_now` teardown and
+        // the update-time retire rules hold for them.
         let leaves: Vec<NodePtr<K, V>> = entries
             .into_iter()
             .map(|(k, v)| {
-                Box::into_raw(Box::new(Node::leaf(
+                arena::alloc(Node::leaf(
                     SKey::Fin(k),
                     Some(v),
                     0,
                     std::ptr::null(),
                     dummy,
-                ))) as NodePtr<K, V>
+                )) as NodePtr<K, V>
             })
             .collect();
 
@@ -715,30 +717,13 @@ where
             let key = unsafe { (*leaves[mid]).key.clone() };
             let left = build(&leaves[..mid], dummy);
             let right = build(&leaves[mid..], dummy);
-            Box::into_raw(Box::new(Node::internal(
-                key,
-                0,
-                std::ptr::null(),
-                left,
-                right,
-                dummy,
-            )))
+            arena::alloc(Node::internal(key, 0, std::ptr::null(), left, right, dummy))
         }
 
-        let inf1_leaf: NodePtr<K, V> = Box::into_raw(Box::new(Node::leaf(
-            SKey::Inf1,
-            None,
-            0,
-            std::ptr::null(),
-            dummy,
-        )));
-        let inf2_leaf: NodePtr<K, V> = Box::into_raw(Box::new(Node::leaf(
-            SKey::Inf2,
-            None,
-            0,
-            std::ptr::null(),
-            dummy,
-        )));
+        let inf1_leaf: NodePtr<K, V> =
+            arena::alloc(Node::leaf(SKey::Inf1, None, 0, std::ptr::null(), dummy));
+        let inf2_leaf: NodePtr<K, V> =
+            arena::alloc(Node::leaf(SKey::Inf2, None, 0, std::ptr::null(), dummy));
         // Finite keys all compare below ∞₁: they live in the left
         // subtree of an ∞₁ internal whose right child is the ∞₁
         // sentinel leaf — the same shape a sequence of inserts into a
@@ -747,23 +732,23 @@ where
             inf1_leaf
         } else {
             let finite = build(&leaves, dummy);
-            Box::into_raw(Box::new(Node::internal(
+            arena::alloc(Node::internal(
                 SKey::Inf1,
                 0,
                 std::ptr::null(),
                 finite,
                 inf1_leaf,
                 dummy,
-            )))
+            ))
         };
-        let root: NodePtr<K, V> = Box::into_raw(Box::new(Node::internal(
+        let root: NodePtr<K, V> = arena::alloc(Node::internal(
             SKey::Inf2,
             0,
             std::ptr::null(),
             below_root,
             inf2_leaf,
             dummy,
-        )));
+        ));
         PnbBst {
             root,
             counter: CachePadded::new(AtomicU64::new(0)),

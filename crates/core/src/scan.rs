@@ -193,11 +193,11 @@ where
             // SAFETY: every node on the stack came from the root or from
             // `read_child` under our pinned guard.
             let node = unsafe { &*n };
-            if node.leaf {
+            if node.is_leaf() {
                 // Line 137: {node.key} ∩ [a, b] — sentinels never match.
                 if let SKey::Fin(k) = &node.key {
                     if bounds_contain(&lo, &hi, k)
-                        && f(k, node.value.as_ref().expect("finite leaf has a value")).is_break()
+                        && f(k, node.value().expect("finite leaf has a value")).is_break()
                     {
                         return;
                     }

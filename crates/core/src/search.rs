@@ -37,7 +37,7 @@ where
             // comes from `read_child`, which returns nodes reachable
             // under the pinned guard (Invariant 4.2).
             let l_ref = unsafe { l.deref() };
-            if l_ref.leaf {
+            if l_ref.is_leaf() {
                 break;
             }
             gp = p; // line 37
@@ -68,7 +68,7 @@ where
         guard: &'g Guard,
     ) -> Shared<'g, Node<K, V>> {
         debug_assert!(p.seq <= seq, "ReadChild precondition: p.seq <= seq");
-        debug_assert!(!p.leaf, "ReadChild on a leaf");
+        debug_assert!(!p.is_leaf(), "ReadChild on a leaf");
         let l = p.load_child(left, guard); // line 45
                                            // SAFETY: the current child is reachable under the guard.
         let l_ref = unsafe { l.deref() };
@@ -114,7 +114,7 @@ mod tests {
         assert!(gp.is_null());
         assert!(std::ptr::eq(p.as_raw(), t.root));
         let leaf = unsafe { l.deref() };
-        assert!(leaf.leaf);
+        assert!(leaf.is_leaf());
         assert_eq!(leaf.key, SKey::Inf1);
     }
 
@@ -129,15 +129,15 @@ mod tests {
         for k in [50, 25, 75, 10, 60] {
             let (_gp, p, l) = t.search(&k, seq, guard);
             let leaf = unsafe { l.deref() };
-            assert!(leaf.leaf);
+            assert!(leaf.is_leaf());
             assert_eq!(leaf.key, SKey::Fin(k), "search must land on the key's leaf");
             let parent = unsafe { p.deref() };
-            assert!(!parent.leaf);
+            assert!(!parent.is_leaf());
         }
         // A missing key lands on a leaf that would be its neighbour.
         let (_, _, l) = t.search(&55, seq, guard);
         let leaf = unsafe { l.deref() };
-        assert!(leaf.leaf);
+        assert!(leaf.is_leaf());
         assert_ne!(leaf.key, SKey::Fin(55));
     }
 

@@ -63,6 +63,7 @@ where
     /// current phase exactly like a range scan does.
     pub fn snapshot(&self) -> Snapshot<'_, K, V> {
         let guard = epoch::pin();
+        self.stats.scans();
         // sc-ok: phase close — a snapshot ends the current phase exactly
         // like a scan (§4.1); scanner half of the handshake pair.
         let seq = self.counter.fetch_add(1, SeqCst); // sc-ok: phase close
@@ -93,9 +94,9 @@ where
         let guard = &self.guard;
         let mut node = unsafe { &*self.tree.root };
         loop {
-            if node.leaf {
+            if node.is_leaf() {
                 return if node.key.fin_eq(key) {
-                    node.value.clone()
+                    node.value().cloned()
                 } else {
                     None
                 };
@@ -123,7 +124,7 @@ where
         let guard = &self.guard;
         let mut node = unsafe { &*self.tree.root };
         loop {
-            if node.leaf {
+            if node.is_leaf() {
                 return node.key.fin_eq(key);
             }
             let w = node.load_update_scan(guard);
@@ -243,6 +244,19 @@ use SKey as _SKeyDocOnly;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(feature = "stats")]
+    #[test]
+    fn every_phase_close_counts_as_a_scan() {
+        let t: PnbBst<u32, u32> = PnbBst::new();
+        t.insert(1, 1);
+        let (phase, scans) = (t.phase(), t.stats().scans);
+        assert_eq!(t.range_scan(&0, &9), vec![(1, 1)]);
+        assert_eq!(t.pin().range(..).count(), 1);
+        assert_eq!(t.snapshot().get(&1), Some(1));
+        assert_eq!(t.phase() - phase, 3);
+        assert_eq!(t.stats().scans - scans, 3);
+    }
 
     #[test]
     fn snapshot_is_frozen_in_time() {

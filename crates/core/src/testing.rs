@@ -187,11 +187,15 @@ impl<K, V> Drop for PausedUpdate<'_, K, V> {
 /// arena's steady-state behaviour (see `tests/alloc_steady_state.rs`):
 /// install it with `#[global_allocator]` in a test binary and diff
 /// [`allocations`](CountingAllocator::allocations) around the region
-/// under test. Read paths must show a delta of zero; warm update loops
-/// must drop to the pool-miss fallback.
+/// under test. Read paths must show a delta of zero; update loops
+/// only the collector's own allocations. [`live_bytes`] is what
+/// `arena_trim` must bring back down (see `tests/arena_trim.rs`).
+///
+/// [`live_bytes`]: CountingAllocator::live_bytes
 pub struct CountingAllocator {
     allocs: std::sync::atomic::AtomicU64,
     bytes: std::sync::atomic::AtomicU64,
+    live: std::sync::atomic::AtomicI64,
 }
 
 impl CountingAllocator {
@@ -201,6 +205,7 @@ impl CountingAllocator {
         CountingAllocator {
             allocs: std::sync::atomic::AtomicU64::new(0),
             bytes: std::sync::atomic::AtomicU64::new(0),
+            live: std::sync::atomic::AtomicI64::new(0),
         }
     }
 
@@ -213,6 +218,11 @@ impl CountingAllocator {
     pub fn bytes(&self) -> u64 {
         self.bytes.load(std::sync::atomic::Ordering::Relaxed)
     }
+
+    /// Bytes allocated and not yet freed.
+    pub fn live_bytes(&self) -> i64 {
+        self.live.load(std::sync::atomic::Ordering::Relaxed)
+    }
 }
 
 // SAFETY: delegates verbatim to `std::alloc::System`; the counters are
@@ -222,10 +232,14 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
         use std::sync::atomic::Ordering::Relaxed;
         self.allocs.fetch_add(1, Relaxed);
         self.bytes.fetch_add(layout.size() as u64, Relaxed);
+        self.live.fetch_add(layout.size() as i64, Relaxed);
         unsafe { std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        let freed = layout.size() as i64;
+        self.live
+            .fetch_sub(freed, std::sync::atomic::Ordering::Relaxed);
         unsafe { std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout) }
     }
 
@@ -233,6 +247,8 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
         use std::sync::atomic::Ordering::Relaxed;
         self.allocs.fetch_add(1, Relaxed);
         self.bytes.fetch_add(new_size as u64, Relaxed);
+        self.live
+            .fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
         unsafe { std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size) }
     }
 }

@@ -70,7 +70,7 @@ fn idle_worker_does_not_wedge_reclamation() {
     churn(&mut a, 400); // 102,400 insert/delete pairs through worker A
     let grown = LIVE.load(Ordering::Relaxed) - warm;
 
-    // Wedged, each pair strands two 80-byte nodes and their Info
+    // Wedged, each pair strands two 64-byte nodes and their Info
     // records for good: 75 MiB over this run when tried. Reclaiming, the same
     // blocks go round and the heap stays where the warm-up left it.
     assert!(
