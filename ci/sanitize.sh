@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # AddressSanitizer over the code that owns raw memory: `pnb-bst`'s unit
-# suites (node union, arena slabs, tree teardown) and the root suites
-# that retire and recycle hardest. A block inside a slab handed to
-# `Box::from_raw` or `dealloc`, a carve past a slab's end, a node freed
-# one epoch early — each is an ASan report here and silent elsewhere.
+# suites (node union, arena slabs, tree teardown), the root suites that
+# retire and recycle hardest or park, publish and abort attempts (the
+# `Info` reference counts), and the epoch collector's own suites. A block
+# inside a slab handed to `Box::from_raw` or `dealloc`, a carve past a
+# slab's end, a node freed one epoch early, an `Info` released twice —
+# each is an ASan report here and silent elsewhere.
 #
 #   ci/sanitize.sh
 #
@@ -17,7 +19,9 @@ if ! cargo +nightly --version >/dev/null 2>&1; then
     exit 0
 fi
 
-export RUSTFLAGS="-Zsanitizer=address"
+# `pnb_asan`: the arena poisons pooled blocks, so a touch of a recycled
+# `Node` or `Info` is a report too, not only of freed heap.
+export RUSTFLAGS="-Zsanitizer=address --cfg pnb_asan"
 export CARGO_TARGET_DIR=target/asan
 # An explicit --target keeps the flag off build scripts and proc macros.
 asan() {
@@ -25,5 +29,7 @@ asan() {
 }
 
 asan -p pnb-bst --lib
-asan -p pnbbst-repro --test reclamation --test stress --test helping
+asan -p pnbbst-repro --test reclamation --test stress --test helping \
+    --test paused_random --test versioning
+asan -p crossbeam-epoch
 echo "ci/sanitize.sh: AddressSanitizer clean"

@@ -121,6 +121,7 @@ impl Class {
         }
         if let Some(raw) = self.free.pop() {
             counters::hit();
+            asan::unpoison(raw, self.layout);
             return raw;
         }
         let Some(g) = self.global else {
@@ -155,6 +156,7 @@ impl Class {
             // SAFETY: unpooled layouts allocate each block with it.
             return unsafe { global_dealloc(raw, self.layout) };
         };
+        asan::poison(raw, self.layout);
         self.free.push(raw);
         if self.free.len() >= LOCAL_CAP {
             g.free
@@ -257,14 +259,19 @@ impl Stack {
             next: std::ptr::null_mut(),
             blocks,
         }));
+        self.push_chain(chunk, chunk);
+    }
+
+    /// Push the chain `first ..= last` (linked through `next`) as one.
+    fn push_chain(&self, first: *mut Chunk, last: *mut Chunk) {
         loop {
             let head = self.0.load(Relaxed);
-            // SAFETY: `chunk` is unpublished — we still own it.
-            unsafe { (*chunk).next = head };
-            // Release: publishes the chunk's contents to the taker.
+            // SAFETY: the chain is unpublished — we still own it.
+            unsafe { (*last).next = head };
+            // Release: publishes the chain's contents to the taker.
             if self
                 .0
-                .compare_exchange_weak(head, chunk, Release, Relaxed)
+                .compare_exchange_weak(head, first, Release, Relaxed)
                 .is_ok()
             {
                 return;
@@ -286,12 +293,29 @@ impl Stack {
         all
     }
 
-    /// Take one chunk, re-pushing any surplus chunks.
+    /// Take one chunk: take the whole stack, keep its head and splice
+    /// the rest of the chain back, `Chunk` boxes and all.
     fn pop(&self) -> Option<Vec<*mut u8>> {
-        let mut all = self.take_all().into_iter();
-        let first = all.next();
-        all.for_each(|surplus| self.push(surplus));
-        first
+        // Acquire/exclusivity: as in `take_all`.
+        let head = self.0.swap(std::ptr::null_mut(), AcqRel);
+        if head.is_null() {
+            return None;
+        }
+        // SAFETY: exclusive ownership of every node in the chain.
+        let chunk = unsafe { Box::from_raw(head) };
+        let rest = chunk.next;
+        if !rest.is_null() {
+            let mut last = rest;
+            // SAFETY: still ours — the chain is unpublished until the
+            // splice below.
+            unsafe {
+                while !(*last).next.is_null() {
+                    last = (*last).next;
+                }
+            }
+            self.push_chain(rest, last);
+        }
+        Some(chunk.blocks)
     }
 }
 
@@ -485,6 +509,41 @@ pub struct ArenaStats {
     pub pool_misses: u64,
     /// Bytes returned to thread-local free lists by the collector.
     pub recycled_bytes: u64,
+}
+
+/// A pooled block is freed memory as far as the program is concerned,
+/// but the global allocator never saw it go, so AddressSanitizer would
+/// take a read of a recycled `Node` or `Info` for a valid one. Built
+/// with `--cfg pnb_asan` (as `ci/sanitize.sh` does), a block is
+/// poisoned while it sits in a pool and any touch of it is a report.
+#[cfg(pnb_asan)]
+mod asan {
+    use std::alloc::Layout;
+
+    extern "C" {
+        fn __asan_poison_memory_region(addr: *const u8, size: usize);
+        fn __asan_unpoison_memory_region(addr: *const u8, size: usize);
+    }
+
+    pub(super) fn poison(raw: *mut u8, layout: Layout) {
+        // SAFETY: a whole block of the class, owned by the pool.
+        unsafe { __asan_poison_memory_region(raw, layout.size()) }
+    }
+
+    pub(super) fn unpoison(raw: *mut u8, layout: Layout) {
+        // SAFETY: as above; the block is leaving the pool.
+        unsafe { __asan_unpoison_memory_region(raw, layout.size()) }
+    }
+}
+
+#[cfg(not(pnb_asan))]
+mod asan {
+    use std::alloc::Layout;
+
+    #[inline(always)]
+    pub(super) fn poison(_raw: *mut u8, _layout: Layout) {}
+    #[inline(always)]
+    pub(super) fn unpoison(_raw: *mut u8, _layout: Layout) {}
 }
 
 #[cfg(feature = "stats")]
@@ -726,6 +785,31 @@ mod tests {
                 .filter(|s| s.layout.load(Relaxed) == word);
             assert_eq!(slots.count(), 1, "{layout:?} registered exactly once");
         }
+    }
+
+    #[test]
+    fn stack_pop_splices_the_surplus_back() {
+        let stack = Stack(AtomicPtr::new(std::ptr::null_mut()));
+        for n in 1..=3 {
+            stack.push(vec![std::ptr::null_mut(); n]);
+        }
+        let chain = |stack: &Stack| {
+            let mut at = Vec::new();
+            let mut c = stack.0.load(Relaxed);
+            while !c.is_null() {
+                at.push(c);
+                // SAFETY: single-threaded; the chain is the stack's.
+                c = unsafe { (*c).next };
+            }
+            at
+        };
+        let before = chain(&stack);
+        assert_eq!(before.len(), 3);
+        assert_eq!(stack.pop().map(|b| b.len()), Some(3), "LIFO");
+        assert_eq!(chain(&stack), before[1..], "the other two chunks, reused");
+        let lens: Vec<usize> = stack.take_all().iter().map(Vec::len).collect();
+        assert_eq!(lens, [2, 1]);
+        assert!(stack.pop().is_none());
     }
 
     #[test]

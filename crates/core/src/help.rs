@@ -67,17 +67,18 @@ where
     /// [`finish_published`](Self::finish_published) so the fault-injection
     /// harness can suspend an attempt between the two.
     ///
+    /// `nodes`/`old_update` are in freeze order; the child CAS swings
+    /// `nodes[0]`'s child `nodes[1]` to `new_child`, `nodes[0]` is
+    /// flagged and the rest marked (the paper's `par`, `oldChild` and
+    /// `mark`, derived — see [`Info`]).
+    ///
     /// Takes ownership of `new_child` (for inserts: including its two
     /// fresh leaves) and frees it on failure.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &self,
         kind: OpKind,
         nodes: &[NodePtr<K, V>],
         old_update: &[UpdateWord<K, V>],
-        mark: &[bool],
-        par: NodePtr<K, V>,
-        old_child: NodePtr<K, V>,
         new_child: NodePtr<K, V>,
         seq: u64,
         guard: &Guard,
@@ -86,13 +87,13 @@ where
         // frozen; help in-progress operations before failing.
         for &u in old_update {
             if self.frozen(u) {
-                // SAFETY: `u.info` valid under guard (see `frozen`).
+                // SAFETY: `u.info()` valid under guard (see `frozen`).
                 // Acquire: must see the Info's fields before Help
                 // dereferences them (pairs with the freeze-CAS publish).
-                let st = unsafe { (*u.info).state.load(Acquire) };
+                let st = unsafe { (*u.info()).state.load(Acquire) };
                 if st == state::UNDECIDED || st == state::TRY {
                     self.stats.helps();
-                    self.help(u.info, guard);
+                    self.help(u.info(), guard);
                 }
                 self.free_unpublished_new_child(kind, new_child);
                 return ExecOutcome::Failed;
@@ -100,9 +101,7 @@ where
         }
         // Line 102: allocate the Info object (refs = 1: creation ref)
         // from the thread-local arena.
-        let info: InfoPtr<K, V> = arena::alloc(Info::new(
-            kind, nodes, old_update, mark, par, old_child, new_child, seq,
-        ));
+        let info: InfoPtr<K, V> = arena::alloc(Info::new(kind, nodes, old_update, new_child, seq));
         // Line 103: first freeze CAS — flag nodes[0]. Increment the
         // prospective field reference *before* the CAS so the count can
         // never dip below the number of live references.
@@ -131,7 +130,7 @@ where
         ) {
             Ok(_) => {
                 // Published. The displaced word loses its field reference.
-                self.dec_ref(old_update[0].info, guard);
+                self.dec_ref(old_update[0].info(), guard);
                 ExecOutcome::Published(info)
             }
             Err(_) => {
@@ -214,12 +213,12 @@ where
 
         // Lines 115–121: freeze the remaining nodes, in order.
         let mut i = 1;
-        while cont && i < info.len {
+        while cont && i < info.len() {
             // SAFETY: nodes in a published Info stay reachable while the
             // attempt is undecided (they are frozen or about to be), and
             // we are pinned.
             let node = unsafe { &*info.nodes[i] };
-            let tag = if info.mark[i] {
+            let tag = if info.is_mark(i) {
                 FreezeTag::Mark
             } else {
                 FreezeTag::Flag
@@ -230,7 +229,7 @@ where
             // *take* a reference, only to release one.
             info.refs.fetch_add(1, Relaxed);
             match node.update_word().compare_exchange(
-                word_shared(info.old_update[i]),
+                word_shared(info.old_update(i)),
                 Shared::from(infp).with_tag(tag.bit()),
                 // Release: publishes nothing new (the Info is already
                 // published) but must not sink below the `cont` re-read;
@@ -244,7 +243,7 @@ where
             ) {
                 Ok(_) => {
                     // Reference transferred from the displaced word.
-                    self.dec_ref(info.old_update[i].info, guard);
+                    self.dec_ref(info.old_update(i).info(), guard);
                 }
                 Err(_) => {
                     self.stats.freeze_cas_failures();
@@ -262,7 +261,7 @@ where
 
         if cont {
             // Line 123: the child CAS — the update takes effect.
-            let won = self.cas_child(info.par, info.old_child, info.new_child, guard);
+            let won = self.cas_child(info.par(), info.old_child(), info.new_child, guard);
             // Line 124: commit write. A CAS from Try keeps the transition
             // single-shot; by Lemma 10 no abort can race with it.
             // AcqRel: a thread that reads Commit (Acquire) must also
@@ -334,18 +333,18 @@ where
     fn retire_replaced(&self, info: &Info<K, V>, guard: &Guard) {
         match info.kind {
             OpKind::Insert | OpKind::Replace => {
-                self.retire_node(info.old_child, guard);
+                self.retire_node(info.old_child(), guard);
             }
             OpKind::Delete => {
                 // SAFETY: old_child is frozen for `info`; its children are
                 // immutable since the freeze (Lemma 24) and are exactly
                 // nodes[2] (the deleted leaf) and nodes[3] (the sibling).
-                let p = unsafe { &*info.old_child };
+                let p = unsafe { &*info.old_child() };
                 let l = p.load_child(true, guard);
                 let r = p.load_child(false, guard);
                 self.retire_node(l.as_raw(), guard);
                 self.retire_node(r.as_raw(), guard);
-                self.retire_node(info.old_child, guard);
+                self.retire_node(info.old_child(), guard);
             }
         }
     }
@@ -358,8 +357,8 @@ where
         // guard.
         let n = unsafe { &*node };
         let w = n.load_update(guard);
-        debug_assert_eq!(w.tag, FreezeTag::Mark, "unlinked nodes are marked");
-        self.dec_ref(w.info, guard);
+        debug_assert_eq!(w.tag(), FreezeTag::Mark, "unlinked nodes are marked");
+        self.dec_ref(w.info(), guard);
         // SAFETY: `node` is unreachable to operations that pin after this
         // point (DESIGN.md §3); current pinners are protected by epochs.
         // Once ripe, the memory flows back to a thread-local pool.

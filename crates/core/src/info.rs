@@ -19,7 +19,28 @@
 //!
 //! The paper stores `{Flag, Mark} × Info*` in a single CAS word (the
 //! `Update` record). We reproduce that with a tagged pointer: the low bit
-//! of the `Info` pointer is the [`FreezeTag`].
+//! of the `Info` pointer is the [`FreezeTag`], and [`UpdateWord`] is that
+//! one word.
+//!
+//! # What is stored and what is derived
+//!
+//! An `Info` stays alive as long as one node's `update` word points at it
+//! (see below), long after its attempt is decided, so it keeps only what
+//! `Help` reads. Of the paper's Figure 2 fields:
+//!
+//! * `state`, `seq`, `nodes`, `newChild` are stored as they are;
+//! * `par` is `nodes[0]` and `oldChild` is `nodes[1]` — every update
+//!   shape swings a child of the first node it freezes, and that child
+//!   is the second ([`Info::par`], [`Info::old_child`]);
+//! * `mark[i]` is `i > 0` — every shape flags `nodes[0]` and marks the
+//!   rest ([`Info::is_mark`]);
+//! * the length is 4 for a `Delete` and 2 otherwise ([`Info::len`]);
+//! * `oldUpdate[0]` is not stored: only `Execute`'s first freeze CAS
+//!   reads it, and `Execute` has the caller's copy. `old_update` holds
+//!   indices `1..len` ([`Info::old_update`]).
+//!
+//! So every `Info` is one 80-byte `#[repr(C)]` record whatever `K`, `V`
+//! and the operation are.
 //!
 //! # Reclamation
 //!
@@ -31,7 +52,8 @@
 //! field. The count uses an increment-before-CAS discipline so it never
 //! goes negative, and a `retired` flag makes retirement idempotent.
 
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU8};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8};
 
 use crate::node::Node;
 
@@ -69,17 +91,20 @@ impl FreezeTag {
     }
 }
 
-/// A decoded update word: `(tag, info)` — the paper's `Update` record.
+/// A decoded update word — the paper's `Update` record `(tag, info)` —
+/// kept packed: the `Info` pointer with the [`FreezeTag`] in its low bit,
+/// exactly the bits a node's `update` field holds.
 ///
 /// Two words are equal iff both the tag and the pointer are equal, which
 /// is exactly single-word CAS equality on the packed representation.
+#[repr(transparent)]
 pub(crate) struct UpdateWord<K, V> {
-    pub tag: FreezeTag,
-    pub info: InfoPtr<K, V>,
+    tagged: *const (),
+    _info: PhantomData<InfoPtr<K, V>>,
 }
 
 // Manual Copy/Clone: derives would demand K: Clone etc. even though we
-// only hold raw pointers.
+// only hold a raw pointer.
 impl<K, V> Clone for UpdateWord<K, V> {
     fn clone(&self) -> Self {
         *self
@@ -89,20 +114,37 @@ impl<K, V> Copy for UpdateWord<K, V> {}
 
 impl<K, V> PartialEq for UpdateWord<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        self.tag == other.tag && std::ptr::eq(self.info, other.info)
+        std::ptr::eq(self.tagged, other.tagged)
     }
 }
 impl<K, V> Eq for UpdateWord<K, V> {}
 
 impl<K, V> std::fmt::Debug for UpdateWord<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "UpdateWord({:?}, {:p})", self.tag, self.info)
+        write!(f, "UpdateWord({:?}, {:p})", self.tag(), self.info())
     }
 }
 
 impl<K, V> UpdateWord<K, V> {
+    #[inline]
     pub(crate) fn new(tag: FreezeTag, info: InfoPtr<K, V>) -> Self {
-        UpdateWord { tag, info }
+        debug_assert_eq!(info.addr() & 1, 0, "Info pointers are aligned");
+        UpdateWord {
+            tagged: info.cast::<()>().map_addr(|a| a | tag.bit()),
+            _info: PhantomData,
+        }
+    }
+
+    /// Flag or Mark.
+    #[inline]
+    pub(crate) fn tag(self) -> FreezeTag {
+        FreezeTag::from_bit(self.tagged.addr())
+    }
+
+    /// The `Info` the word points at, tag bit cleared.
+    #[inline]
+    pub(crate) fn info(self) -> InfoPtr<K, V> {
+        self.tagged.map_addr(|a| a & !1).cast()
     }
 }
 
@@ -118,22 +160,35 @@ pub(crate) mod state {
     pub const ABORT: u8 = 3;
 }
 
-/// Which operation created an `Info` object. Determines the shape of the
-/// replacement subtree (and therefore what gets retired on commit or freed
-/// on abort).
+/// Which operation created an `Info` object. Determines how many nodes
+/// it freezes and the shape of the replacement subtree (and therefore
+/// what gets retired on commit or freed on abort).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
 pub(crate) enum OpKind {
     /// `Insert`: `new_child` is a fresh internal node with two fresh
-    /// leaves; `old_child` is the replaced leaf.
+    /// leaves; `old_child` is the replaced leaf. Freezes `[p, l]`.
     Insert,
     /// `Delete`: `new_child` is a fresh copy of the sibling; `old_child`
     /// is the parent being spliced out together with both its children.
+    /// Freezes `[gp, p, l, sibling]`.
     Delete,
     /// `Upsert`'s replacement shape: `new_child` is a single fresh leaf
     /// carrying the new value (`prev` = the old leaf); `old_child` is the
     /// replaced leaf. The smallest of the three shapes — one node in, one
-    /// node out, same freeze-validate-CAS protocol.
+    /// node out, same freeze-validate-CAS protocol. Freezes `[p, l]`.
     Replace,
+}
+
+impl OpKind {
+    /// How many nodes an attempt of this kind freezes.
+    #[inline]
+    fn freezes(self) -> usize {
+        match self {
+            OpKind::Delete => 4,
+            OpKind::Insert | OpKind::Replace => 2,
+        }
+    }
 }
 
 /// Maximum number of nodes an attempt freezes (4, for `Delete`:
@@ -141,80 +196,66 @@ pub(crate) enum OpKind {
 pub(crate) const MAX_NODES: usize = 4;
 
 /// The paper's `Info` record (Figure 2, lines 5–14) plus reclamation
-/// bookkeeping.
+/// bookkeeping, reduced to what `Help` reads (module docs list what is
+/// derived and from what).
 ///
 /// All fields except `state`, `refs` and `retired` are immutable after
 /// construction (paper Observation 1).
+#[repr(C)]
 pub(crate) struct Info<K, V> {
     /// State machine; see module docs.
     pub state: AtomicU8,
-    /// Sequence number (phase) of the attempt — read from `Counter` at the
-    /// start of the attempt and re-checked by the handshake.
-    pub seq: u64,
     /// Creating operation kind.
     pub kind: OpKind,
-    /// Number of valid entries in `nodes` / `old_update` / `mark`.
-    pub len: usize,
-    /// Nodes to freeze, in freeze order (`nodes[0]` is frozen by
-    /// `Execute`, the rest by `Help`).
-    pub nodes: [NodePtr<K, V>; MAX_NODES],
-    /// Expected old values for the freeze CAS steps.
-    pub old_update: [UpdateWord<K, V>; MAX_NODES],
-    /// Whether `nodes[i]` is frozen with `Mark` (to be removed) rather
-    /// than `Flag`.
-    pub mark: [bool; MAX_NODES],
-    /// The node whose child pointer will change (always `nodes[0]`:
-    /// `p` for inserts, `gp` for deletes).
-    pub par: NodePtr<K, V>,
-    /// Expected old value for the child CAS.
-    pub old_child: NodePtr<K, V>,
-    /// New value for the child CAS; `new_child.prev == old_child`.
-    pub new_child: NodePtr<K, V>,
-    /// Node-reference count plus one creation reference (see module docs).
-    pub refs: AtomicIsize,
     /// Set exactly once by whoever observes `refs == 0`; the winner defers
     /// destruction through the epoch collector.
     pub retired: AtomicBool,
+    /// Node-reference count plus one creation reference (see module
+    /// docs). A `u32` is ample: at most 4 update fields (one per frozen
+    /// node) plus the creation reference, plus one speculative increment
+    /// per helper inside a freeze CAS at that moment. The Dummy's count
+    /// is never decremented.
+    pub refs: AtomicU32,
+    /// Sequence number (phase) of the attempt — read from `Counter` at the
+    /// start of the attempt and re-checked by the handshake.
+    pub seq: u64,
+    /// New value for the child CAS; `new_child.prev == old_child`.
+    pub new_child: NodePtr<K, V>,
+    /// Nodes to freeze, in freeze order (`nodes[0]` is frozen by
+    /// `Execute`, the rest by `Help`); `len()` of them are valid.
+    pub nodes: [NodePtr<K, V>; MAX_NODES],
+    /// Expected old update words of `nodes[1..len]` for `Help`'s freeze
+    /// CASes (`old_update[i - 1]` belongs to `nodes[i]`).
+    old_update: [UpdateWord<K, V>; MAX_NODES - 1],
 }
 
 impl<K, V> Info<K, V> {
-    /// Build an `Info` for an attempt. `refs` starts at 1 — the creation
-    /// reference held by the creating operation until its `Execute`
-    /// finishes.
-    #[allow(clippy::too_many_arguments)]
+    /// Build an `Info` for an attempt that freezes `nodes` (whose update
+    /// words read `old_update`) and swings `nodes[0]`'s child `nodes[1]`
+    /// to `new_child`. `refs` starts at 1 — the creation reference held
+    /// by the creating operation until its `Execute` finishes.
     pub(crate) fn new(
         kind: OpKind,
         nodes: &[NodePtr<K, V>],
         old_update: &[UpdateWord<K, V>],
-        mark: &[bool],
-        par: NodePtr<K, V>,
-        old_child: NodePtr<K, V>,
         new_child: NodePtr<K, V>,
         seq: u64,
     ) -> Self {
-        debug_assert_eq!(nodes.len(), old_update.len());
-        debug_assert_eq!(nodes.len(), mark.len());
-        debug_assert!(nodes.len() <= MAX_NODES && !nodes.is_empty());
-        debug_assert!(std::ptr::eq(par, nodes[0]), "par must be nodes[0]");
+        // `copy_from_slice` asserts both slices are `kind`'s length.
+        let len = kind.freezes();
         let mut n = [std::ptr::null(); MAX_NODES];
-        let mut u = [UpdateWord::new(FreezeTag::Flag, std::ptr::null()); MAX_NODES];
-        let mut m = [false; MAX_NODES];
-        n[..nodes.len()].copy_from_slice(nodes);
-        u[..old_update.len()].copy_from_slice(old_update);
-        m[..mark.len()].copy_from_slice(mark);
+        let mut u = [UpdateWord::new(FreezeTag::Flag, std::ptr::null()); MAX_NODES - 1];
+        n[..len].copy_from_slice(nodes);
+        u[..len - 1].copy_from_slice(&old_update[1..]);
         Info {
             state: AtomicU8::new(state::UNDECIDED),
-            seq,
             kind,
-            len: nodes.len(),
+            retired: AtomicBool::new(false),
+            refs: AtomicU32::new(1),
+            seq,
+            new_child,
             nodes: n,
             old_update: u,
-            mark: m,
-            par,
-            old_child,
-            new_child,
-            refs: AtomicIsize::new(1),
-            retired: AtomicBool::new(false),
         }
     }
 
@@ -225,24 +266,56 @@ impl<K, V> Info<K, V> {
     pub(crate) fn dummy() -> Self {
         Info {
             state: AtomicU8::new(state::ABORT),
-            seq: 0,
             kind: OpKind::Insert,
-            len: 0,
-            nodes: [std::ptr::null(); MAX_NODES],
-            old_update: [UpdateWord::new(FreezeTag::Flag, std::ptr::null()); MAX_NODES],
-            mark: [false; MAX_NODES],
-            par: std::ptr::null(),
-            old_child: std::ptr::null(),
-            new_child: std::ptr::null(),
-            refs: AtomicIsize::new(isize::MAX / 2),
             retired: AtomicBool::new(true),
+            refs: AtomicU32::new(u32::MAX / 2),
+            seq: 0,
+            new_child: std::ptr::null(),
+            nodes: [std::ptr::null(); MAX_NODES],
+            old_update: [UpdateWord::new(FreezeTag::Flag, std::ptr::null()); MAX_NODES - 1],
         }
+    }
+
+    /// Number of nodes the attempt freezes: 4 for a `Delete`, 2 otherwise.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.kind.freezes()
+    }
+
+    /// The node whose child pointer will change: `nodes[0]` (`p` for
+    /// inserts and replaces, `gp` for deletes).
+    #[inline]
+    pub(crate) fn par(&self) -> NodePtr<K, V> {
+        self.nodes[0]
+    }
+
+    /// Expected old value for the child CAS: `nodes[1]` (the replaced
+    /// leaf, or for deletes the spliced-out parent).
+    #[inline]
+    pub(crate) fn old_child(&self) -> NodePtr<K, V> {
+        self.nodes[1]
+    }
+
+    /// Whether `nodes[i]` is frozen with `Mark` (to be removed) rather
+    /// than `Flag`: every node but the first.
+    #[inline]
+    pub(crate) fn is_mark(&self, i: usize) -> bool {
+        i > 0
+    }
+
+    /// Expected old update word of `nodes[i]`, for `1 <= i < len()`
+    /// (`nodes[0]`'s is `Execute`'s own copy and is not stored).
+    #[inline]
+    pub(crate) fn old_update(&self, i: usize) -> UpdateWord<K, V> {
+        debug_assert!((1..self.len()).contains(&i), "old_update({i})");
+        self.old_update[i - 1]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::size_of;
     use std::sync::atomic::Ordering;
 
     #[test]
@@ -269,6 +342,17 @@ mod tests {
         assert_eq!(w1, w2);
         assert_ne!(w1, w3); // same pointer, different tag
         assert_ne!(w1, w4); // same tag, different pointer
+        assert_eq!((w3.tag(), w3.info()), (FreezeTag::Mark, pa));
+        assert_eq!((w4.tag(), w4.info()), (FreezeTag::Flag, pb));
+    }
+
+    #[test]
+    fn layout_is_80_bytes_for_every_key_and_value() {
+        // The bytes each retained update record costs: one per flagged
+        // node, about two for every three keys of a churned tree.
+        assert_eq!(size_of::<Info<u64, u64>>(), 80);
+        assert_eq!(size_of::<Info<String, String>>(), 80);
+        assert_eq!(size_of::<UpdateWord<u64, u64>>(), 8);
     }
 
     #[test]
@@ -276,31 +360,38 @@ mod tests {
         let d = Info::<u32, u32>::dummy();
         assert_eq!(d.state.load(Ordering::Relaxed), state::ABORT);
         assert!(d.retired.load(Ordering::Relaxed));
-        assert_eq!(d.len, 0);
+        assert!(d.par().is_null() && d.old_child().is_null());
+        assert!(d.new_child.is_null());
     }
 
     #[test]
     fn new_info_starts_undecided_with_creation_ref() {
         let d = Info::<u32, u32>::dummy();
         let pd: InfoPtr<u32, u32> = &d;
-        let w = UpdateWord::new(FreezeTag::Flag, pd);
+        let w0 = UpdateWord::new(FreezeTag::Flag, pd);
+        let w1 = UpdateWord::new(FreezeTag::Mark, pd);
         // Fake node pointers: `Info::new` never dereferences them.
-        let fake = [1usize as NodePtr<u32, u32>, 2 as NodePtr<u32, u32>];
-        let info = Info::new(
-            OpKind::Insert,
-            &fake,
-            &[w, w],
-            &[false, true],
-            fake[0],
-            fake[1],
-            3 as NodePtr<u32, u32>,
-            7,
-        );
+        let fake = [8usize as NodePtr<u32, u32>, 16 as NodePtr<u32, u32>];
+        let info = Info::new(OpKind::Insert, &fake, &[w0, w1], 24 as NodePtr<u32, u32>, 7);
         assert_eq!(info.state.load(Ordering::Relaxed), state::UNDECIDED);
         assert_eq!(info.refs.load(Ordering::Relaxed), 1);
         assert!(!info.retired.load(Ordering::Relaxed));
-        assert_eq!(info.len, 2);
+        assert_eq!(info.len(), 2);
         assert_eq!(info.seq, 7);
-        assert!(info.mark[1] && !info.mark[0]);
+        assert_eq!((info.par(), info.old_child()), (fake[0], fake[1]));
+        assert!(info.is_mark(1) && !info.is_mark(0));
+        assert_eq!(info.old_update(1), w1);
+    }
+
+    #[test]
+    fn delete_info_keeps_three_expected_words() {
+        let d = Info::<u32, u32>::dummy();
+        let pd: InfoPtr<u32, u32> = &d;
+        let words = [0, 1, 0, 1].map(|bit| UpdateWord::new(FreezeTag::from_bit(bit), pd));
+        let fake = [8usize, 16, 24, 32].map(|a| a as NodePtr<u32, u32>);
+        let info = Info::new(OpKind::Delete, &fake, &words, 40 as NodePtr<u32, u32>, 3);
+        assert_eq!(info.len(), 4);
+        assert_eq!(info.nodes, fake);
+        assert!((1..4).all(|i| info.is_mark(i) && info.old_update(i) == words[i]));
     }
 }

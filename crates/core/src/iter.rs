@@ -118,10 +118,10 @@ where
             let w = node.load_update_scan(self.guard);
             // SAFETY: update words point at live Infos while pinned.
             // Acquire: pairs with the AcqRel state transitions.
-            let st = unsafe { (*w.info).state.load(Acquire) };
+            let st = unsafe { (*w.info()).state.load(Acquire) };
             if st == state::UNDECIDED || st == state::TRY {
                 self.tree.stats.scan_helps();
-                self.tree.help(w.info, self.guard);
+                self.tree.help(w.info(), self.guard);
             }
             // Lines 141–144: descend into the version-seq children that
             // may intersect the bounds; right first so left pops first.

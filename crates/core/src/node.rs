@@ -202,7 +202,7 @@ pub(crate) fn dummy_word<'g, K, V>(dummy: InfoPtr<K, V>) -> Shared<'g, Info<K, V
 /// expected/new value.
 #[inline]
 pub(crate) fn word_shared<'g, K, V>(w: UpdateWord<K, V>) -> Shared<'g, Info<K, V>> {
-    Shared::from(w.info).with_tag(w.tag.bit())
+    Shared::from(w.info()).with_tag(w.tag().bit())
 }
 
 #[cfg(test)]
@@ -227,10 +227,10 @@ mod tests {
         assert!(l.prev.is_null());
         let g = crossbeam_epoch::pin();
         let w = l.load_update(&g);
-        assert_eq!(w.tag, FreezeTag::Flag);
-        assert!(std::ptr::eq(w.info, dp));
+        assert_eq!(w.tag(), FreezeTag::Flag);
+        assert!(std::ptr::eq(w.info(), dp));
         unsafe {
-            assert_eq!((*w.info).state.load(Relaxed), state::ABORT);
+            assert_eq!((*w.info()).state.load(Relaxed), state::ABORT);
         }
     }
 

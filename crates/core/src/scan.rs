@@ -211,10 +211,10 @@ where
             let w = node.load_update_scan(guard);
             // SAFETY: update words point at live Info objects while
             // pinned. Acquire: pairs with the AcqRel state transitions.
-            let st = unsafe { (*w.info).state.load(Acquire) };
+            let st = unsafe { (*w.info()).state.load(Acquire) };
             if st == state::UNDECIDED || st == state::TRY {
                 self.stats.scan_helps();
-                self.help(w.info, guard);
+                self.help(w.info(), guard);
             }
             // Lines 141–144: descend into the version-seq children that
             // may intersect the range. The child pushed *last* pops

@@ -106,9 +106,9 @@ where
             let w = node.load_update_scan(guard);
             // SAFETY: update words point to live Infos while pinned.
             // Acquire: pairs with the AcqRel state transitions.
-            let st = unsafe { (*w.info).state.load(Acquire) };
+            let st = unsafe { (*w.info()).state.load(Acquire) };
             if st == state::UNDECIDED || st == state::TRY {
-                self.tree.help(w.info, guard);
+                self.tree.help(w.info(), guard);
             }
             let child = self
                 .tree
@@ -130,9 +130,9 @@ where
             let w = node.load_update_scan(guard);
             // SAFETY: live under our pinned guard; Acquire pairs with
             // the AcqRel state transitions.
-            let st = unsafe { (*w.info).state.load(Acquire) };
+            let st = unsafe { (*w.info()).state.load(Acquire) };
             if st == state::UNDECIDED || st == state::TRY {
-                self.tree.help(w.info, guard);
+                self.tree.help(w.info(), guard);
             }
             let child = self
                 .tree

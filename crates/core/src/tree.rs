@@ -357,14 +357,10 @@ where
         let l_update = l_ref.load_update(guard); // read at call site (line 164)
         let nodes = [p.as_raw(), l.as_raw()];
         let old_update = [pupdate, l_update];
-        let mark = [false, true];
         match self.execute(
             OpKind::Insert,
             &nodes,
             &old_update,
-            &mark,
-            p.as_raw(),
-            l.as_raw(),
             new_internal,
             seq,
             guard,
@@ -465,18 +461,7 @@ where
         let l_update = l_ref.load_update(guard);
         let nodes = [p.as_raw(), l.as_raw()];
         let old_update = [pupdate, l_update];
-        let mark = [false, true];
-        match self.execute(
-            kind,
-            &nodes,
-            &old_update,
-            &mark,
-            p.as_raw(),
-            l.as_raw(),
-            new_child,
-            seq,
-            guard,
-        ) {
+        match self.execute(kind, &nodes, &old_update, new_child, seq, guard) {
             crate::help::ExecOutcome::Published(info) => AttemptOutcome::Published {
                 info,
                 commit: displaced,
@@ -581,18 +566,7 @@ where
         let nodes = [gp.as_raw(), p.as_raw(), l.as_raw(), sibling.as_raw()];
         let l_update = l_ref.load_update(guard); // read at call site (line 190)
         let old_update = [gpupdate, pupdate, l_update, supdate];
-        let mark = [false, true, true, true];
-        match self.execute(
-            OpKind::Delete,
-            &nodes,
-            &old_update,
-            &mark,
-            gp.as_raw(),
-            p.as_raw(),
-            new_node,
-            seq,
-            guard,
-        ) {
+        match self.execute(OpKind::Delete, &nodes, &old_update, new_node, seq, guard) {
             crate::help::ExecOutcome::Published(info) => AttemptOutcome::Published {
                 info,
                 commit: removed,
@@ -953,6 +927,61 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(LIVE.load(Relaxed), 0, "constructed minus dropped");
+    }
+
+    #[test]
+    fn retained_info_bytes_per_key() {
+        // A decided `Info` lives on in the `update` word of every node it
+        // flagged until another attempt displaces it (the word can never
+        // go back to the Dummy: that is the paper's ABA guard), so a
+        // churned tree keeps about two for every three keys. Count them.
+        use std::collections::HashSet;
+        const KEYS: u64 = 1 << 17;
+        let t: PnbBst<u64, u64> = PnbBst::new();
+        let mut x: u64 = 0x1F0_5EED;
+        let mut next_key = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % KEYS
+        };
+        for _ in 0..50_000 {
+            let k = next_key();
+            t.insert(k, k);
+        }
+        let h = t.pin();
+        for step in 0..200_000 {
+            let k = next_key();
+            let _ = match step % 3 {
+                0 => h.insert(k, k),
+                1 => h.delete(&k),
+                _ => h.get(&k).is_some(),
+            };
+        }
+        drop(h);
+        let guard = &epoch::pin();
+        let mut infos = HashSet::new();
+        let mut stack = vec![t.root];
+        while let Some(ptr) = stack.pop() {
+            // SAFETY: reachable from the root under our guard; quiescent.
+            let node = unsafe { &*ptr };
+            let info = node.load_update(guard).info();
+            if !std::ptr::eq(info, t.dummy) {
+                infos.insert(info);
+            }
+            if !node.is_leaf() {
+                stack.push(node.load_child(true, guard).as_raw());
+                stack.push(node.load_child(false, guard).as_raw());
+            }
+        }
+        let keys = t.check_invariants();
+        let per_key = (infos.len() * std::mem::size_of::<Info<u64, u64>>()) as f64 / keys as f64;
+        println!(
+            "{} live Infos under {keys} keys ({:.3} per key): {per_key:.1} B/key",
+            infos.len(),
+            infos.len() as f64 / keys as f64
+        );
+        assert!(per_key <= 56.0, "{per_key:.1} B of Info per key");
     }
 
     #[test]

@@ -47,7 +47,7 @@ where
             // lines 53–55: help the operation in progress, then fail.
             // `frozen` ⇒ the info is not the Dummy (its state is Abort).
             self.stats.helps();
-            self.help(up.info, guard);
+            self.help(up.info(), guard);
             return None;
         }
         if parent.load_child(left, guard) != child {
@@ -101,7 +101,7 @@ where
     /// frozen forever once the operation commits (marking is permanent,
     /// Lemma 23).
     pub(crate) fn frozen(&self, up: UpdateWord<K, V>) -> bool {
-        // SAFETY: `up.info` was read from a reachable node's update field
+        // SAFETY: `up.info()` was read from a reachable node's update field
         // under the caller's guard; Info objects are retired only via the
         // epoch collector, so the reference is valid while pinned.
         // Acquire: pairs with the AcqRel state transitions, so a thread
@@ -110,8 +110,12 @@ where
         // benign: a conservatively-frozen verdict only causes a retry,
         // and a stale not-frozen verdict is caught by the freeze CAS's
         // expected-value check.
-        let st = unsafe { (*up.info).state.load(std::sync::atomic::Ordering::Acquire) };
-        match up.tag {
+        let st = unsafe {
+            (*up.info())
+                .state
+                .load(std::sync::atomic::Ordering::Acquire)
+        };
+        match up.tag() {
             crate::info::FreezeTag::Flag => st == state::UNDECIDED || st == state::TRY,
             crate::info::FreezeTag::Mark => st != state::ABORT,
         }
