@@ -28,6 +28,18 @@
 //! does **not** form an atomic multi-op transaction: it linearizes as
 //! the sequence of its constituent operations (duplicate keys resolve in
 //! batch order thanks to the stable sort).
+//!
+//! # Overlapping the misses
+//!
+//! A descent is a chain of dependent loads, so one descent waits on one
+//! cache miss at a time. Before executing each window of at most
+//! [`WARM_LANES`] sorted operations, [`PnbBst::warm_paths`] walks the
+//! window's root-to-leaf paths in lock-step, prefetching every child it
+//! moves to, so the window's misses are in flight together and the
+//! execution that follows finds its lines in cache (DESIGN.md §11.4).
+//! The walk is only a cache hint: it reads immutable routing fields and
+//! child words, never `prev`, an `update` word or an `Info`, and it
+//! writes nothing.
 
 use crossbeam_epoch::{Guard, Shared};
 
@@ -35,6 +47,25 @@ use crate::arena::ScanStack;
 use crate::node::Node;
 use crate::search::SearchTriple;
 use crate::tree::{AttemptOutcome, PnbBst};
+
+/// Most operations one [`PnbBst::warm_paths`] walk covers: a shard
+/// bucket of a 64-op frame (≈ 8 ops) fits in one window, and 16 lanes
+/// stay within the core's outstanding-miss buffers (DESIGN.md §11.4).
+const WARM_LANES: usize = 16;
+
+/// Ask for the line at `p` in every cache level. A hint only: it never
+/// faults and changes no program state.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults, whatever the address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// One operation in an [`apply_batch`](crate::Handle::apply_batch) call.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -196,22 +227,25 @@ where
         order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
         let mut stack: PrefixStack<K, V> = PrefixStack::new();
-        for &oi in &order {
-            let k = &keys[oi as usize];
-            loop {
-                let seq = self.read_phase();
-                let (gp, p, l) = self.descend_shared(k, seq, &mut stack, report, guard);
-                // SAFETY: descend_shared returns non-null p and l.
-                let p_ref = unsafe { p.deref() };
-                if self.validate_leaf(gp, p_ref, l, k, guard).is_some() {
-                    let l_ref = unsafe { l.deref() };
-                    if l_ref.key.fin_eq(k) {
-                        out[oi as usize] = l_ref.value().cloned();
+        for window in order.chunks(WARM_LANES) {
+            self.warm_paths(window.iter().map(|&oi| &keys[oi as usize]), guard);
+            for &oi in window {
+                let k = &keys[oi as usize];
+                loop {
+                    let seq = self.read_phase();
+                    let (gp, p, l) = self.descend_shared(k, seq, &mut stack, report, guard);
+                    // SAFETY: descend_shared returns non-null p and l.
+                    let p_ref = unsafe { p.deref() };
+                    if self.validate_leaf(gp, p_ref, l, k, guard).is_some() {
+                        let l_ref = unsafe { l.deref() };
+                        if l_ref.key.fin_eq(k) {
+                            out[oi as usize] = l_ref.value().cloned();
+                        }
+                        break;
                     }
-                    break;
+                    self.stats.validation_failures();
+                    stack.retreat(); // resume strictly shallower next time
                 }
-                self.stats.validation_failures();
-                stack.retreat(); // resume strictly shallower next time
             }
         }
         out
@@ -231,13 +265,70 @@ where
         order.sort_by(|&a, &b| ops[a as usize].key().cmp(ops[b as usize].key()));
         let mut out: Vec<Option<BatchOutcome<V>>> = (0..ops.len()).map(|_| None).collect();
         let mut stack: PrefixStack<K, V> = PrefixStack::new();
-        for &oi in &order {
-            let op = &ops[oi as usize];
-            out[oi as usize] = Some(self.apply_one_shared(op, &mut stack, report, guard));
+        for window in order.chunks(WARM_LANES) {
+            self.warm_paths(window.iter().map(|&oi| ops[oi as usize].key()), guard);
+            for &oi in window {
+                let op = &ops[oi as usize];
+                out[oi as usize] = Some(self.apply_one_shared(op, &mut stack, report, guard));
+            }
         }
         out.into_iter()
             .map(|r| r.expect("every op produced an outcome"))
             .collect()
+    }
+
+    /// Walk the *current* root-to-leaf paths of up to [`WARM_LANES`]
+    /// keys in lock-step, one step per lane per round, prefetching each
+    /// child a lane moves to — so the window's cache misses overlap
+    /// instead of queueing one descent behind another. A window of one
+    /// key is not walked: it has nothing to overlap with.
+    ///
+    /// Only a cache hint (DESIGN.md §11.4): it reads each node's routing
+    /// key and leaf tag and the child word the key routes to, exactly as
+    /// `Search` does, and nothing else — no `prev`, no `update` word, no
+    /// `Info`, no help, no CAS, no [`BatchReport`] count. The operations
+    /// that follow descend and validate on their own.
+    ///
+    /// Returns `(rounds, nodes)`: the lock-step rounds taken and the
+    /// nodes read, the leaves included (`nodes / rounds` is the overlap).
+    fn warm_paths<'k>(&self, keys: impl Iterator<Item = &'k K>, guard: &Guard) -> (u32, u32) {
+        let mut keys = keys.take(WARM_LANES);
+        let Some(first) = keys.next() else {
+            return (0, 0);
+        };
+        let mut lanes: [(*const Node<K, V>, &K); WARM_LANES] = [(self.root, first); WARM_LANES];
+        let mut n = 1;
+        for k in keys {
+            lanes[n].1 = k;
+            n += 1;
+        }
+        if n == 1 {
+            return (0, 0);
+        }
+        let (mut rounds, mut nodes) = (0, 0);
+        while n > 0 {
+            rounds += 1;
+            let mut i = 0;
+            while i < n {
+                let (node, k) = lanes[i];
+                nodes += 1;
+                // SAFETY: every lane starts at the root and moves only to
+                // a child loaded under this pinned guard, so `node` is
+                // not reclaimed before the guard unpins.
+                let node = unsafe { &*node };
+                if node.is_leaf() {
+                    // This lane is done: the last live lane takes its slot.
+                    n -= 1;
+                    lanes[i] = lanes[n];
+                    continue;
+                }
+                let child = node.load_child(node.key.fin_lt(k), guard).as_raw();
+                prefetch(child);
+                lanes[i].0 = child;
+                i += 1;
+            }
+        }
+        (rounds, nodes)
     }
 
     /// Drive one batch operation to completion from the shared prefix.
@@ -576,7 +667,84 @@ mod tests {
                     }
                 });
             }
+            // A reader whose lock-step walks race the detaching deletes.
+            let t = std::sync::Arc::clone(&t);
+            s.spawn(move || {
+                let h = t.pin();
+                let keys: Vec<u32> = (0..64).collect();
+                for _ in 0..1_500 {
+                    for v in h.multi_get(&keys).into_iter().flatten() {
+                        assert!(v < 1_500, "{v} is no round a writer used");
+                    }
+                }
+            });
         });
         t.check_invariants();
+    }
+
+    /// Root-to-leaf length (internal nodes passed) of `k`'s path in the
+    /// current tree, counted along `Search`'s own steps.
+    fn path_len(t: &PnbBst<u32, u32>, k: u32, guard: &Guard) -> u32 {
+        let seq = t.phase();
+        let mut node = unsafe { &*t.root };
+        let mut len = 0;
+        while !node.is_leaf() {
+            node = unsafe { t.read_child(node, node.key.fin_lt(&k), seq, guard).deref() };
+            len += 1;
+        }
+        let (_, _, l) = t.search(&k, seq, guard);
+        assert!(
+            std::ptr::eq(node, l.as_raw()),
+            "the count follows Search's path"
+        );
+        len
+    }
+
+    /// Zero-spread counter for the overlap claim: a 16-key window reads
+    /// every node of its 16 paths, in as many rounds as the deepest path
+    /// has nodes — so ≈ 16 nodes are in flight per round.
+    #[test]
+    fn warm_walk_visits_every_path_node_in_lock_step() {
+        let t = PnbBst::from_sorted((0..4_096u32).map(|k| (k, k)).collect());
+        let guard = &crossbeam_epoch::pin();
+        let window: Vec<u32> = (0..16).map(|i| i * 256 + 17).collect();
+        let (rounds, nodes) = t.warm_paths(window.iter(), guard);
+        let lens: Vec<u32> = window.iter().map(|&k| path_len(&t, k, guard)).collect();
+        assert_eq!(nodes, lens.iter().map(|d| d + 1).sum::<u32>());
+        assert_eq!(rounds, lens.iter().max().unwrap() + 1);
+        assert!(
+            nodes >= 15 * rounds,
+            "overlap {nodes}/{rounds} must be ≈ 16"
+        );
+        assert_eq!(t.warm_paths([5u32].iter(), guard), (0, 0));
+        assert_eq!(t.warm_paths([].iter(), guard), (0, 0));
+
+        // The walk counts nothing in the report: these are the numbers
+        // the batch path reported before the walk existed.
+        let ops: Vec<BatchOp<u32, u32>> = (0..64u32)
+            .map(|i| match i % 4 {
+                0 => BatchOp::Get(i * 61),
+                1 => BatchOp::Insert(i * 61 + 4_096, i),
+                2 => BatchOp::Upsert(i * 61, i),
+                _ => BatchOp::Delete(i * 61),
+            })
+            .collect();
+        let h = t.pin();
+        let (_, report) = h.apply_batch_reported(&ops);
+        assert_eq!(
+            report,
+            BatchReport {
+                ops: 64,
+                root_descents: 1
+            }
+        );
+        let (_, report) = h.multi_get_reported(&window);
+        assert_eq!(
+            report,
+            BatchReport {
+                ops: 16,
+                root_descents: 1
+            }
+        );
     }
 }
