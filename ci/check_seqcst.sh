@@ -43,10 +43,10 @@ if [ -n "$untagged" ]; then
 fi
 
 # --- 3. The whitelist itself is pinned. -------------------------------
-# 7 audited sites: publish CAS + handshake re-read (help.rs), scan-side
-# update-word load (node.rs), phase-closing fetch_add ×4 (scan.rs ×2,
-# iter.rs, snapshot.rs).
-expected=7
+# 4 audited sites: publish CAS + handshake re-read (help.rs ×2), scan-side
+# update-word load (node.rs), and the one phase-closing fetch_add
+# (`PnbBst::close_phase`, tree.rs).
+expected=4
 actual=$(grep -rn 'SeqCst' crates/core/src crates/nbbst/src --include='*.rs' \
     | grep -vE '^\S+:[0-9]+:\s*(//|//!|///)' \
     | grep -vE '^\S+:[0-9]+:\s*use ' \

@@ -176,7 +176,8 @@ where
     }
 
     /// Count keys in `[lo, hi]` without cloning keys or values
-    /// (wait-free): the tree's visitor scan, under its own nested pin.
+    /// (wait-free): [`PnbBst::scan_count`], which counts through a fresh
+    /// [`Snapshot`] under its own nested pin.
     pub fn scan_count(&self, lo: &K, hi: &K) -> usize {
         self.tree.scan_count(lo, hi)
     }
@@ -269,6 +270,11 @@ mod tests {
         let built = CLONES.load(Relaxed);
         assert_eq!(h.scan_count(&100, &899), 800);
         assert_eq!(h.len(), 1000);
+        assert_eq!(t.len(), 1000);
+        assert_eq!(t.scan_count(&100, &899), 800);
+        assert_eq!(t.snapshot().len(), 1000);
+        // Keys are `u32`: `keys` clones only those, never a value.
+        assert_eq!(t.snapshot().keys().len(), 1000);
         assert_eq!(CLONES.load(Relaxed), built, "counting cloned values");
     }
 

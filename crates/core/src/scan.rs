@@ -14,18 +14,14 @@
 //! the scan can possibly traverse is finite and acyclic, regardless of
 //! how fast concurrent updates run.
 //!
-//! The traversal is iterative (explicit stack): the tree is not balanced,
-//! so recursion depth could reach O(n).
+//! Each scan here takes a [`Snapshot`](crate::Snapshot) — which closes
+//! the phase ([`PnbBst::close_phase`]) — and reads it once; the traversal
+//! itself is the `Walk` in [`crate::iter`]. This module keeps the bounds
+//! pruning that walk applies.
 
-use crossbeam_epoch::{self as epoch, Guard};
 use std::ops::Bound;
-use std::sync::atomic::Ordering::{Acquire, SeqCst};
 
-use crate::arena::ScanStack;
-
-use crate::info::state;
 use crate::key::SKey;
-use crate::node::Node;
 use crate::tree::PnbBst;
 
 /// Descent/filter logic for generalized range bounds.
@@ -90,198 +86,58 @@ where
     /// [`Handle::range`](crate::Handle::range) (`tree.pin().range(a..=b)`),
     /// which streams matches without allocating the result set.
     pub fn range_scan(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        self.range_scan_with(Bound::Included(lo), Bound::Included(hi), |k, v| {
-            out.push((k.clone(), v.clone()))
-        });
-        out
+        self.snapshot().range_scan(lo, hi)
     }
 
     /// Wait-free range query with arbitrary bounds, streaming matches to
     /// a visitor in ascending key order. This is the paper's remark that
     /// a scan "may print keys (or perform some processing of the nodes)"
     /// without materializing a result set.
-    pub fn range_scan_with<F: FnMut(&K, &V)>(&self, lo: Bound<&K>, hi: Bound<&K>, mut f: F) {
-        let guard = &epoch::pin();
-        self.stats.scans();
-        // Lines 130–131: seq := Counter; Inc(Counter) — fused into one
-        // atomic fetch_add (unique seqs are a legal tie-break, §5.2.5).
-        // sc-ok: scan-handshake total order (§4.1) — the scanner half of
-        // the store-buffering pair; see `Node::load_update_scan`.
-        let seq = self.counter.fetch_add(1, SeqCst); // sc-ok: phase close
-        self.scan_tree(seq, lo, hi, &mut f, guard);
+    pub fn range_scan_with<F: FnMut(&K, &V)>(&self, lo: Bound<&K>, hi: Bound<&K>, f: F) {
+        self.snapshot().range_scan_with(lo, hi, f)
     }
 
     /// Count keys in `[lo, hi]` without cloning (wait-free).
     pub fn scan_count(&self, lo: &K, hi: &K) -> usize {
-        let mut n = 0usize;
-        self.range_scan_with(Bound::Included(lo), Bound::Included(hi), |_, _| n += 1);
-        n
+        self.snapshot().scan_count(lo, hi)
     }
 
     /// Snapshot the entire contents in ascending key order (wait-free).
     pub fn to_vec(&self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        self.range_scan_with(Bound::Unbounded, Bound::Unbounded, |k, v| {
-            out.push((k.clone(), v.clone()))
-        });
-        out
+        self.snapshot().to_vec()
     }
 
     /// Number of keys currently in the set, observed atomically
     /// (wait-free, O(n) — this is a linearizable scan, not a counter).
     pub fn len(&self) -> usize {
-        let mut n = 0usize;
-        self.range_scan_with(Bound::Unbounded, Bound::Unbounded, |_, _| n += 1);
-        n
+        self.snapshot().len()
     }
 
     /// Whether the set is empty (linearizable; see [`len`](Self::len)).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The iterative `ScanHelper` (paper lines 134–146) over `T_seq`,
-    /// shared by scans and [`Snapshot`](crate::snapshot::Snapshot) reads.
-    pub(crate) fn scan_tree<F: FnMut(&K, &V)>(
-        &self,
-        seq: u64,
-        lo: Bound<&K>,
-        hi: Bound<&K>,
-        f: &mut F,
-        guard: &Guard,
-    ) {
-        self.scan_tree_ctl(
-            seq,
-            lo,
-            hi,
-            false,
-            &mut |k, v| {
-                f(k, v);
-                std::ops::ControlFlow::Continue(())
-            },
-            guard,
-        );
-    }
-
-    /// Generalized `ScanHelper`: optionally descending
-    /// (`desc == true` visits leaves in *descending* key order) and with
-    /// early termination (`f` returns `ControlFlow::Break` to stop).
-    ///
-    /// Early exit keeps the wait-freedom bound (it only shortens the
-    /// traversal); order inversion just flips which child is pushed
-    /// first. Used by the ordered queries
-    /// ([`successor`](Self::successor), [`predecessor`](Self::predecessor),
-    /// [`first_key_value`](Self::first_key_value),
-    /// [`last_key_value`](Self::last_key_value)).
-    pub(crate) fn scan_tree_ctl<F>(
-        &self,
-        seq: u64,
-        lo: Bound<&K>,
-        hi: Bound<&K>,
-        desc: bool,
-        f: &mut F,
-        guard: &Guard,
-    ) where
-        F: FnMut(&K, &V) -> std::ops::ControlFlow<()>,
-    {
-        // Pooled descent stack: a warm scan performs no global
-        // allocation (see `arena::ScanStack`).
-        let mut stack: ScanStack<Node<K, V>> = ScanStack::new();
-        stack.push(self.root);
-        while let Some(n) = stack.pop() {
-            // SAFETY: every node on the stack came from the root or from
-            // `read_child` under our pinned guard.
-            let node = unsafe { &*n };
-            if node.is_leaf() {
-                // Line 137: {node.key} ∩ [a, b] — sentinels never match.
-                if let SKey::Fin(k) = &node.key {
-                    if bounds_contain(&lo, &hi, k)
-                        && f(k, node.value().expect("finite leaf has a value")).is_break()
-                    {
-                        return;
-                    }
-                }
-                continue;
-            }
-            // Lines 139–140: help whatever update is in progress here
-            // before descending, so the scan observes every update of its
-            // own or earlier phases. The SeqCst load is the scanner half
-            // of the handshake pair (`load_update_scan`).
-            let w = node.load_update_scan(guard);
-            // SAFETY: update words point at live Info objects while
-            // pinned. Acquire: pairs with the AcqRel state transitions.
-            let st = unsafe { (*w.info()).state.load(Acquire) };
-            if st == state::UNDECIDED || st == state::TRY {
-                self.stats.scan_helps();
-                self.help(w.info(), guard);
-            }
-            // Lines 141–144: descend into the version-seq children that
-            // may intersect the range. The child pushed *last* pops
-            // first, so for ascending order push right first.
-            let go_left = !skip_left(&lo, &node.key);
-            let go_right = !skip_right(&hi, &node.key);
-            if desc {
-                if go_left {
-                    stack.push(self.read_child(node, true, seq, guard).as_raw());
-                }
-                if go_right {
-                    stack.push(self.read_child(node, false, seq, guard).as_raw());
-                }
-            } else {
-                if go_right {
-                    stack.push(self.read_child(node, false, seq, guard).as_raw());
-                }
-                if go_left {
-                    stack.push(self.read_child(node, true, seq, guard).as_raw());
-                }
-            }
-        }
-    }
-
-    /// First (smallest-key) entry within the given bounds, ascending —
-    /// the workhorse behind the ordered queries. Wait-free; advances the
-    /// phase like any scan.
-    fn first_in_bounds(&self, lo: Bound<&K>, hi: Bound<&K>, desc: bool) -> Option<(K, V)> {
-        let guard = &epoch::pin();
-        self.stats.scans();
-        // sc-ok: phase close — same pair as `range_scan_with`.
-        let seq = self.counter.fetch_add(1, SeqCst); // sc-ok: phase close
-        let mut out = None;
-        self.scan_tree_ctl(
-            seq,
-            lo,
-            hi,
-            desc,
-            &mut |k, v| {
-                out = Some((k.clone(), v.clone()));
-                std::ops::ControlFlow::Break(())
-            },
-            guard,
-        );
-        out
+        self.snapshot().is_empty()
     }
 
     /// The smallest key and its value (wait-free, linearizable).
     pub fn first_key_value(&self) -> Option<(K, V)> {
-        self.first_in_bounds(Bound::Unbounded, Bound::Unbounded, false)
+        self.snapshot().first_key_value()
     }
 
     /// The largest key and its value (wait-free, linearizable).
     pub fn last_key_value(&self) -> Option<(K, V)> {
-        self.first_in_bounds(Bound::Unbounded, Bound::Unbounded, true)
+        self.snapshot().last_key_value()
     }
 
     /// The smallest entry with key strictly greater than `key`
     /// (wait-free, linearizable).
     pub fn successor(&self, key: &K) -> Option<(K, V)> {
-        self.first_in_bounds(Bound::Excluded(key), Bound::Unbounded, false)
+        self.snapshot().successor(key)
     }
 
     /// The largest entry with key strictly smaller than `key`
     /// (wait-free, linearizable).
     pub fn predecessor(&self, key: &K) -> Option<(K, V)> {
-        self.first_in_bounds(Bound::Unbounded, Bound::Excluded(key), true)
+        self.snapshot().predecessor(key)
     }
 }
 
@@ -411,63 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn descending_scan_reverses_ascending() {
-        let t = populated();
-        let mut asc = Vec::new();
-        let mut desc = Vec::new();
-        let guard = &crossbeam_epoch::pin();
-        // Relaxed: single-threaded test bump standing in for a scan.
-        let seq = t.counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        t.scan_tree_ctl(
-            seq,
-            Bound::Unbounded,
-            Bound::Unbounded,
-            false,
-            &mut |k, _| {
-                asc.push(*k);
-                std::ops::ControlFlow::Continue(())
-            },
-            guard,
-        );
-        t.scan_tree_ctl(
-            seq,
-            Bound::Unbounded,
-            Bound::Unbounded,
-            true,
-            &mut |k, _| {
-                desc.push(*k);
-                std::ops::ControlFlow::Continue(())
-            },
-            guard,
-        );
-        let mut r = desc.clone();
-        r.reverse();
-        assert_eq!(asc, r);
-        assert!(!asc.is_empty());
-    }
-
-    #[test]
     fn early_exit_stops_traversal() {
         let t = populated();
-        let mut visited = Vec::new();
-        let guard = &crossbeam_epoch::pin();
-        // Relaxed: single-threaded test bump standing in for a scan.
-        let seq = t.counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        t.scan_tree_ctl(
-            seq,
-            Bound::Unbounded,
-            Bound::Unbounded,
-            false,
-            &mut |k, _| {
-                visited.push(*k);
-                if visited.len() == 3 {
-                    std::ops::ControlFlow::Break(())
-                } else {
-                    std::ops::ControlFlow::Continue(())
-                }
-            },
-            guard,
-        );
+        let h = t.pin();
+        let visited: Vec<i64> = h.range(..).take(3).map(|(k, _)| k).collect();
         assert_eq!(visited, vec![1, 3, 4]);
     }
 

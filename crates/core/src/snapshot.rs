@@ -14,16 +14,20 @@
 //! spell out; it reuses `ScanHelper`'s traversal and helping rules, so
 //! the same correctness argument (paper Lemma 44) applies.
 //!
+//! Every read-only scan on [`PnbBst`] is a one-line delegation to a
+//! fresh snapshot, so each scan body below is written once.
+//!
 //! A long-lived snapshot delays epoch reclamation of every node retired
 //! after its creation — treat it like holding a read lock on memory
 //! (never on other threads' progress).
 
 use crossbeam_epoch::{self as epoch, Guard};
 use std::ops::Bound;
-use std::sync::atomic::Ordering::{Acquire, SeqCst};
+use std::sync::atomic::Ordering::Acquire;
 
 use crate::info::state;
-use crate::key::SKey;
+use crate::iter::Walk;
+use crate::node::Node;
 use crate::tree::PnbBst;
 
 /// A wait-free, immutable view of a [`PnbBst`] as of its creation.
@@ -63,14 +67,10 @@ where
     /// current phase exactly like a range scan does.
     pub fn snapshot(&self) -> Snapshot<'_, K, V> {
         let guard = epoch::pin();
-        self.stats.scans();
-        // sc-ok: phase close — a snapshot ends the current phase exactly
-        // like a scan (§4.1); scanner half of the handshake pair.
-        let seq = self.counter.fetch_add(1, SeqCst); // sc-ok: phase close
         Snapshot {
             tree: self,
             guard,
-            seq,
+            seq: self.close_phase(),
         }
     }
 }
@@ -85,22 +85,16 @@ where
         self.seq
     }
 
-    /// Wait-free point lookup in the snapshot's version of the tree.
-    ///
-    /// A degenerate `ScanHelper`: walk version-`seq` children toward the
-    /// key, helping in-progress updates along the path so that every
+    /// The leaf on `key`'s search path in the snapshot's version of the
+    /// tree. A degenerate `ScanHelper`: walk version-`seq` children toward
+    /// the key, helping in-progress updates along the path so that every
     /// update of phase ≤ `seq` is observed.
-    pub fn get(&self, key: &K) -> Option<V> {
+    fn leaf_for(&self, key: &K) -> &Node<K, V> {
         let guard = &self.guard;
+        // SAFETY: the root is never replaced (Observation 1) and lives as
+        // long as the tree, which outlives the snapshot.
         let mut node = unsafe { &*self.tree.root };
-        loop {
-            if node.is_leaf() {
-                return if node.key.fin_eq(key) {
-                    node.value().cloned()
-                } else {
-                    None
-                };
-            }
+        while !node.is_leaf() {
             // Scanner-side load (`load_update_scan`): this walk reads
             // the closed phase `seq`, same obligations as `ScanHelper`.
             let w = node.load_update_scan(guard);
@@ -113,32 +107,26 @@ where
             let child = self
                 .tree
                 .read_child(node, node.key.fin_lt(key), self.seq, guard);
-            // SAFETY: read_child returns a valid node under our guard.
+            // SAFETY: read_child returns a non-null node reachable under
+            // the snapshot's pinned guard.
             node = unsafe { child.deref() };
+        }
+        node
+    }
+
+    /// Wait-free point lookup in the snapshot's version of the tree.
+    pub fn get(&self, key: &K) -> Option<V> {
+        let leaf = self.leaf_for(key);
+        if leaf.key.fin_eq(key) {
+            leaf.value().cloned()
+        } else {
+            None
         }
     }
 
     /// Whether `key` was present when the snapshot was taken.
     pub fn contains(&self, key: &K) -> bool {
-        // Cheap enough: a value clone is avoided by comparing on the leaf.
-        let guard = &self.guard;
-        let mut node = unsafe { &*self.tree.root };
-        loop {
-            if node.is_leaf() {
-                return node.key.fin_eq(key);
-            }
-            let w = node.load_update_scan(guard);
-            // SAFETY: live under our pinned guard; Acquire pairs with
-            // the AcqRel state transitions.
-            let st = unsafe { (*w.info()).state.load(Acquire) };
-            if st == state::UNDECIDED || st == state::TRY {
-                self.tree.help(w.info(), guard);
-            }
-            let child = self
-                .tree
-                .read_child(node, node.key.fin_lt(key), self.seq, guard);
-            node = unsafe { child.deref() };
-        }
+        self.leaf_for(key).key.fin_eq(key)
     }
 
     /// Range query `[lo, hi]` within the snapshot (ascending order).
@@ -150,9 +138,20 @@ where
         out
     }
 
-    /// Visitor-style range query within the snapshot.
+    /// Visitor-style range query within the snapshot, in ascending key
+    /// order; clones neither keys nor values.
     pub fn range_scan_with<F: FnMut(&K, &V)>(&self, lo: Bound<&K>, hi: Bound<&K>, mut f: F) {
-        self.tree.scan_tree(self.seq, lo, hi, &mut f, &self.guard);
+        let mut walk = Walk::<_, _, false>::new(self.tree, &self.guard, self.seq);
+        while let Some((k, v)) = walk.next_leaf(lo, hi) {
+            f(k, v);
+        }
+    }
+
+    /// Count keys in `[lo, hi]` without cloning.
+    pub(crate) fn scan_count(&self, lo: &K, hi: &K) -> usize {
+        let mut n = 0;
+        self.range_scan_with(Bound::Included(lo), Bound::Included(hi), |_, _| n += 1);
+        n
     }
 
     /// Lazy, wait-free range iteration within the snapshot over any
@@ -200,46 +199,34 @@ where
         out
     }
 
-    fn first_in_bounds(&self, lo: Bound<&K>, hi: Bound<&K>, desc: bool) -> Option<(K, V)> {
-        let mut out = None;
-        self.tree.scan_tree_ctl(
-            self.seq,
-            lo,
-            hi,
-            desc,
-            &mut |k, v| {
-                out = Some((k.clone(), v.clone()));
-                std::ops::ControlFlow::Break(())
-            },
-            &self.guard,
-        );
-        out
+    /// The first entry within the bounds: the smallest, or the largest
+    /// when `DESC`. The walk stops at its first leaf.
+    fn first<const DESC: bool>(&self, lo: Bound<&K>, hi: Bound<&K>) -> Option<(K, V)> {
+        Walk::<_, _, DESC>::new(self.tree, &self.guard, self.seq)
+            .next_leaf(lo, hi)
+            .map(|(k, v)| (k.clone(), v.clone()))
     }
 
     /// Smallest entry in the snapshot.
     pub fn first_key_value(&self) -> Option<(K, V)> {
-        self.first_in_bounds(Bound::Unbounded, Bound::Unbounded, false)
+        self.first::<false>(Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Largest entry in the snapshot.
     pub fn last_key_value(&self) -> Option<(K, V)> {
-        self.first_in_bounds(Bound::Unbounded, Bound::Unbounded, true)
+        self.first::<true>(Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Smallest entry with key strictly greater than `key`.
     pub fn successor(&self, key: &K) -> Option<(K, V)> {
-        self.first_in_bounds(Bound::Excluded(key), Bound::Unbounded, false)
+        self.first::<false>(Bound::Excluded(key), Bound::Unbounded)
     }
 
     /// Largest entry with key strictly smaller than `key`.
     pub fn predecessor(&self, key: &K) -> Option<(K, V)> {
-        self.first_in_bounds(Bound::Unbounded, Bound::Excluded(key), true)
+        self.first::<true>(Bound::Unbounded, Bound::Excluded(key))
     }
 }
-
-// Silence the unused-import lint for SKey used only in docs above.
-#[allow(unused_imports)]
-use SKey as _SKeyDocOnly;
 
 #[cfg(test)]
 mod tests {
@@ -254,8 +241,13 @@ mod tests {
         assert_eq!(t.range_scan(&0, &9), vec![(1, 1)]);
         assert_eq!(t.pin().range(..).count(), 1);
         assert_eq!(t.snapshot().get(&1), Some(1));
-        assert_eq!(t.phase() - phase, 3);
-        assert_eq!(t.stats().scans - scans, 3);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.scan_count(&0, &9), 1);
+        assert_eq!(t.to_vec(), vec![(1, 1)]);
+        assert_eq!(t.first_key_value(), Some((1, 1)));
+        assert_eq!(t.predecessor(&2), Some((1, 1)));
+        assert_eq!(t.phase() - phase, 8);
+        assert_eq!(t.stats().scans - scans, 8);
     }
 
     #[test]
@@ -279,6 +271,37 @@ mod tests {
         assert!(snap.contains(&3));
         assert_eq!(snap.get(&15), None);
         assert!(!snap.contains(&15));
+    }
+
+    #[test]
+    fn ordered_queries_read_the_frozen_version() {
+        use std::collections::BTreeMap;
+        let t: PnbBst<i32, i32> = PnbBst::new();
+        let empty = t.snapshot();
+        for k in [8, 3, 10, 1, 6, 14, 4, 7, 13] {
+            t.insert(k, k * 100);
+        }
+        let snap = t.snapshot();
+        for k in [3, 8, 14] {
+            t.delete(&k);
+        }
+        for k in [0, 5, 9, 16] {
+            t.insert(k, -k);
+        }
+        assert!(empty.is_empty());
+        assert_eq!(snap.keys(), vec![1, 3, 4, 6, 7, 8, 10, 13, 14]);
+        for s in [&empty, &snap] {
+            let model: BTreeMap<i32, i32> = s.to_vec().into_iter().collect();
+            let pair = |e: Option<(&i32, &i32)>| e.map(|(k, v)| (*k, *v));
+            assert_eq!(s.first_key_value(), pair(model.first_key_value()));
+            assert_eq!(s.last_key_value(), pair(model.last_key_value()));
+            for probe in -1..=17 {
+                let succ = pair(model.range(probe + 1..).next());
+                let pred = pair(model.range(..probe).next_back());
+                assert_eq!(s.successor(&probe), succ, "successor of {probe}");
+                assert_eq!(s.predecessor(&probe), pred, "predecessor of {probe}");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crossbeam_epoch::{self as epoch, Guard, Shared};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering::{Acquire, Relaxed};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, SeqCst};
 
 use crate::arena;
 use crate::info::{Info, InfoPtr, NodePtr, OpKind, UpdateWord};
@@ -159,6 +159,18 @@ where
     #[inline]
     pub(crate) fn read_phase(&self) -> u64 {
         self.counter.load(Acquire)
+    }
+
+    /// Close the current phase and return its number (paper lines
+    /// 130–131, `seq := Counter; Inc(Counter)`, fused into one atomic
+    /// fetch-add: unique seqs are a legal tie-break, §5.2.5). Every read
+    /// of a tree version starts here — [`snapshot`](Self::snapshot) and
+    /// the lazy ranges — so this is also the one place scans are counted.
+    pub(crate) fn close_phase(&self) -> u64 {
+        self.stats.scans();
+        // sc-ok: scan-handshake total order (§4.1) — the scanner half of
+        // the store-buffering pair; see `Node::load_update_scan`.
+        self.counter.fetch_add(1, SeqCst) // sc-ok: phase close
     }
 
     /// Insert `key → value`. Returns `true` if the key was absent and was
