@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Every local gate, in order, stopping at the first red one — what
-# `ci.yml`'s lint, docs, server-smoke and benchmark steps run, for an
+# `ci.yml`'s lint, docs, smoke and benchmark steps run, for an
 # environment that never executes `ci.yml`.
 #
 #   ci/all.sh
@@ -10,9 +10,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The header goes to stderr, so a step's own `> /dev/null` keeps it.
 step() {
-    echo
-    echo "==== $* ===="
+    echo >&2
+    echo "==== $* ====" >&2
     "$@"
 }
 
@@ -24,6 +25,9 @@ step ci/check_links.sh
 step ci/server_smoke.sh
 step ci/checkpoint_smoke.sh
 step ci/chaos_smoke.sh
+# The experiment ids no test smokes (e5–e8 have unit smokes in experiments.rs).
+step cargo run --release --offline -p pnbbst-bench --bin experiments -- \
+    --quick e1 e2 e3 e4 e8r e9 e10 > /dev/null
 (cd benchmark && step cargo test --offline)
 
 echo

@@ -8,8 +8,8 @@
 //!
 //! The experiments bin (`cargo run --release -p pnbbst-bench --bin
 //! experiments`) composes these into EXPERIMENTS.md material (and, with
-//! `--json <path>`, the JSON trajectory file); the Criterion benches
-//! cover the same parameter space through a time-per-fixed-batch lens.
+//! `--json <path>`, the JSON trajectory file); it is the one runner of
+//! every experiment.
 
 use std::time::Duration;
 
@@ -1531,6 +1531,18 @@ mod tests {
         let rendered = log.render("quick", 1);
         assert!(rendered.contains("\"experiment\": \"e5\""));
         assert!(rendered.contains("\"structure\": \"pnb-bst\""));
+    }
+
+    #[test]
+    fn e6_runs_disjoint_and_full_range() {
+        let mut log = JsonLog::new();
+        e6(&tiny(), &mut log);
+        assert_eq!(log.len(), 4); // {1, 2} scanners × {disjoint, full-range}
+        let rendered = log.render("quick", 1);
+        assert!(rendered.contains("\"disjoint\": true"));
+        assert!(rendered.contains("\"disjoint\": false"));
+        assert!(!rendered.contains("\"scan_ops\": 0,"), "scanner starved");
+        assert!(!rendered.contains("\"update_ops\": 0,"), "updater starved");
     }
 
     #[test]

@@ -1,13 +1,9 @@
 //! # pnbbst-bench — benchmark harness for the PNB-BST reproduction
 //!
-//! Two entry points over the same experiment definitions:
-//!
-//! * `cargo bench -p pnbbst-bench` — Criterion benches, one target per
-//!   experiment (E1–E7), measuring time-per-fixed-operation-batch so the
-//!   statistics machinery applies.
-//! * `cargo run --release -p pnbbst-bench --bin experiments [-- --quick]
-//!   [-- e1 e3 ...]` — the timed setbench-style sweeps that regenerate
-//!   the EXPERIMENTS.md tables (ops/sec at fixed wall-clock duration).
+//! One entry point runs every experiment definition:
+//! `cargo run --release -p pnbbst-bench --bin experiments [-- --quick]
+//! [-- e1 e3 ...]` — the timed setbench-style sweeps that regenerate
+//! the EXPERIMENTS.md tables (ops/sec at fixed wall-clock duration).
 //!
 //! The `stats` feature forwards to `pnb-bst/stats` and populates the E7
 //! ablation counters; it is off by default so shared counters cannot

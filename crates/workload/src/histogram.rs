@@ -1,10 +1,9 @@
 //! HDR-style log-linear latency histogram with per-thread sharding.
 //!
-//! The old [`LatencyHistogram`](crate::LatencyHistogram) used one-octave
-//! (power-of-two) buckets: cheap, but its resolution is a factor of two,
-//! so p99 and p999 frequently collapse into the same bucket and any
-//! reported percentile can overestimate by up to 2×. This module is the
-//! replacement for all new measurement code: the classic HdrHistogram
+//! One-octave (power-of-two) buckets would be cheaper, but their
+//! resolution is a factor of two, so p99 and p999 frequently collapse
+//! into the same bucket and any reported percentile can overestimate by
+//! up to 2×. Every driver records here instead: the classic HdrHistogram
 //! bucket layout (Gil Tene's design, as used by `hdrhistogram` and
 //! cql-stress) — logarithmic *buckets*, each subdivided into 64 linear
 //! *sub-buckets* — giving a guaranteed relative error of at most 1/64

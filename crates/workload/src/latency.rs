@@ -4,13 +4,12 @@
 //! *bounded individual operation time*. A lock-based map can post great
 //! averages while a scan stalls every writer behind it (and vice versa);
 //! a wait-free scan's p99 stays flat no matter what updaters do. This
-//! module provides the legacy one-octave [`LatencyHistogram`] (kept as
-//! a compat surface) and a closed-loop driver that records
-//! per-operation-type latency percentiles under a mixed load — the E8
-//! extension experiment. The driver itself records into
-//! [`HdrHistogram`] (~1.6% relative error); for latency-*honest* tails
-//! under a fixed offered rate, use [`crate::run_open_loop`], which also
-//! charges queueing delay instead of silently omitting it.
+//! module provides a closed-loop driver that records per-operation-type
+//! latency percentiles under a mixed load — the E8 extension
+//! experiment. The driver records into [`HdrHistogram`] (~1.6%
+//! relative error); for latency-*honest* tails under a fixed offered
+//! rate, use [`crate::run_open_loop`], which also charges queueing
+//! delay instead of silently omitting it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -26,113 +25,6 @@ use crate::runner::prefill;
 use crate::schedule::CLASS_LABELS;
 use crate::seed;
 use crate::{CapabilityError, ConcurrentMap, MapSession};
-
-/// Number of log₂ buckets: covers 1 ns … ~18 s.
-const BUCKETS: usize = 64;
-
-/// A fixed-size logarithmic histogram of nanosecond latencies.
-///
-/// Recording is a single increment into a power-of-two bucket; merging
-/// and percentile extraction happen offline. Resolution is one octave,
-/// which is plenty for p50/p99/p999 comparisons across structures.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    counts: [u64; BUCKETS],
-    total: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            counts: [0; BUCKETS],
-            total: 0,
-        }
-    }
-
-    /// Record one latency.
-    #[inline]
-    pub fn record(&mut self, d: Duration) {
-        let ns = d.as_nanos().max(1) as u64;
-        let bucket = (63 - ns.leading_zeros() as usize).min(BUCKETS - 1);
-        self.counts[bucket] += 1;
-        self.total += 1;
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether the histogram is empty.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// Approximate percentile in nanoseconds, or `None` if empty. `q`
-    /// in `[0, 1]`.
-    ///
-    /// Interpolates linearly *within* the target bucket by the rank's
-    /// position among the bucket's samples. The previous version
-    /// returned the bucket's upper bound `2^(i+1)-1` unconditionally —
-    /// an up-to-2× overestimate with these one-octave buckets, and it
-    /// made p99 and p999 collide whenever both ranks landed in the same
-    /// bucket. Interpolation keeps them distinguishable (they map to
-    /// different intra-bucket positions) at no extra recording cost.
-    /// New code should prefer [`crate::HdrHistogram`], which bounds the
-    /// error structurally instead of assuming in-bucket uniformity.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= rank {
-                // Bucket i spans [2^i, 2^(i+1)-1] ns (bucket 0 also
-                // holds the sub-1ns clamp).
-                let lo = if i == 0 { 1 } else { 1u64 << i };
-                let hi = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                // rank is the (rank - seen)-th of the c samples here;
-                // assume they spread uniformly across the octave.
-                let frac = (rank - seen) as f64 / c as f64;
-                return Some(lo + ((hi - lo) as f64 * frac) as u64);
-            }
-            seen += c;
-        }
-        Some(u64::MAX)
-    }
-
-    /// Convenience: (p50, p99, p999) in nanoseconds.
-    pub fn summary(&self) -> (u64, u64, u64) {
-        (
-            self.percentile(0.50).unwrap_or(0),
-            self.percentile(0.99).unwrap_or(0),
-            self.percentile(0.999).unwrap_or(0),
-        )
-    }
-}
 
 /// Latency percentiles for each operation class.
 #[derive(Clone, Debug, Serialize)]
@@ -161,9 +53,7 @@ pub fn run_latency<M: ConcurrentMap>(
     let stop = AtomicBool::new(false);
     let start_line = std::sync::Barrier::new(threads + 1);
 
-    // One histogram per class: ins/ups/del/find/scan. Recording runs on
-    // the HDR histogram (≤1/64 relative error) rather than the
-    // one-octave compat histogram.
+    // One histogram per class: ins/ups/del/find/scan.
     let per_thread: Vec<[HdrHistogram; 5]> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
@@ -244,76 +134,6 @@ pub fn run_latency<M: ConcurrentMap>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_and_percentiles() {
-        let mut h = LatencyHistogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.percentile(0.5), None);
-        // 90 fast ops (~100ns) and 10 slow ones (~1ms).
-        for _ in 0..90 {
-            h.record(Duration::from_nanos(100));
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_millis(1));
-        }
-        assert_eq!(h.len(), 100);
-        let p50 = h.percentile(0.50).unwrap();
-        let p99 = h.percentile(0.99).unwrap();
-        assert!(p50 < 1_000, "p50 should land in the fast bucket: {p50}");
-        assert!(
-            p99 >= 1_000_000 / 2,
-            "p99 should land in the slow bucket: {p99}"
-        );
-        assert!(p50 <= p99);
-    }
-
-    #[test]
-    fn p99_and_p999_no_longer_collide_within_one_bucket() {
-        // Regression: with upper-bound reporting, any two ranks landing
-        // in the same octave returned the identical value, so p99 ==
-        // p999 for perfectly distinguishable inputs (and both were up
-        // to 2× too high). 1000 samples spread over one octave must
-        // yield distinct, ordered percentiles.
-        let mut h = LatencyHistogram::new();
-        for i in 0..1000u64 {
-            h.record(Duration::from_nanos(1024 + i));
-        }
-        let p50 = h.percentile(0.50).unwrap();
-        let p99 = h.percentile(0.99).unwrap();
-        let p999 = h.percentile(0.999).unwrap();
-        assert!(p50 < p99, "p50 {p50} vs p99 {p99}");
-        assert!(p99 < p999, "p99 {p99} vs p999 {p999}");
-        // Interpolated values stay inside the bucket's octave…
-        assert!((1024..=2047).contains(&p99));
-        // …and near where the rank actually sits, instead of pinned to
-        // the 2047 upper bound.
-        assert!(
-            (1900..=2047).contains(&p999),
-            "p999 should sit high in the octave: {p999}"
-        );
-        assert!(p50 < 1600, "p50 should sit mid-octave: {p50}");
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(Duration::from_nanos(10));
-        b.record(Duration::from_nanos(10));
-        b.record(Duration::from_micros(10));
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn extreme_durations_clamp_into_range() {
-        let mut h = LatencyHistogram::new();
-        h.record(Duration::from_nanos(0)); // clamped to 1ns
-        h.record(Duration::from_secs(40_000)); // beyond top bucket
-        assert_eq!(h.len(), 2);
-        assert!(h.percentile(1.0).is_some());
-    }
 
     #[test]
     fn latency_driver_produces_all_classes() {

@@ -46,11 +46,11 @@ pub use batch::{
 };
 pub use dist::{KeyDist, ScrambledZipf, Sequential, Zipf};
 pub use histogram::{HdrHistogram, ShardedHistogram};
-pub use latency::{run_latency, LatencyHistogram, LatencyReport};
+pub use latency::{run_latency, LatencyReport};
 pub use mix::{Mix, Op};
 pub use runner::{
-    disjoint_slices, prefill, run_fixed_ops, run_scan_updater, run_throughput, Measurement,
-    RunConfig, ScanUpdaterConfig, ScanUpdaterMeasurement,
+    disjoint_slices, prefill, run_scan_updater, run_throughput, Measurement, RunConfig,
+    ScanUpdaterConfig, ScanUpdaterMeasurement,
 };
 pub use schedule::{
     run_open_loop, IntervalLogConfig, OpSchedule, OpenLoopClass, OpenLoopConfig,

@@ -241,78 +241,6 @@ pub fn run_throughput<M: ConcurrentMap>(
     Ok(m)
 }
 
-/// Run a *fixed amount of work* (`ops_per_thread` operations on each of
-/// `threads` workers) and return the wall-clock time it took, excluding
-/// thread startup. This is the Criterion-friendly variant of
-/// [`run_throughput`] (Criterion measures time-per-batch; the timed
-/// variant is for the standalone experiment tables). The map must
-/// already be prefilled.
-///
-/// # Panics
-///
-/// If the mix asks for an operation the structure does not declare
-/// (checked before any worker starts; see [`Caps::check`](crate::Caps)).
-pub fn run_fixed_ops<M: ConcurrentMap>(
-    map: &M,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-    dist: &KeyDist,
-    seed: u64,
-) -> Duration {
-    map.capabilities()
-        .check(&mix, map.name())
-        .expect("mix/capability mismatch");
-    let start_line = std::sync::Barrier::new(threads + 1);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let start_line = &start_line;
-                let dist = dist.clone();
-                let wseed = seed::worker_seed(seed, tid as u64);
-                s.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(wseed);
-                    let mut session = map.pin();
-                    start_line.wait();
-                    let mut since_refresh = 0u32;
-                    for _ in 0..ops_per_thread {
-                        let k = dist.sample(&mut rng);
-                        match mix.sample(&mut rng) {
-                            Op::Insert => {
-                                std::hint::black_box(session.insert(k, k));
-                            }
-                            Op::Upsert => {
-                                std::hint::black_box(session.upsert(k, k));
-                            }
-                            Op::Delete => {
-                                std::hint::black_box(session.delete(&k));
-                            }
-                            Op::Find => {
-                                std::hint::black_box(session.get(&k));
-                            }
-                            Op::RangeScan => {
-                                let hi = k.saturating_add(mix.range_width.saturating_sub(1));
-                                std::hint::black_box(session.range_scan(&k, &hi));
-                            }
-                        }
-                        since_refresh += 1;
-                        if since_refresh == 64 {
-                            session.refresh();
-                            since_refresh = 0;
-                        }
-                    }
-                })
-            })
-            .collect();
-        start_line.wait();
-        let t0 = Instant::now();
-        for h in handles {
-            h.join().unwrap();
-        }
-        t0.elapsed()
-    })
-}
-
 /// Configuration for the scan/update interference experiment (E6):
 /// dedicated scanner threads against dedicated updater threads.
 #[derive(Clone, Debug)]

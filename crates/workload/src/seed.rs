@@ -1,9 +1,9 @@
 //! One seed spawner for every driver.
 //!
 //! The drivers used to derive per-thread RNG seeds ad hoc — `run_latency`
-//! used `seed + 17*(tid+1)`, `run_throughput`/`run_fixed_ops` used
-//! `seed + tid + 1`, and prefill reused the base seed unchanged. Three
-//! consequences, all bad for reproducibility:
+//! used `seed + 17*(tid+1)`, `run_throughput` used `seed + tid + 1`,
+//! and prefill reused the base seed unchanged. Three consequences, all
+//! bad for reproducibility:
 //!
 //! * "same seed" meant a *different* operation stream per driver, so a
 //!   latency run and a throughput run with `seed = 42` exercised
