@@ -25,7 +25,8 @@ step ci/check_links.sh
 step ci/server_smoke.sh
 step ci/checkpoint_smoke.sh
 step ci/chaos_smoke.sh
-# The experiment ids no test smokes (e5–e8 have unit smokes in experiments.rs).
+# The experiments binary end to end; the unit smokes in experiments.rs
+# call each experiment in-process.
 step cargo run --release --offline -p pnbbst-bench --bin experiments -- \
     --quick e1 e2 e3 e4 e8r e9 e10 > /dev/null
 (cd benchmark && step cargo test --offline)

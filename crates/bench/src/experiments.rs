@@ -1520,6 +1520,60 @@ mod tests {
     // These are smoke tests: each experiment must run end-to-end and
     // produce a table (plus JSON rows for the trajectory file).
 
+    /// E1–E3 log one row per capable structure × thread count × key
+    /// range, and no cell may sit idle.
+    fn assert_full_sweep(exp: &str, mix: Mix, log: &JsonLog) -> String {
+        let structures = adapters::all_structures(required_caps(&mix)).len();
+        let o = tiny();
+        assert_eq!(
+            log.len(),
+            structures * o.threads().len() * o.key_ranges().len()
+        );
+        let rendered = log.render("quick", 1);
+        assert!(rendered.contains(&format!("\"experiment\": \"{exp}\"")));
+        assert!(!rendered.contains("\"total_ops\": 0,"), "idle cell");
+        rendered
+    }
+
+    #[test]
+    fn e1_sweeps_every_structure_update_only() {
+        let mut log = JsonLog::new();
+        let s = e1(&tiny(), &mut log);
+        assert!(s.contains("pnb-bst"));
+        let rendered = assert_full_sweep("e1", Mix::update_only(), &log);
+        assert!(!rendered.contains("\"inserts\": 0,"));
+        assert!(!rendered.contains("\"deletes\": 0,"));
+    }
+
+    #[test]
+    fn e2_sweeps_every_structure_read_mostly() {
+        let mut log = JsonLog::new();
+        let s = e2(&tiny(), &mut log);
+        assert!(s.contains("pnb-bst"));
+        let rendered = assert_full_sweep("e2", Mix::read_mostly(), &log);
+        assert!(!rendered.contains("\"finds\": 0,"));
+    }
+
+    #[test]
+    fn e3_sweeps_range_capable_structures_with_scans() {
+        let mut log = JsonLog::new();
+        let s = e3(&tiny(), &mut log);
+        assert!(s.contains("pnb-bst"));
+        let rendered = assert_full_sweep("e3", Mix::with_ranges(100), &log);
+        assert!(!rendered.contains("\"scans\": 0,"), "no range query ran");
+    }
+
+    #[test]
+    fn e4_runs_every_width_for_both_structures() {
+        let mut log = JsonLog::new();
+        let s = e4(&tiny(), &mut log);
+        assert!(s.contains("pnb-bst"));
+        assert!(s.contains("width 1000"));
+        assert_eq!(log.len(), 6); // {pnb-bst, rwlock-btreemap} × 3 widths
+        let rendered = log.render("quick", 1);
+        assert!(!rendered.contains("\"scans\": 0,"), "no range query ran");
+    }
+
     #[test]
     fn e5_produces_three_rows_and_json() {
         let mut log = JsonLog::new();

@@ -503,6 +503,16 @@ pub fn run_open_loop<M: ConcurrentMap>(
 mod tests {
     use super::*;
     use crate::Caps;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The tests that run the engine measure wall-clock rates and tails,
+    /// and a NoopMap worker spin-waits for nearly its whole run. Run
+    /// them one at a time so no sibling steals the core another is
+    /// measuring on.
+    fn open_loop_serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn schedule_is_monotone_and_rate_accurate() {
@@ -601,6 +611,7 @@ mod tests {
     /// exactly the lie this engine exists to stop telling.
     #[test]
     fn stalled_map_p999_reflects_queueing_delay() {
+        let _serial = open_loop_serial();
         let service = Duration::from_micros(300);
         let map = StalledMap { service };
         let run = |rate: f64| {
@@ -719,6 +730,7 @@ mod tests {
 
     #[test]
     fn open_loop_hits_offered_rate_on_a_fast_map() {
+        let _serial = open_loop_serial();
         let cfg = OpenLoopConfig {
             threads: 1,
             target_rate: 5_000.0,
@@ -759,6 +771,7 @@ mod tests {
 
     #[test]
     fn interval_log_appends_per_interval_rows() {
+        let _serial = open_loop_serial();
         let dir = std::env::temp_dir();
         let path = dir.join(format!(
             "pnbbst_interval_log_test_{}.jsonl",
