@@ -46,7 +46,7 @@ use crossbeam_epoch::{Guard, Shared};
 use crate::arena::ScanStack;
 use crate::node::Node;
 use crate::search::SearchTriple;
-use crate::tree::{AttemptOutcome, PnbBst};
+use crate::tree::{PnbBst, Update};
 
 /// Most operations one [`PnbBst::warm_paths`] walk covers: a shard
 /// bucket of a 64-op frame (≈ 8 ops) fits in one window, and 16 lanes
@@ -231,21 +231,9 @@ where
             self.warm_paths(window.iter().map(|&oi| &keys[oi as usize]), guard);
             for &oi in window {
                 let k = &keys[oi as usize];
-                loop {
-                    let seq = self.read_phase();
-                    let (gp, p, l) = self.descend_shared(k, seq, &mut stack, report, guard);
-                    // SAFETY: descend_shared returns non-null p and l.
-                    let p_ref = unsafe { p.deref() };
-                    if self.validate_leaf(gp, p_ref, l, k, guard).is_some() {
-                        let l_ref = unsafe { l.deref() };
-                        if l_ref.key.fin_eq(k) {
-                            out[oi as usize] = l_ref.value().cloned();
-                        }
-                        break;
-                    }
-                    self.stats.validation_failures();
-                    stack.retreat(); // resume strictly shallower next time
-                }
+                let locate =
+                    |seq, retry| self.descend_shared(k, seq, retry, &mut stack, report, guard);
+                out[oi as usize] = self.find(k, locate, guard).and_then(|l| l.value().cloned());
             }
         }
         out
@@ -331,7 +319,7 @@ where
         (rounds, nodes)
     }
 
-    /// Drive one batch operation to completion from the shared prefix.
+    /// Run one batch operation to completion from the shared prefix.
     fn apply_one_shared(
         &self,
         op: &BatchOp<K, V>,
@@ -339,62 +327,35 @@ where
         report: &mut BatchReport,
         guard: &Guard,
     ) -> BatchOutcome<V> {
-        loop {
-            let k = op.key();
-            let seq = self.read_phase();
-            let (gp, p, l) = self.descend_shared(k, seq, stack, report, guard);
-            match op {
-                BatchOp::Get(k) => {
-                    let p_ref = unsafe { p.deref() };
-                    if self.validate_leaf(gp, p_ref, l, k, guard).is_some() {
-                        let l_ref = unsafe { l.deref() };
-                        let v = if l_ref.key.fin_eq(k) {
-                            l_ref.value().cloned()
-                        } else {
-                            None
-                        };
-                        return BatchOutcome::Get(v);
-                    }
-                    self.stats.validation_failures();
-                }
-                BatchOp::Insert(k, v) => match self.insert_attempt_at(k, v, gp, p, l, seq, guard) {
-                    AttemptOutcome::Decided(r) => return BatchOutcome::Inserted(r),
-                    AttemptOutcome::Published { info, commit } => {
-                        if self.finish_published(info, guard) {
-                            return BatchOutcome::Inserted(commit);
-                        }
-                    }
-                    AttemptOutcome::Retry => {}
-                },
-                BatchOp::Upsert(k, v) => match self.upsert_attempt_at(k, v, gp, p, l, seq, guard) {
-                    AttemptOutcome::Decided(r) => return BatchOutcome::Upserted(r),
-                    AttemptOutcome::Published { info, commit } => {
-                        if self.finish_published(info, guard) {
-                            return BatchOutcome::Upserted(commit);
-                        }
-                    }
-                    AttemptOutcome::Retry => {}
-                },
-                BatchOp::Delete(k) => match self.delete_attempt_at(k, gp, p, l, seq, guard) {
-                    AttemptOutcome::Decided(r) => return BatchOutcome::Removed(r),
-                    AttemptOutcome::Published { info, commit } => {
-                        if self.finish_published(info, guard) {
-                            // The committed delete detached p (the top
-                            // frame): drop it so the next op does not
-                            // pay a guaranteed validation failure.
-                            stack.pop();
-                            return BatchOutcome::Removed(commit);
-                        }
-                    }
-                    AttemptOutcome::Retry => {}
-                },
+        let k = op.key();
+        let locate = |seq, retry| self.descend_shared(k, seq, retry, stack, report, guard);
+        match op {
+            BatchOp::Get(_) => {
+                BatchOutcome::Get(self.find(k, locate, guard).and_then(|l| l.value().cloned()))
             }
-            stack.retreat(); // resume strictly shallower next time
+            BatchOp::Insert(_, v) => {
+                BatchOutcome::Inserted(self.drive(&Update::Insert(k, v), locate, guard).is_some())
+            }
+            BatchOp::Upsert(_, v) => {
+                BatchOutcome::Upserted(self.drive(&Update::Upsert(k, v), locate, guard).flatten())
+            }
+            BatchOp::Delete(_) => {
+                let removed = self.drive(&Update::Delete(k), locate, guard);
+                if removed.is_some() {
+                    // The committed delete detached p (the top frame):
+                    // drop it so the next op does not pay a guaranteed
+                    // validation failure.
+                    stack.pop();
+                }
+                BatchOutcome::Removed(removed.flatten())
+            }
         }
     }
 
     /// Resume a search for `k` from the retained prefix (root descent if
-    /// the stack is empty), pushing every internal node traversed.
+    /// the stack is empty), pushing every internal node traversed. A
+    /// `retry` after a failed attempt first retreats, so it resumes
+    /// strictly shallower than the attempt that failed.
     ///
     /// Frames are popped first until the top frame's `hi` bound covers
     /// `k`; because the batch is processed in ascending key order, the
@@ -406,10 +367,14 @@ where
         &self,
         k: &K,
         seq: u64,
+        retry: bool,
         stack: &mut PrefixStack<K, V>,
         report: &mut BatchReport,
         guard: &'g Guard,
     ) -> SearchTriple<'g, K, V> {
+        if retry {
+            stack.retreat();
+        }
         if stack.is_empty() {
             stack.push(self.root, std::ptr::null());
             report.root_descents += 1;

@@ -278,6 +278,139 @@ mod tests {
         assert_eq!(CLONES.load(Relaxed), built, "counting cloned values");
     }
 
+    /// Key and value clones per operation, on each path an operation can
+    /// take: a zero-spread count of what every update builds. A duplicate
+    /// insert or an absent delete clones nothing.
+    #[test]
+    fn updates_clone_exactly_what_they_build() {
+        use crate::batch::{BatchOp, BatchOutcome};
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        static KEYS: AtomicUsize = AtomicUsize::new(0);
+        static VALS: AtomicUsize = AtomicUsize::new(0);
+        #[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+        struct K(u32);
+        impl Clone for K {
+            fn clone(&self) -> Self {
+                KEYS.fetch_add(1, Relaxed);
+                K(self.0)
+            }
+        }
+        #[derive(PartialEq, Debug)]
+        struct V(u32);
+        impl Clone for V {
+            fn clone(&self) -> Self {
+                VALS.fetch_add(1, Relaxed);
+                V(self.0)
+            }
+        }
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            Insert(u32),
+            Upsert(u32),
+            Delete(u32),
+            Get(u32),
+            Contains(u32),
+        }
+        #[derive(Clone, Copy, Debug)]
+        enum Path {
+            Handle,
+            Batch,
+            Paused,
+        }
+        // (op, its result, key clones, value clones)
+        let expected = [
+            (Op::Insert(25), 1, 4, 2),
+            (Op::Insert(25), 0, 0, 0),
+            (Op::Upsert(35), 0, 4, 2),
+            (Op::Upsert(35), 1, 1, 2),
+            (Op::Delete(35), 1, 1, 2),
+            (Op::Delete(36), 0, 0, 0),
+            (Op::Get(25), 1, 0, 1),
+            (Op::Get(26), 0, 0, 0),
+            (Op::Contains(25), 1, 0, 0),
+        ];
+        // Run `op` on `path`; 1 for a true/`Some` result, 0 otherwise.
+        fn run(t: &PnbBst<K, V>, path: Path, op: Op) -> u32 {
+            let h = t.pin();
+            let some = |v: Option<V>| v.is_some() as u32;
+            let batch = |op: BatchOp<K, V>| h.apply_batch(&[op]).pop().expect("one outcome");
+            match (path, op) {
+                (Path::Handle, Op::Insert(k)) => h.insert(K(k), V(k)) as u32,
+                (Path::Handle, Op::Upsert(k)) => some(h.upsert(K(k), V(k))),
+                (Path::Handle, Op::Delete(k)) => some(h.remove(&K(k))),
+                // Reads have no paused form, and `contains` no batched one.
+                (Path::Handle | Path::Paused, Op::Get(k)) => some(h.get(&K(k))),
+                (_, Op::Contains(k)) => h.contains(&K(k)) as u32,
+                (Path::Batch, Op::Insert(k)) => match batch(BatchOp::Insert(K(k), V(k))) {
+                    BatchOutcome::Inserted(b) => b as u32,
+                    o => panic!("{o:?}"),
+                },
+                (Path::Batch, Op::Upsert(k)) => match batch(BatchOp::Upsert(K(k), V(k))) {
+                    BatchOutcome::Upserted(v) => some(v),
+                    o => panic!("{o:?}"),
+                },
+                (Path::Batch, Op::Delete(k)) => match batch(BatchOp::Delete(K(k))) {
+                    BatchOutcome::Removed(v) => some(v),
+                    o => panic!("{o:?}"),
+                },
+                (Path::Batch, Op::Get(k)) => {
+                    let got = h.multi_get(&[K(k)]).pop().expect("one result");
+                    match batch(BatchOp::Get(K(k))) {
+                        BatchOutcome::Get(v) => assert_eq!(v, got),
+                        o => panic!("{o:?}"),
+                    }
+                    // Both lookups cloned the value: count one.
+                    VALS.fetch_sub(got.is_some() as usize, Relaxed);
+                    some(got)
+                }
+                #[cfg(feature = "testing-internals")]
+                (Path::Paused, Op::Insert(k)) => resumed(t.insert_paused(K(k), V(k))),
+                #[cfg(feature = "testing-internals")]
+                (Path::Paused, Op::Upsert(k)) => resumed(t.upsert_paused(K(k), V(k))),
+                #[cfg(feature = "testing-internals")]
+                (Path::Paused, Op::Delete(k)) => resumed(t.delete_paused(&K(k))),
+                #[cfg(not(feature = "testing-internals"))]
+                (Path::Paused, _) => unreachable!("the paused path needs testing-internals"),
+            }
+        }
+        #[cfg(feature = "testing-internals")]
+        fn resumed(out: crate::testing::PauseOutcome<'_, K, V>) -> u32 {
+            match out {
+                crate::testing::PauseOutcome::Completed(b) => b as u32,
+                crate::testing::PauseOutcome::Paused(p) => p.resume() as u32,
+            }
+        }
+        let paths = [Path::Handle, Path::Batch, Path::Paused];
+        let n = if cfg!(feature = "testing-internals") {
+            3
+        } else {
+            2
+        };
+        for path in paths.into_iter().take(n) {
+            let t: PnbBst<K, V> = PnbBst::new();
+            for k in [10, 20, 30, 40] {
+                t.insert(K(k), V(k));
+            }
+            for &(op, result, keys, vals) in &expected {
+                let before = (KEYS.load(Relaxed), VALS.load(Relaxed));
+                let got = run(&t, path, op);
+                let after = (KEYS.load(Relaxed), VALS.load(Relaxed));
+                let counts = (after.0 - before.0, after.1 - before.1);
+                // `resume` reports the commit, not the displaced value.
+                let result = match (path, op) {
+                    (Path::Paused, Op::Upsert(_)) => 1,
+                    _ => result,
+                };
+                assert_eq!(
+                    (got, counts),
+                    (result, (keys, vals)),
+                    "{path:?}: {op:?} (result, (key clones, value clones))"
+                );
+            }
+            assert_eq!(t.check_invariants(), 5);
+        }
+    }
+
     #[test]
     fn handle_range_bounds_flavours() {
         let t: PnbBst<i32, i32> = PnbBst::new();

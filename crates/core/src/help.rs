@@ -42,21 +42,6 @@ use crate::info::{state, FreezeTag, Info, InfoPtr, NodePtr, OpKind, UpdateWord};
 use crate::node::{word_shared, Node};
 use crate::tree::PnbBst;
 
-/// Result of one `Execute` call: either the attempt failed before its
-/// `Info` became visible (retry), or it *published* — from which point
-/// the creator must drive it to a decision with
-/// [`PnbBst::finish_published`] (immediately in production; after an
-/// arbitrary delay in the fault-injection harness, where the gap models
-/// a crash).
-pub(crate) enum ExecOutcome<K, V> {
-    /// The attempt failed pre-publish (a frozen old word, or the first
-    /// freeze CAS lost). The replacement subtree has been freed.
-    Failed,
-    /// The first freeze CAS succeeded: the attempt is visible to every
-    /// other thread and any of them may now complete or abort it.
-    Published(InfoPtr<K, V>),
-}
-
 impl<K, V> PnbBst<K, V>
 where
     K: Ord + Clone + 'static,
@@ -74,6 +59,15 @@ where
     ///
     /// Takes ownership of `new_child` (for inserts: including its two
     /// fresh leaves) and frees it on failure.
+    ///
+    /// Returns `None` if the attempt failed pre-publish (a frozen old
+    /// word, or the first freeze CAS lost); the replacement subtree has
+    /// been freed. `Some(info)` once the first freeze CAS succeeded: the
+    /// attempt is visible to every other thread, any of them may now
+    /// complete or abort it, and the creator must drive it to a decision
+    /// with [`finish_published`](Self::finish_published) — immediately in
+    /// production, after an arbitrary delay in the fault-injection
+    /// harness, where the gap models a crash.
     pub(crate) fn execute(
         &self,
         kind: OpKind,
@@ -82,7 +76,7 @@ where
         new_child: NodePtr<K, V>,
         seq: u64,
         guard: &Guard,
-    ) -> ExecOutcome<K, V> {
+    ) -> Option<InfoPtr<K, V>> {
         // Lines 96–101: nothing we are about to freeze may currently be
         // frozen; help in-progress operations before failing.
         for &u in old_update {
@@ -96,7 +90,7 @@ where
                     self.help(u.info(), guard);
                 }
                 self.free_unpublished_new_child(kind, new_child);
-                return ExecOutcome::Failed;
+                return None;
             }
         }
         // Line 102: allocate the Info object (refs = 1: creation ref)
@@ -131,7 +125,7 @@ where
             Ok(_) => {
                 // Published. The displaced word loses its field reference.
                 self.dec_ref(old_update[0].info(), guard);
-                ExecOutcome::Published(info)
+                Some(info)
             }
             Err(_) => {
                 self.stats.freeze_cas_failures();
@@ -139,7 +133,7 @@ where
                 // and the replacement subtree — recycle immediately.
                 arena::free_now(info as *mut Info<K, V>);
                 self.free_unpublished_new_child(kind, new_child);
-                ExecOutcome::Failed
+                None
             }
         }
     }
@@ -474,16 +468,67 @@ mod tests {
 
     #[test]
     fn counter_stationary_updates_commit_first_try() {
-        // With no scans, the handshake must never abort.
+        // One thread and no scans: every update decides or commits on its
+        // first attempt on every path (a duplicate insert or an absent
+        // delete decides in one), and nothing fails, helps or aborts. A
+        // read makes no attempt. Without `stats` every count reads 0.
+        use crate::batch::{BatchOp, BatchOutcome};
+        let per_update = if cfg!(feature = "stats") { 1 } else { 0 };
         let t: PnbBst<u32, u32> = PnbBst::new();
+        let h = t.pin();
+        let attempts = |updates: u64, f: &dyn Fn()| {
+            let before = t.stats().update_attempts;
+            f();
+            assert_eq!(t.stats().update_attempts - before, updates * per_update);
+        };
         for k in 0..50 {
-            t.insert(k, k);
+            attempts(1, &|| assert!(h.insert(k, k)));
         }
-        #[cfg(feature = "stats")]
+        attempts(1, &|| assert!(!h.insert(7, 0)));
+        attempts(1, &|| assert_eq!(h.upsert(7, 70), Some(7)));
+        attempts(1, &|| assert_eq!(h.upsert(100, 100), None));
+        attempts(1, &|| assert_eq!(h.remove(&100), Some(100)));
+        attempts(1, &|| assert_eq!(h.remove(&100), None));
+        attempts(0, &|| {
+            assert_eq!(h.get(&7), Some(70));
+            assert!(h.contains(&8) && !h.contains(&100));
+            assert_eq!(h.multi_get(&[7, 100]), vec![Some(70), None]);
+            assert_eq!(
+                h.apply_batch(&[BatchOp::Get(7)]),
+                vec![BatchOutcome::Get(Some(70))]
+            );
+        });
+        // Inserts (absent and duplicate), upserts, deletes (present and
+        // absent) and gets in one batch: one attempt per update.
+        let ops: Vec<BatchOp<u32, u32>> = (0..80)
+            .map(|k| match k % 4 {
+                0 => BatchOp::Insert(k + 20, k),
+                1 => BatchOp::Upsert(k, k),
+                2 => BatchOp::Delete(k),
+                _ => BatchOp::Get(k),
+            })
+            .collect();
+        attempts(60, &|| assert_eq!(h.apply_batch(&ops).len(), 80));
+        #[cfg(feature = "testing-internals")]
         {
-            assert_eq!(t.stats().handshake_aborts, 0);
+            use crate::testing::PauseOutcome;
+            let resumed = |out: PauseOutcome<'_, u32, u32>| match out {
+                PauseOutcome::Paused(p) => p.resume(),
+                PauseOutcome::Completed(b) => b,
+            };
+            attempts(1, &|| assert!(resumed(t.insert_paused(300, 3))));
+            attempts(1, &|| assert!(!resumed(t.insert_paused(300, 3))));
+            attempts(1, &|| assert!(resumed(t.upsert_paused(300, 30))));
+            attempts(1, &|| assert!(resumed(t.delete_paused(&300))));
+            attempts(1, &|| assert!(!resumed(t.delete_paused(&300))));
         }
-        let _ = &t;
+        let s = t.stats();
+        assert_eq!(
+            (s.validation_failures, s.helps, s.freeze_cas_failures),
+            (0, 0, 0)
+        );
+        assert_eq!((s.handshake_aborts, s.freeze_aborts), (0, 0));
+        t.check_invariants();
     }
 
     #[test]

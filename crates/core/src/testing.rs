@@ -7,9 +7,10 @@
 //! `Insert(1)` / `RangeScan` / `Find(1)` scenario). This module lets
 //! tests create that window on demand:
 //!
-//! * [`PnbBst::insert_paused`] / [`PnbBst::delete_paused`] run a normal
-//!   update until an attempt *publishes* its `Info` object (first freeze
-//!   CAS succeeds) and then stop, returning a [`PausedUpdate`] handle.
+//! * [`PnbBst::insert_paused`] / [`PnbBst::delete_paused`] /
+//!   [`PnbBst::upsert_paused`] run the production update loop until an
+//!   attempt *publishes* its `Info` object (first freeze CAS succeeds)
+//!   and then stop, returning a [`PausedUpdate`] handle.
 //! * While paused, the operation is visible to every other thread exactly
 //!   like a stalled process: `Find`s, updates and scans that encounter
 //!   the flag will help (and may commit or handshake-abort the attempt).
@@ -25,7 +26,7 @@ use crossbeam_epoch::{self as epoch, Guard};
 use std::sync::atomic::Ordering::Acquire;
 
 use crate::info::{state, InfoPtr};
-use crate::tree::{AttemptOutcome, PnbBst};
+use crate::tree::{AttemptOutcome, PnbBst, Update};
 
 /// Outcome of starting a pausable update.
 pub enum PauseOutcome<'t, K, V> {
@@ -55,8 +56,7 @@ pub struct PausedUpdate<'t, K, V> {
     info: InfoPtr<K, V>,
     /// Pinned for the whole pause so the nodes recorded in `info` cannot
     /// be reclaimed even if helpers complete and retire them.
-    guard: Option<Guard>,
-    resumed: bool,
+    guard: Guard,
 }
 
 // SAFETY: the handle only allows resuming/observing the protocol; all
@@ -72,61 +72,35 @@ where
     /// freeze CAS succeeds). Attempts that fail before publishing retry
     /// internally, exactly like a real insert.
     pub fn insert_paused(&self, key: K, value: V) -> PauseOutcome<'_, K, V> {
-        let guard = epoch::pin();
-        loop {
-            match self.insert_attempt(&key, &value, &guard) {
-                AttemptOutcome::Decided(b) => return PauseOutcome::Completed(b),
-                AttemptOutcome::Published { info, .. } => {
-                    return PauseOutcome::Paused(PausedUpdate {
-                        tree: self,
-                        info,
-                        guard: Some(guard),
-                        resumed: false,
-                    })
-                }
-                AttemptOutcome::Retry => {}
-            }
-        }
+        self.start_paused(&Update::Insert(&key, &value))
     }
 
     /// Start a delete and suspend it right after it publishes.
     pub fn delete_paused(&self, key: &K) -> PauseOutcome<'_, K, V> {
-        let guard = epoch::pin();
-        loop {
-            match self.delete_attempt(key, &guard) {
-                AttemptOutcome::Decided(v) => return PauseOutcome::Completed(v.is_some()),
-                AttemptOutcome::Published { info, .. } => {
-                    return PauseOutcome::Paused(PausedUpdate {
-                        tree: self,
-                        info,
-                        guard: Some(guard),
-                        resumed: false,
-                    })
-                }
-                AttemptOutcome::Retry => {}
-            }
-        }
+        self.start_paused(&Update::Delete(key))
     }
 
     /// Start an upsert and suspend it right after it publishes. Upserts
     /// always publish (both the insert and the replace shape mutate the
-    /// tree), so the outcome is always `Paused`; `Completed` is kept in
-    /// the signature for uniformity with the other paused starters.
+    /// tree), so the outcome is always `Paused`.
     pub fn upsert_paused(&self, key: K, value: V) -> PauseOutcome<'_, K, V> {
+        self.start_paused(&Update::Upsert(&key, &value))
+    }
+
+    /// Run the update retry loop on `op` up to its first publish.
+    fn start_paused(&self, op: &Update<'_, K, V>) -> PauseOutcome<'_, K, V> {
         let guard = epoch::pin();
-        loop {
-            match self.upsert_attempt(&key, &value, &guard) {
-                AttemptOutcome::Decided(v) => return PauseOutcome::Completed(v.is_some()),
-                AttemptOutcome::Published { info, .. } => {
-                    return PauseOutcome::Paused(PausedUpdate {
-                        tree: self,
-                        info,
-                        guard: Some(guard),
-                        resumed: false,
-                    })
-                }
-                AttemptOutcome::Retry => {}
-            }
+        let key = op.key();
+        let outcome =
+            self.attempt_until(op, |seq, _| self.search(key, seq, &guard), |_| true, &guard);
+        match outcome {
+            // A decided update changed nothing.
+            AttemptOutcome::Decided => PauseOutcome::Completed(false),
+            AttemptOutcome::Published { info, .. } => PauseOutcome::Paused(PausedUpdate {
+                tree: self,
+                info,
+                guard,
+            }),
         }
     }
 }
@@ -159,28 +133,16 @@ where
     /// `true` iff this attempt committed — note that helpers may already
     /// have committed or aborted it while it was paused. Unlike a real
     /// update, an aborted attempt is *not* retried; the caller decides.
-    pub fn resume(mut self) -> bool {
-        self.resumed = true;
-        let guard = self.guard.take().expect("guard present until resumed");
-        self.tree.finish_published(self.info, &guard)
+    pub fn resume(self) -> bool {
+        self.tree.finish_published(self.info, &self.guard)
     }
 
     /// Simulate a crash: never resume. Helpers own the attempt's fate
     /// from here; memory only the crashed thread could have freed (its
     /// creation reference, and the replacement subtree if the attempt
-    /// aborts) is leaked, which is the paper's crash model.
-    pub fn abandon(mut self) {
-        self.resumed = true;
-        self.guard.take();
-    }
-}
-
-impl<K, V> Drop for PausedUpdate<'_, K, V> {
-    fn drop(&mut self) {
-        // Dropping without resume == crash (abandon).
-        self.guard.take();
-        let _ = self.resumed;
-    }
+    /// aborts) is leaked, which is the paper's crash model. Dropping the
+    /// handle does the same.
+    pub fn abandon(self) {}
 }
 
 /// A counting wrapper around the system allocator, for asserting the

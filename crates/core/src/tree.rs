@@ -17,6 +17,7 @@ use crate::arena;
 use crate::info::{Info, InfoPtr, NodePtr, OpKind, UpdateWord};
 use crate::key::SKey;
 use crate::node::Node;
+use crate::search::SearchTriple;
 use crate::stats::{Stats, StatsSnapshot};
 
 /// A persistent non-blocking binary search tree supporting wait-free
@@ -69,29 +70,46 @@ pub struct PnbBst<K, V> {
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for PnbBst<K, V> {}
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for PnbBst<K, V> {}
 
-/// Result of a single update *attempt* (one pass of a driver's retry
-/// loop). Splitting the drivers at attempt granularity is what lets the
-/// `testing-internals` pause harness stop an operation exactly between
-/// its publish (first freeze CAS) and its completion without any
-/// testing-only plumbing through the production paths.
-pub(crate) enum AttemptOutcome<R, K, V> {
+/// One update, borrowed: the operation [`PnbBst::attempt`] runs. Insert
+/// and upsert build the same subtree for an absent key; for a present key
+/// an insert decides `false` and an upsert replaces the leaf.
+pub(crate) enum Update<'a, K, V> {
+    /// Paper `Insert`: set semantics, no replacement.
+    Insert(&'a K, &'a V),
+    /// Insert, or replace a present key's leaf.
+    Upsert(&'a K, &'a V),
+    /// Paper `Delete`.
+    Delete(&'a K),
+}
+
+impl<'a, K, V> Update<'a, K, V> {
+    pub(crate) fn key(&self) -> &'a K {
+        match *self {
+            Update::Insert(k, _) | Update::Upsert(k, _) | Update::Delete(k) => k,
+        }
+    }
+}
+
+/// Where the update retry loop ([`PnbBst::attempt_until`]) stops: an
+/// attempt that decided, or one that published. Stopping at the publish
+/// is what lets the `testing-internals` pause harness suspend an
+/// operation between its publish (first freeze CAS) and its completion
+/// while running the production loop.
+pub(crate) enum AttemptOutcome<K, V> {
     /// The operation finished read-only, without publishing anything
-    /// (duplicate insert / delete of an absent key), with result `R`.
+    /// (duplicate insert / delete of an absent key): it changed nothing.
     /// Linearized at the validated read of the parent's update field.
-    Decided(R),
+    Decided,
     /// The attempt published its `Info`: it is now visible to (and
     /// completable by) every thread. The creation reference must be
-    /// released by driving it through [`PnbBst::finish_published`]; if
-    /// that reports a commit, the operation's result is `commit`.
+    /// released by driving it through [`PnbBst::finish_published`].
     Published {
-        /// The published `Info` (creation reference still held).
+        /// The published `Info`.
         info: InfoPtr<K, V>,
-        /// The operation's result if this attempt commits.
-        commit: R,
+        /// The value the update displaces or removes if this attempt
+        /// commits (`None` for an insert).
+        old: Option<V>,
     },
-    /// The attempt failed before publishing (stale validation or a lost
-    /// first freeze CAS); the driver retries.
-    Retry,
 }
 
 impl<K, V> Default for PnbBst<K, V>
@@ -246,146 +264,183 @@ where
     /// [`get`](Self::get) under a caller-provided guard (the session hot
     /// path — no per-op pin).
     pub(crate) fn get_in(&self, key: &K, guard: &Guard) -> Option<V> {
-        loop {
-            let seq = self.read_phase(); // line 74
-            let (gp, p, l) = self.search(key, seq, guard); // line 75
-
-            // SAFETY: `search` returns non-null p and l (Invariant 4.7).
-            let p_ref = unsafe { p.deref() };
-            if self.validate_leaf(gp, p_ref, l, key, guard).is_some() {
-                // Linearized during the successful validation.
-                let l_ref = unsafe { l.deref() };
-                return if l_ref.key.fin_eq(key) {
-                    l_ref.value().cloned()
-                } else {
-                    None
-                };
-            }
-            self.stats.validation_failures();
-        }
+        let leaf = self.find(key, |seq, _| self.search(key, seq, guard), guard);
+        leaf?.value().cloned()
     }
 
     /// [`contains`](Self::contains) under a caller-provided guard.
     pub(crate) fn contains_in(&self, key: &K, guard: &Guard) -> bool {
+        let leaf = self.find(key, |seq, _| self.search(key, seq, guard), guard);
+        leaf.is_some()
+    }
+
+    /// [`insert`](Self::insert) under a caller-provided guard.
+    pub(crate) fn insert_in(&self, key: &K, value: &V, guard: &Guard) -> bool {
+        let op = Update::Insert(key, value);
+        let done = self.drive(&op, |seq, _| self.search(key, seq, guard), guard);
+        done.is_some()
+    }
+
+    /// [`remove`](Self::remove) under a caller-provided guard.
+    pub(crate) fn remove_in(&self, key: &K, guard: &Guard) -> Option<V> {
+        let op = Update::Delete(key);
+        let done = self.drive(&op, |seq, _| self.search(key, seq, guard), guard);
+        done.flatten()
+    }
+
+    /// [`upsert`](Self::upsert) under a caller-provided guard.
+    pub(crate) fn upsert_in(&self, key: &K, value: &V, guard: &Guard) -> Option<V> {
+        let op = Update::Upsert(key, value);
+        let done = self.drive(&op, |seq, _| self.search(key, seq, guard), guard);
+        done.flatten()
+    }
+
+    /// Paper `Find` (lines 69–82), the one validated read behind `get`,
+    /// `contains`, `multi_get` and a batch's `Get`: locate `key`'s leaf
+    /// and validate it, until a validation succeeds. Returns the leaf iff
+    /// it holds `key`; linearized at the successful validation.
+    ///
+    /// `locate(seq, retry)` returns the `(gp, p, l)` to validate in phase
+    /// `seq` — a root [`search`](Self::search) for a singleton, the
+    /// shared descent of a batch — and is told `retry` after a failure.
+    pub(crate) fn find<'g>(
+        &self,
+        key: &K,
+        mut locate: impl FnMut(u64, bool) -> SearchTriple<'g, K, V>,
+        guard: &'g Guard,
+    ) -> Option<&'g Node<K, V>> {
+        let mut retry = false;
         loop {
+            // Lines 74–75.
             let seq = self.read_phase();
-            let (gp, p, l) = self.search(key, seq, guard);
-            let p_ref = unsafe { p.deref() };
+            let (gp, p, l) = locate(seq, retry);
+            // SAFETY: a located p and l are non-null (Invariant 4.7).
+            let (p_ref, l_ref) = unsafe { (p.deref(), l.deref()) };
             if self.validate_leaf(gp, p_ref, l, key, guard).is_some() {
-                let l_ref = unsafe { l.deref() };
-                return l_ref.key.fin_eq(key);
+                return l_ref.key.fin_eq(key).then_some(l_ref);
             }
             self.stats.validation_failures();
+            retry = true;
         }
     }
 
-    /// Full `Insert` driver under a caller-provided guard: retry
-    /// attempts until one decides or commits.
-    pub(crate) fn insert_in(&self, key: &K, value: &V, guard: &Guard) -> bool {
-        loop {
-            match self.insert_attempt(key, value, guard) {
-                AttemptOutcome::Decided(r) => return r,
-                AttemptOutcome::Published { info, commit } => {
-                    if self.finish_published(info, guard) {
-                        return commit;
-                    }
-                }
-                AttemptOutcome::Retry => {}
-            }
-        }
-    }
-
-    /// Full `Delete` driver under a caller-provided guard.
-    pub(crate) fn remove_in(&self, key: &K, guard: &Guard) -> Option<V> {
-        loop {
-            match self.delete_attempt(key, guard) {
-                AttemptOutcome::Decided(r) => return r,
-                AttemptOutcome::Published { info, commit } => {
-                    if self.finish_published(info, guard) {
-                        return commit;
-                    }
-                }
-                AttemptOutcome::Retry => {}
-            }
-        }
-    }
-
-    /// Full `Upsert` driver under a caller-provided guard.
-    pub(crate) fn upsert_in(&self, key: &K, value: &V, guard: &Guard) -> Option<V> {
-        loop {
-            match self.upsert_attempt(key, value, guard) {
-                AttemptOutcome::Decided(r) => return r,
-                AttemptOutcome::Published { info, commit } => {
-                    if self.finish_published(info, guard) {
-                        return commit;
-                    }
-                }
-                AttemptOutcome::Retry => {}
-            }
-        }
-    }
-
-    /// One `Insert` attempt (paper lines 147–168, one pass of the loop).
-    pub(crate) fn insert_attempt(
+    /// Run `op` to completion (paper `Insert` and `Delete`, lines
+    /// 147–195, and `Upsert`): help each published attempt to its
+    /// decision and retry an aborted one. `None` if the update decided
+    /// without changing the tree (a duplicate insert or an absent
+    /// delete); `Some(old)` once it committed, with the value it
+    /// displaced or removed. `locate` is as for [`find`](Self::find).
+    pub(crate) fn drive<'g>(
         &self,
-        key: &K,
-        value: &V,
-        guard: &Guard,
-    ) -> AttemptOutcome<bool, K, V> {
-        let seq = self.read_phase(); // line 155
-        let (gp, p, l) = self.search(key, seq, guard); // line 156
-        self.insert_attempt_at(key, value, gp, p, l, seq, guard)
+        op: &Update<'_, K, V>,
+        locate: impl FnMut(u64, bool) -> SearchTriple<'g, K, V>,
+        guard: &'g Guard,
+    ) -> Option<Option<V>> {
+        match self.attempt_until(op, locate, |info| self.finish_published(info, guard), guard) {
+            AttemptOutcome::Decided => None,
+            AttemptOutcome::Published { old, .. } => Some(old),
+        }
     }
 
-    /// The post-search half of an `Insert` attempt, for callers that
-    /// located `(gp, p, l)` themselves (the batch prefix-sharing path):
-    /// validation onward. The triple may be stale — validation is the
-    /// safety net either way.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert_attempt_at(
+    /// The update retry loop (the paper's `repeat … until` around one
+    /// attempt): run [`attempt`](Self::attempt)s of `op` until one
+    /// decides, or publishes and `finish` returns `true`. `finish` takes
+    /// over each published attempt's creation reference and returns
+    /// `false` to retry: [`drive`](Self::drive) helps the attempt and
+    /// retries an abort; the pause harness stops at the first publish.
+    pub(crate) fn attempt_until<'g>(
         &self,
-        key: &K,
-        value: &V,
-        gp: Shared<'_, Node<K, V>>,
-        p: Shared<'_, Node<K, V>>,
-        l: Shared<'_, Node<K, V>>,
+        op: &Update<'_, K, V>,
+        mut locate: impl FnMut(u64, bool) -> SearchTriple<'g, K, V>,
+        mut finish: impl FnMut(InfoPtr<K, V>) -> bool,
+        guard: &'g Guard,
+    ) -> AttemptOutcome<K, V> {
+        let mut retry = false;
+        loop {
+            let seq = self.read_phase(); // lines 155 and 177
+            match self.attempt(op, locate(seq, retry), seq, guard) {
+                Some(AttemptOutcome::Published { info, .. }) if !finish(info) => {}
+                Some(outcome) => return outcome,
+                None => {}
+            }
+            retry = true;
+        }
+    }
+
+    /// One update attempt (paper lines 147–195, one pass of the loop)
+    /// from the `(gp, p, l)` located in phase `seq`, validation onward.
+    /// The triple may be stale — validation is the safety net either way.
+    /// `None` if the attempt failed before publishing (stale validation
+    /// or a lost first freeze CAS).
+    pub(crate) fn attempt(
+        &self,
+        op: &Update<'_, K, V>,
+        (gp, p, l): SearchTriple<'_, K, V>,
         seq: u64,
         guard: &Guard,
-    ) -> AttemptOutcome<bool, K, V> {
+    ) -> Option<AttemptOutcome<K, V>> {
         self.stats.update_attempts();
-        // SAFETY: non-null per Invariant 4.8.
-        let p_ref = unsafe { p.deref() };
-        let l_ref = unsafe { l.deref() };
-        let Some((_, pupdate)) = self.validate_leaf(gp, p_ref, l, key, guard) else {
+        let key = op.key();
+        // SAFETY: non-null per Invariants 4.8 and 4.9.
+        let (p_ref, l_ref) = unsafe { (p.deref(), l.deref()) };
+        let Some((gpupdate, pupdate)) = self.validate_leaf(gp, p_ref, l, key, guard) else {
             self.stats.validation_failures();
-            return AttemptOutcome::Retry;
+            return None;
         };
-        if l_ref.key.fin_eq(key) {
-            return AttemptOutcome::Decided(false); // line 159: duplicate
-        }
-        // Build the replacement subtree (lines 161–163): two fresh
-        // leaves under a fresh internal node whose prev is `l`.
-        let new_internal = self.build_insert_subtree(key, value, l_ref, l.as_raw(), seq, guard);
+        let present = l_ref.key.fin_eq(key);
+        let (kind, new_child, old) = match *op {
+            // Line 159: a duplicate; line 181: an absent key.
+            Update::Insert(..) if present => return Some(AttemptOutcome::Decided),
+            Update::Delete(_) if !present => return Some(AttemptOutcome::Decided),
+            Update::Delete(_) => {
+                // `l.key == k` is finite, so p != Root and gp is non-null
+                // (Invariant 4.9) and gpupdate was produced by validation.
+                let gpupdate = gpupdate.expect("gp validated when l.key is finite");
+                // Locate the sibling in T_seq (line 182): if l is the right
+                // child (l.key >= p.key) the sibling is the left child.
+                let sib_is_left = !p_ref.key.fin_lt(key); // l.key >= p.key ⟺ !(k < p.key)
+                let sibling = self.read_child(p_ref, sib_is_left, seq, guard);
+                // Line 183: sibling must be the *current* child of p.
+                let Some(_) = self.validate_link(p_ref, sibling, sib_is_left, guard) else {
+                    self.stats.validation_failures();
+                    return None;
+                };
+                let (new_node, supdate) = self.copy_sibling(p_ref, sibling, seq, guard)?;
+                // Capture the value before the leaf may be retired.
+                let removed = l_ref.value().cloned();
+                let nodes = [gp.as_raw(), p.as_raw(), l.as_raw(), sibling.as_raw()];
+                let l_update = l_ref.load_update(guard); // read at call site (line 190)
+                let old_update = [gpupdate, pupdate, l_update, supdate];
+                let info =
+                    self.execute(OpKind::Delete, &nodes, &old_update, new_node, seq, guard)?;
+                return Some(AttemptOutcome::Published { info, old: removed });
+            }
+            Update::Upsert(_, value) if present => {
+                // Replace shape: one fresh leaf, prev = the old leaf, so
+                // version-`seq` readers still reach the displaced value.
+                let new_leaf: NodePtr<K, V> = arena::alloc(Node::leaf(
+                    SKey::Fin(key.clone()),
+                    Some(value.clone()),
+                    seq,
+                    l.as_raw(),
+                    self.dummy,
+                ));
+                (OpKind::Replace, new_leaf, l_ref.value().cloned())
+            }
+            Update::Insert(_, value) | Update::Upsert(_, value) => {
+                let new_internal = self.build_insert_subtree(key, value, l_ref, l.as_raw(), seq);
+                (OpKind::Insert, new_internal, None)
+            }
+        };
         let l_update = l_ref.load_update(guard); // read at call site (line 164)
         let nodes = [p.as_raw(), l.as_raw()];
         let old_update = [pupdate, l_update];
-        match self.execute(
-            OpKind::Insert,
-            &nodes,
-            &old_update,
-            new_internal,
-            seq,
-            guard,
-        ) {
-            crate::help::ExecOutcome::Published(info) => {
-                AttemptOutcome::Published { info, commit: true }
-            }
-            crate::help::ExecOutcome::Failed => AttemptOutcome::Retry,
-        }
+        let info = self.execute(kind, &nodes, &old_update, new_child, seq, guard)?;
+        Some(AttemptOutcome::Published { info, old })
     }
 
     /// The two fresh leaves + internal node of an insert's replacement
-    /// subtree (paper lines 161–163).
+    /// subtree (paper lines 161–163): the internal node's prev is `l`.
     fn build_insert_subtree(
         &self,
         key: &K,
@@ -393,7 +448,6 @@ where
         l_ref: &Node<K, V>,
         l_raw: NodePtr<K, V>,
         seq: u64,
-        _guard: &Guard,
     ) -> NodePtr<K, V> {
         let new_leaf: NodePtr<K, V> = arena::alloc(Node::leaf(
             SKey::Fin(key.clone()),
@@ -420,110 +474,18 @@ where
         arena::alloc(Node::internal(internal_key, seq, l_raw, lc, rc, self.dummy))
     }
 
-    /// One `Upsert` attempt: the insert shape when the key is absent, or
-    /// the one-leaf *replace* shape when it is present. `commit` carries
-    /// the displaced value for the replace case.
-    pub(crate) fn upsert_attempt(
+    /// A delete's replacement (paper lines 185–189): a copy of `p`'s
+    /// child `sibling` with `seq` and prev = `p`, and the sibling's
+    /// update word. `None` if a child link it copies is no longer current.
+    fn copy_sibling(
         &self,
-        key: &K,
-        value: &V,
-        guard: &Guard,
-    ) -> AttemptOutcome<Option<V>, K, V> {
-        let seq = self.read_phase();
-        let (gp, p, l) = self.search(key, seq, guard);
-        self.upsert_attempt_at(key, value, gp, p, l, seq, guard)
-    }
-
-    /// The post-search half of an `Upsert` attempt (see
-    /// [`insert_attempt_at`](Self::insert_attempt_at)).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn upsert_attempt_at(
-        &self,
-        key: &K,
-        value: &V,
-        gp: Shared<'_, Node<K, V>>,
-        p: Shared<'_, Node<K, V>>,
-        l: Shared<'_, Node<K, V>>,
+        p_ref: &Node<K, V>,
+        sibling: Shared<'_, Node<K, V>>,
         seq: u64,
         guard: &Guard,
-    ) -> AttemptOutcome<Option<V>, K, V> {
-        self.stats.update_attempts();
-        // SAFETY: non-null per Invariant 4.8.
-        let p_ref = unsafe { p.deref() };
-        let l_ref = unsafe { l.deref() };
-        let Some((_, pupdate)) = self.validate_leaf(gp, p_ref, l, key, guard) else {
-            self.stats.validation_failures();
-            return AttemptOutcome::Retry;
-        };
-        let (kind, new_child, displaced) = if l_ref.key.fin_eq(key) {
-            // Replace shape: one fresh leaf, prev = the old leaf, so
-            // version-`seq` readers still reach the displaced value.
-            let new_leaf: NodePtr<K, V> = arena::alloc(Node::leaf(
-                SKey::Fin(key.clone()),
-                Some(value.clone()),
-                seq,
-                l.as_raw(),
-                self.dummy,
-            ));
-            (OpKind::Replace, new_leaf, l_ref.value().cloned())
-        } else {
-            let new_internal = self.build_insert_subtree(key, value, l_ref, l.as_raw(), seq, guard);
-            (OpKind::Insert, new_internal, None)
-        };
-        let l_update = l_ref.load_update(guard);
-        let nodes = [p.as_raw(), l.as_raw()];
-        let old_update = [pupdate, l_update];
-        match self.execute(kind, &nodes, &old_update, new_child, seq, guard) {
-            crate::help::ExecOutcome::Published(info) => AttemptOutcome::Published {
-                info,
-                commit: displaced,
-            },
-            crate::help::ExecOutcome::Failed => AttemptOutcome::Retry,
-        }
-    }
-
-    /// One `Delete` attempt (paper lines 169–195, one pass of the loop).
-    pub(crate) fn delete_attempt(&self, key: &K, guard: &Guard) -> AttemptOutcome<Option<V>, K, V> {
-        let seq = self.read_phase(); // line 177
-        let (gp, p, l) = self.search(key, seq, guard); // line 178
-        self.delete_attempt_at(key, gp, p, l, seq, guard)
-    }
-
-    /// The post-search half of a `Delete` attempt (see
-    /// [`insert_attempt_at`](Self::insert_attempt_at)).
-    pub(crate) fn delete_attempt_at(
-        &self,
-        key: &K,
-        gp: Shared<'_, Node<K, V>>,
-        p: Shared<'_, Node<K, V>>,
-        l: Shared<'_, Node<K, V>>,
-        seq: u64,
-        guard: &Guard,
-    ) -> AttemptOutcome<Option<V>, K, V> {
-        self.stats.update_attempts();
-        // SAFETY: non-null per Invariant 4.9.
-        let p_ref = unsafe { p.deref() };
-        let l_ref = unsafe { l.deref() };
-        let Some((gpupdate, pupdate)) = self.validate_leaf(gp, p_ref, l, key, guard) else {
-            self.stats.validation_failures();
-            return AttemptOutcome::Retry;
-        };
-        if !l_ref.key.fin_eq(key) {
-            return AttemptOutcome::Decided(None); // line 181: absent
-        }
-        // `l.key == k` is finite, so p != Root and gp is non-null
-        // (Invariant 4.9) and gpupdate was produced by validation.
-        let gpupdate = gpupdate.expect("gp validated when l.key is finite");
-        // Locate the sibling in T_seq (line 182): if l is the right
-        // child (l.key >= p.key) the sibling is the left child.
-        let sib_is_left = !p_ref.key.fin_lt(key); // l.key >= p.key ⟺ !(k < p.key)
-        let sibling = self.read_child(p_ref, sib_is_left, seq, guard);
-        // Line 183: sibling must be the *current* child of p.
-        let Some(_) = self.validate_link(p_ref, sibling, sib_is_left, guard) else {
-            self.stats.validation_failures();
-            return AttemptOutcome::Retry;
-        };
-        // SAFETY: read_child returns non-null (Invariant 4.5).
+    ) -> Option<(NodePtr<K, V>, UpdateWord<K, V>)> {
+        // SAFETY: the sibling came from read_child, which returns
+        // non-null (Invariant 4.5).
         let sib_ref = unsafe { sibling.deref() };
         // Build the replacement: a copy of the sibling with seq = seq
         // and prev = p (line 185). Sharing the sibling's children is
@@ -533,7 +495,7 @@ where
                 sib_ref.key.clone(),
                 sib_ref.value().cloned(),
                 seq,
-                p.as_raw(),
+                p_ref,
                 self.dummy,
             ))
         } else {
@@ -542,7 +504,7 @@ where
             arena::alloc(Node::internal(
                 sib_ref.key.clone(),
                 seq,
-                p.as_raw(),
+                p_ref,
                 sl.as_raw(),
                 sr.as_raw(),
                 self.dummy,
@@ -567,24 +529,13 @@ where
                     // Never published: no other thread has seen
                     // new_node — recycle it immediately.
                     arena::free_now(new_node as *mut Node<K, V>);
-                    return AttemptOutcome::Retry;
+                    return None;
                 }
             }
         } else {
             sib_ref.load_update(guard) // line 189
         };
-        // Capture the value before the leaf may be retired.
-        let removed = l_ref.value().cloned();
-        let nodes = [gp.as_raw(), p.as_raw(), l.as_raw(), sibling.as_raw()];
-        let l_update = l_ref.load_update(guard); // read at call site (line 190)
-        let old_update = [gpupdate, pupdate, l_update, supdate];
-        match self.execute(OpKind::Delete, &nodes, &old_update, new_node, seq, guard) {
-            crate::help::ExecOutcome::Published(info) => AttemptOutcome::Published {
-                info,
-                commit: removed,
-            },
-            crate::help::ExecOutcome::Failed => AttemptOutcome::Retry,
-        }
+        Some((new_node, supdate))
     }
 }
 
@@ -927,7 +878,7 @@ mod tests {
             let (key, value) = (Counted::new(1000), Counted::new(1000));
             let (_, _, l) = t.search(&key, t.read_phase(), guard);
             let l_ref = unsafe { l.deref() };
-            let sub = t.build_insert_subtree(&key, &value, l_ref, l.as_raw(), 0, guard);
+            let sub = t.build_insert_subtree(&key, &value, l_ref, l.as_raw(), 0);
             t.free_unpublished_new_child(OpKind::Insert, sub);
         }
         assert_eq!(t.check_invariants(), 48);

@@ -143,6 +143,46 @@ fn abandoned_delete_is_completed_by_a_scan() {
 }
 
 #[test]
+fn batch_ops_help_an_abandoned_update() {
+    // The batch path validates the leaves it reaches like a singleton
+    // does, so a stalled update in its way is helped to its decision.
+    use pnb_bst::{BatchOp, BatchOutcome};
+    let tree: PnbBst<u64, u64> = PnbBst::new();
+    let h = tree.pin();
+
+    // A batched Find completes a stalled insert and sees its value.
+    let op = paused(tree.insert_paused(1, 10));
+    assert_eq!(h.multi_get(&[1]), vec![Some(10)]);
+    assert_eq!(op.state(), PausedState::Committed);
+    op.abandon();
+
+    // A batch reading and then upserting the key of a stalled delete
+    // completes the delete first: the key is gone, the upsert inserts.
+    assert!(tree.insert(2, 20));
+    let op = paused(tree.delete_paused(&2));
+    let ops = [BatchOp::Get(2), BatchOp::Upsert(2, 21)];
+    assert_eq!(
+        h.apply_batch(&ops),
+        vec![BatchOutcome::Get(None), BatchOutcome::Upserted(None)]
+    );
+    assert_eq!(op.state(), PausedState::Committed);
+    op.abandon();
+
+    // A scan handshake-aborts a pre-handshake insert; a batched insert
+    // of the same key then succeeds.
+    let op = paused(tree.insert_paused(3, 30));
+    assert!(tree.range_scan(&0, &100).iter().all(|&(k, _)| k != 3));
+    assert_eq!(op.state(), PausedState::Aborted);
+    op.abandon();
+    assert_eq!(
+        h.apply_batch(&[BatchOp::Insert(3, 31)]),
+        vec![BatchOutcome::Inserted(true)]
+    );
+    assert_eq!(h.multi_get(&[1, 2, 3]), vec![Some(10), Some(21), Some(31)]);
+    assert_eq!(tree.check_invariants(), 3);
+}
+
+#[test]
 fn updates_in_other_subtrees_proceed_despite_a_stalled_update() {
     // "Updates operating on different parts of the tree do not interfere
     // with one another" — a stalled update must not impede distant ones.
