@@ -48,7 +48,6 @@
 
 use std::alloc::{alloc as global_alloc, dealloc as global_dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
-use std::marker::PhantomData;
 use std::sync::atomic::Ordering::{AcqRel, Relaxed, Release};
 use std::sync::atomic::{AtomicPtr, AtomicUsize};
 
@@ -429,11 +428,11 @@ pub(crate) unsafe fn recycle_raw<T>(ptr: *mut T) {
 /// A pooled descent stack of raw node pointers, used by the range-scan
 /// traversals so a warm read-only scan performs **zero** global
 /// allocations: the buffer is borrowed from the thread's pool on
-/// construction and returned on drop. Type-erased to `*const ()` so one
-/// buffer serves every `Node<K, V>` instantiation.
+/// construction and returned on drop. Pooled as `Vec<*const ()>` so one
+/// buffer serves every `Node<K, V>` instantiation; in use it is a plain
+/// `Vec<*const T>` (`Deref`).
 pub(crate) struct ScanStack<T> {
-    buf: Vec<*const ()>,
-    _marker: PhantomData<*const T>,
+    buf: Vec<*const T>,
 }
 
 impl<T> ScanStack<T> {
@@ -443,20 +442,7 @@ impl<T> ScanStack<T> {
             .ok()
             .flatten()
             .unwrap_or_default();
-        ScanStack {
-            buf,
-            _marker: PhantomData,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, ptr: *const T) {
-        self.buf.push(ptr as *const ());
-    }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<*const T> {
-        self.buf.pop().map(|p| p as *const T)
+        ScanStack { buf: retype(buf) }
     }
 
     /// Read the entry `i` positions below the top without popping
@@ -466,14 +452,26 @@ impl<T> ScanStack<T> {
     pub(crate) fn peek_from_top(&self, i: usize) -> Option<*const T> {
         let n = self.buf.len();
         if i < n {
-            Some(self.buf[n - 1 - i] as *const T)
+            Some(self.buf[n - 1 - i])
         } else {
             None
         }
     }
+}
 
-    pub(crate) fn len(&self) -> usize {
-        self.buf.len()
+impl<T> std::ops::Deref for ScanStack<T> {
+    type Target = Vec<*const T>;
+
+    #[inline]
+    fn deref(&self) -> &Vec<*const T> {
+        &self.buf
+    }
+}
+
+impl<T> std::ops::DerefMut for ScanStack<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Vec<*const T> {
+        &mut self.buf
     }
 }
 
@@ -482,16 +480,24 @@ impl<T> Drop for ScanStack<T> {
         if self.buf.capacity() == 0 {
             return; // nothing worth pooling
         }
-        let buf = std::mem::take(&mut self.buf);
+        self.buf.clear();
+        let buf = retype(std::mem::take(&mut self.buf));
         let _ = POOLS.try_with(|p| {
             let mut p = p.borrow_mut();
             if p.stacks.len() < MAX_STACK_BUFS {
-                let mut buf = buf;
-                buf.clear();
                 p.stacks.push(buf);
             }
         });
     }
+}
+
+/// The same buffer, holding pointers to another type.
+fn retype<A, B>(v: Vec<*const A>) -> Vec<*const B> {
+    let mut v = std::mem::ManuallyDrop::new(v);
+    // SAFETY: `*const A` and `*const B` (both `Sized` pointees) are thin
+    // pointers of one size and alignment, so the allocation's layout is
+    // unchanged, and every element is a plain address.
+    unsafe { Vec::from_raw_parts(v.as_mut_ptr().cast(), v.len(), v.capacity()) }
 }
 
 // ---------------------------------------------------------------------------
@@ -818,12 +824,12 @@ mod tests {
         let x = 9u64;
         s.push(&x);
         assert_eq!(s.len(), 1);
-        let cap_ptr = s.buf.as_ptr();
+        let cap_ptr = s.buf.as_ptr().cast::<()>();
         assert_eq!(s.pop(), Some(&x as *const u64));
         assert_eq!(s.pop(), None);
         drop(s);
         // The buffer (now warm) must be handed to the next stack.
         let s2: ScanStack<u32> = ScanStack::new();
-        assert_eq!(s2.buf.as_ptr(), cap_ptr);
+        assert_eq!(s2.buf.as_ptr().cast::<()>(), cap_ptr);
     }
 }

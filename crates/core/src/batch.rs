@@ -44,7 +44,7 @@
 use crossbeam_epoch::{Guard, Shared};
 
 use crate::arena::ScanStack;
-use crate::node::Node;
+use crate::node::{prefetch, Node};
 use crate::search::SearchTriple;
 use crate::tree::{PnbBst, Update};
 
@@ -52,20 +52,6 @@ use crate::tree::{PnbBst, Update};
 /// bucket of a 64-op frame (≈ 8 ops) fits in one window, and 16 lanes
 /// stay within the core's outstanding-miss buffers (DESIGN.md §11.4).
 const WARM_LANES: usize = 16;
-
-/// Ask for the line at `p` in every cache level. A hint only: it never
-/// faults and changes no program state.
-#[inline(always)]
-fn prefetch<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch never faults, whatever the address.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(p.cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
 
 /// One operation in an [`apply_batch`](crate::Handle::apply_batch) call.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -192,6 +192,20 @@ impl<K, V> Drop for Node<K, V> {
     }
 }
 
+/// Ask for the line at `p` in every cache level. A hint only: it never
+/// faults and changes no program state.
+#[inline(always)]
+pub(crate) fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults, whatever the address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Encode the initial `⟨Flag, Dummy⟩` update word.
 #[inline]
 pub(crate) fn dummy_word<'g, K, V>(dummy: InfoPtr<K, V>) -> Shared<'g, Info<K, V>> {

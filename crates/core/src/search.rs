@@ -85,6 +85,8 @@ where
     #[cold]
     fn read_child_slow<'g>(mut l_ref: &'g Node<K, V>, seq: u64) -> Shared<'g, Node<K, V>> {
         loop {
+            #[cfg(test)]
+            PREV_HOPS.with(|h| h.set(h.get() + 1));
             debug_assert!(!l_ref.prev.is_null(), "prev chain must reach seq <= seq");
             // SAFETY: each prev-target was unlinked no earlier than our
             // pin (see DESIGN.md §3: any unlink with seq' <= seq
@@ -98,6 +100,13 @@ where
             l_ref = prev;
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `prev` hops `read_child` has taken on this thread, for the walk's
+    /// read-set counters (`iter.rs`).
+    pub(crate) static PREV_HOPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

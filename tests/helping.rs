@@ -274,3 +274,37 @@ fn concurrent_finds_race_to_help_one_stalled_insert() {
     }
     assert_eq!(tree.check_invariants(), 30);
 }
+
+#[test]
+fn scan_helps_parked_updates_across_lanes() {
+    // A scan expands up to 16 pending subtrees per lock-step round, so
+    // one round can meet several parked updates at once. Each must still
+    // be helped by the scan, and each is pre-handshake (parked before the
+    // scan closed its phase), so each help must abort it: the scan
+    // returns exactly the contents from before the parking.
+    let tree: PnbBst<u64, u64> = PnbBst::from_sorted((0..1024).map(|k| (2 * k, k)).collect());
+    let before = tree.to_vec();
+    // Keys 84 apart: no two updates freeze a common node.
+    let ops: Vec<_> = (0..24u64)
+        .map(|i| {
+            let k = 2 * (42 * i + 7);
+            if i % 2 == 0 {
+                paused(tree.insert_paused(k + 1, k))
+            } else {
+                paused(tree.delete_paused(&k))
+            }
+        })
+        .collect();
+    for op in &ops {
+        assert_eq!(op.state(), PausedState::Undecided);
+    }
+
+    assert_eq!(tree.range_scan(&0, &u64::MAX), before);
+    for op in &ops {
+        assert_eq!(op.state(), PausedState::Aborted, "the scan aborted it");
+    }
+    for op in ops {
+        assert!(!op.resume(), "resume reports the abort");
+    }
+    assert_eq!(tree.check_invariants(), 1024);
+}
