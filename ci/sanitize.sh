@@ -2,9 +2,10 @@
 # AddressSanitizer over the code that owns raw memory: `pnb-bst`'s unit
 # suites (node union, arena slabs, tree teardown), the root suites that
 # retire and recycle hardest or park, publish and abort attempts (the
-# `Info` reference counts), the batch suites and the cross-shard scans
-# that race writers (`sharded`), whose lock-step walks read nodes that
-# concurrent deletes detach, and the epoch collector's own
+# `Info` reference counts), the batch suites (served frames included:
+# `pnb-server`'s `batch`) and the cross-shard scans that race writers
+# (`sharded`), whose lock-step walks read nodes that concurrent deletes
+# detach, and the epoch collector's own
 # suites. A block inside a slab handed to `Box::from_raw` or `dealloc`, a
 # carve past a slab's end, a node freed one epoch early, an `Info`
 # released twice, a walk that reads a recycled node — each is an ASan
@@ -35,5 +36,6 @@ asan -p pnb-bst --lib
 asan -p pnbbst-repro --test reclamation --test stress --test helping \
     --test paused_random --test versioning --test sharded
 asan -p pnb-shard --test batch_linearizability --test batch_oracle
+asan -p pnb-server --test batch
 asan -p crossbeam-epoch
 echo "ci/sanitize.sh: AddressSanitizer clean"

@@ -1037,10 +1037,12 @@ pub fn e12(opts: &ExpOpts, log: &mut JsonLog) -> String {
 /// to exploit and CAS contention is worst). Batch size 1 through the
 /// batched driver *is* the singleton baseline — identical timing
 /// windows and refresh cadence — so the `vs b=1` column isolates
-/// exactly the batching effects. `ops_per_descent` splits the win into
-/// its mechanism: root-to-leaf walks saved by prefix-stack sharing
-/// (> 1 when fusion engages) vs per-call amortization (pin, pooled
-/// scan stack). The roster is capability-filtered to
+/// exactly the batching effects. `ops_per_descent` is ops per walk from
+/// a root: one per tree per lock-step window of ≤ 16 ops, plus one per
+/// retry that found the prefix stack empty — ≈ 16 uncontended, lower as
+/// lanes go stale behind contended neighbours (DESIGN.md §11.2). The
+/// rest of the win is per-call amortization (pin, pooled scan stack)
+/// and the window's overlapped misses. The roster is capability-filtered to
 /// structures declaring [`workload::Caps::batched`] (the PNB tree and
 /// its sharded front-end); everything else would only re-measure the
 /// singleton fallback at 1.0 ops/descent.

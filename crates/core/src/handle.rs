@@ -18,7 +18,7 @@
 use crossbeam_epoch::{self as epoch, Guard};
 use std::ops::RangeBounds;
 
-use crate::batch::{BatchOp, BatchOutcome, BatchReport};
+use crate::batch::{apply_batch_across, BatchOp, BatchOutcome, BatchReport};
 use crate::iter::{cloned_bounds, Range};
 use crate::snapshot::Snapshot;
 use crate::tree::PnbBst;
@@ -46,8 +46,8 @@ use crate::tree::PnbBst;
 /// assert!(h.delete(&2));
 /// ```
 pub struct Handle<'t, K, V> {
-    tree: &'t PnbBst<K, V>,
-    guard: Guard,
+    pub(crate) tree: &'t PnbBst<K, V>,
+    pub(crate) guard: Guard,
 }
 
 impl<K, V> PnbBst<K, V>
@@ -107,48 +107,42 @@ where
         self.tree.remove_in(key, &self.guard)
     }
 
-    /// Batched lookup: one `Option<V>` per key, in submission order.
-    ///
-    /// The keys are processed in sorted order against a shared descent
-    /// prefix, so a batch over clustered keys performs far fewer
-    /// root-to-leaf walks than the equivalent [`get`](Self::get) loop;
-    /// each lookup still linearizes individually (see `DESIGN.md` §11).
+    /// Batched lookup: one `Option<V>` per key, in submission order — a
+    /// batch of [`BatchOp::Get`]s (see [`apply_batch`](Self::apply_batch)).
     pub fn multi_get(&self, keys: &[K]) -> Vec<Option<V>> {
-        let mut report = BatchReport::default();
-        self.tree.multi_get_in(keys, &self.guard, &mut report)
+        self.multi_get_reported(keys).0
     }
 
-    /// [`multi_get`](Self::multi_get) plus descent-sharing telemetry.
+    /// [`multi_get`](Self::multi_get) plus descent telemetry.
     pub fn multi_get_reported(&self, keys: &[K]) -> (Vec<Option<V>>, BatchReport) {
-        let mut report = BatchReport::default();
-        let out = self.tree.multi_get_in(keys, &self.guard, &mut report);
-        (out, report)
+        let gets: Vec<BatchOp<K, V>> = keys.iter().map(|k| BatchOp::Get(k.clone())).collect();
+        let (outs, report) = self.apply_batch_reported(&gets);
+        let values = outs.into_iter().map(BatchOutcome::into_value);
+        (values.collect(), report)
     }
 
     /// Apply a mixed batch of operations, returning one
     /// [`BatchOutcome`] per operation in submission order.
     ///
     /// The batch is stable-sorted by key (duplicates resolve in batch
-    /// order) and executed against a shared descent prefix; on a CAS or
-    /// validation failure an operation re-descends from the deepest
-    /// still-valid ancestor, falling back to the root. A batch is a
-    /// *sequence* of individually-linearizable operations, not an
+    /// order); each window of 16 ops is located by one lock-step run of
+    /// the paper's `Search`, so their cache misses overlap, and an op
+    /// that fails validation re-descends from the deepest still-valid
+    /// ancestor of a shared prefix, falling back to the root. A batch is
+    /// a *sequence* of individually-linearizable operations, not an
     /// atomic transaction (`DESIGN.md` §11).
     pub fn apply_batch(&self, ops: &[BatchOp<K, V>]) -> Vec<BatchOutcome<V>> {
-        let mut report = BatchReport::default();
-        self.tree.apply_batch_in(ops, &self.guard, &mut report)
+        self.apply_batch_reported(ops).0
     }
 
-    /// [`apply_batch`](Self::apply_batch) plus descent-sharing
-    /// telemetry ([`BatchReport::ops_per_descent`] is experiment E13's
-    /// figure of merit).
+    /// [`apply_batch`](Self::apply_batch) plus descent telemetry
+    /// ([`BatchReport::ops_per_descent`] is experiment E13's column):
+    /// [`apply_batch_across`] over this one tree.
     pub fn apply_batch_reported(
         &self,
         ops: &[BatchOp<K, V>],
     ) -> (Vec<BatchOutcome<V>>, BatchReport) {
-        let mut report = BatchReport::default();
-        let out = self.tree.apply_batch_in(ops, &self.guard, &mut report);
-        (out, report)
+        apply_batch_across(std::slice::from_ref(self), ops, |_| 0)
     }
 
     /// Wait-free lazy range query over any [`RangeBounds`] — `..`,
@@ -354,7 +348,11 @@ mod tests {
                     o => panic!("{o:?}"),
                 },
                 (Path::Batch, Op::Get(k)) => {
+                    let keys = KEYS.load(Relaxed);
                     let got = h.multi_get(&[K(k)]).pop().expect("one result");
+                    // A multi-get is a batch of `Get`s, built with one
+                    // key clone each: count the batch's own clones only.
+                    assert_eq!(KEYS.fetch_sub(1, Relaxed) - keys, 1, "multi_get");
                     match batch(BatchOp::Get(K(k))) {
                         BatchOutcome::Get(v) => assert_eq!(v, got),
                         o => panic!("{o:?}"),

@@ -470,8 +470,9 @@ mod tests {
     fn counter_stationary_updates_commit_first_try() {
         // One thread and no scans: every update decides or commits on its
         // first attempt on every path (a duplicate insert or an absent
-        // delete decides in one), and nothing fails, helps or aborts. A
-        // read makes no attempt. Without `stats` every count reads 0.
+        // delete decides in one), and nothing aborts; only a batch's lanes
+        // that its own earlier ops made stale fail validation, once each.
+        // A read makes no attempt. Without `stats` every count reads 0.
         use crate::batch::{BatchOp, BatchOutcome};
         let per_update = if cfg!(feature = "stats") { 1 } else { 0 };
         let t: PnbBst<u32, u32> = PnbBst::new();
@@ -499,7 +500,11 @@ mod tests {
             );
         });
         // Inserts (absent and duplicate), upserts, deletes (present and
-        // absent) and gets in one batch: one attempt per update.
+        // absent) and gets in one batch: one attempt per update, plus one
+        // per update whose lane an earlier op of its window made stale
+        // (neighbouring keys share parents). Each stale op, reads too,
+        // fails validation once — helping the committed delete that
+        // marked its parent, if one did — and succeeds on its re-descent.
         let ops: Vec<BatchOp<u32, u32>> = (0..80)
             .map(|k| match k % 4 {
                 0 => BatchOp::Insert(k + 20, k),
@@ -508,7 +513,18 @@ mod tests {
                 _ => BatchOp::Get(k),
             })
             .collect();
-        attempts(60, &|| assert_eq!(h.apply_batch(&ops).len(), 80));
+        let before = t.stats();
+        attempts(60 + 34, &|| assert_eq!(h.apply_batch(&ops).len(), 80));
+        let s = t.stats();
+        let stale = (
+            s.validation_failures - before.validation_failures,
+            s.helps - before.helps,
+        );
+        assert_eq!(
+            stale,
+            (54 * per_update, 21 * per_update),
+            "34 updates, 20 gets"
+        );
         #[cfg(feature = "testing-internals")]
         {
             use crate::testing::PauseOutcome;
@@ -525,7 +541,7 @@ mod tests {
         let s = t.stats();
         assert_eq!(
             (s.validation_failures, s.helps, s.freeze_cas_failures),
-            (0, 0, 0)
+            (54 * per_update, 21 * per_update, 0)
         );
         assert_eq!((s.handshake_aborts, s.freeze_aborts), (0, 0));
         t.check_invariants();

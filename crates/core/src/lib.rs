@@ -116,7 +116,9 @@
 //! ## Batched operations
 //!
 //! [`Handle::multi_get`] and [`Handle::apply_batch`] amortize one epoch
-//! pin and a shared descent prefix across a key-sorted batch; see
+//! pin across a key-sorted batch and locate 16 ops at a time by one
+//! lock-step `Search`, so their cache misses overlap
+//! ([`apply_batch_across`] runs one batch over several trees); see
 //! `DESIGN.md` §11 for the linearization contract (a batch is a
 //! sequence of singleton operations, not a transaction).
 
@@ -143,7 +145,7 @@ mod validate;
 #[cfg(feature = "testing-internals")]
 pub mod testing;
 
-pub use batch::{BatchOp, BatchOutcome, BatchReport};
+pub use batch::{apply_batch_across, BatchOp, BatchOutcome, BatchReport};
 pub use handle::Handle;
 pub use iter::Range;
 pub use key::SKey;

@@ -18,11 +18,23 @@ pub(crate) type SearchTriple<'g, K, V> = (
     Shared<'g, Node<K, V>>,
 );
 
+/// A phase `seq` read from `Counter` and the triple `Search(k, seq)`
+/// returned: what an attempt validates and executes from.
+pub(crate) type Located<'g, K, V> = (u64, SearchTriple<'g, K, V>);
+
 impl<K, V> PnbBst<K, V>
 where
     K: Ord + Clone + 'static,
     V: Clone + 'static,
 {
+    /// `seq := Counter; Search(k, seq)` (lines 74–75, 155, 177): the
+    /// locate step of every singleton `Find` and update attempt.
+    #[inline]
+    pub(crate) fn search_now<'g>(&self, k: &K, guard: &'g Guard) -> Located<'g, K, V> {
+        let seq = self.read_phase();
+        (seq, self.search(k, seq, guard))
+    }
+
     /// Paper `Search(k, seq)` (lines 32–42): traverse a branch of
     /// `T_seq` from the root to a leaf, returning `(gp, p, l)`.
     ///
@@ -83,7 +95,10 @@ where
     /// newer child — keeping it `#[cold]` keeps the fast path's code
     /// size inside the inlined search loop.
     #[cold]
-    fn read_child_slow<'g>(mut l_ref: &'g Node<K, V>, seq: u64) -> Shared<'g, Node<K, V>> {
+    pub(crate) fn read_child_slow<'g>(
+        mut l_ref: &'g Node<K, V>,
+        seq: u64,
+    ) -> Shared<'g, Node<K, V>> {
         loop {
             #[cfg(test)]
             PREV_HOPS.with(|h| h.set(h.get() + 1));

@@ -91,8 +91,7 @@ where
     fn start_paused(&self, op: &Update<'_, K, V>) -> PauseOutcome<'_, K, V> {
         let guard = epoch::pin();
         let key = op.key();
-        let outcome =
-            self.attempt_until(op, |seq, _| self.search(key, seq, &guard), |_| true, &guard);
+        let outcome = self.attempt_until(op, || self.search_now(key, &guard), |_| true, &guard);
         match outcome {
             // A decided update changed nothing.
             AttemptOutcome::Decided => PauseOutcome::Completed(false),

@@ -17,7 +17,7 @@ use crate::arena;
 use crate::info::{Info, InfoPtr, NodePtr, OpKind, UpdateWord};
 use crate::key::SKey;
 use crate::node::Node;
-use crate::search::SearchTriple;
+use crate::search::{Located, SearchTriple};
 use crate::stats::{Stats, StatsSnapshot};
 
 /// A persistent non-blocking binary search tree supporting wait-free
@@ -264,34 +264,34 @@ where
     /// [`get`](Self::get) under a caller-provided guard (the session hot
     /// path — no per-op pin).
     pub(crate) fn get_in(&self, key: &K, guard: &Guard) -> Option<V> {
-        let leaf = self.find(key, |seq, _| self.search(key, seq, guard), guard);
+        let leaf = self.find(key, || self.search_now(key, guard), guard);
         leaf?.value().cloned()
     }
 
     /// [`contains`](Self::contains) under a caller-provided guard.
     pub(crate) fn contains_in(&self, key: &K, guard: &Guard) -> bool {
-        let leaf = self.find(key, |seq, _| self.search(key, seq, guard), guard);
+        let leaf = self.find(key, || self.search_now(key, guard), guard);
         leaf.is_some()
     }
 
     /// [`insert`](Self::insert) under a caller-provided guard.
     pub(crate) fn insert_in(&self, key: &K, value: &V, guard: &Guard) -> bool {
         let op = Update::Insert(key, value);
-        let done = self.drive(&op, |seq, _| self.search(key, seq, guard), guard);
+        let done = self.drive(&op, || self.search_now(key, guard), guard);
         done.is_some()
     }
 
     /// [`remove`](Self::remove) under a caller-provided guard.
     pub(crate) fn remove_in(&self, key: &K, guard: &Guard) -> Option<V> {
         let op = Update::Delete(key);
-        let done = self.drive(&op, |seq, _| self.search(key, seq, guard), guard);
+        let done = self.drive(&op, || self.search_now(key, guard), guard);
         done.flatten()
     }
 
     /// [`upsert`](Self::upsert) under a caller-provided guard.
     pub(crate) fn upsert_in(&self, key: &K, value: &V, guard: &Guard) -> Option<V> {
         let op = Update::Upsert(key, value);
-        let done = self.drive(&op, |seq, _| self.search(key, seq, guard), guard);
+        let done = self.drive(&op, || self.search_now(key, guard), guard);
         done.flatten()
     }
 
@@ -300,27 +300,24 @@ where
     /// and validate it, until a validation succeeds. Returns the leaf iff
     /// it holds `key`; linearized at the successful validation.
     ///
-    /// `locate(seq, retry)` returns the `(gp, p, l)` to validate in phase
-    /// `seq` — a root [`search`](Self::search) for a singleton, the
-    /// shared descent of a batch — and is told `retry` after a failure.
+    /// Each call of `locate()` returns a phase `seq` read from `Counter`
+    /// and the `(gp, p, l)` that `Search(key, seq)` reached (lines 74–75):
+    /// [`search_now`](Self::search_now) for a singleton; for a batch, the
+    /// lock-step search on the first call and the shared re-descent after.
     pub(crate) fn find<'g>(
         &self,
         key: &K,
-        mut locate: impl FnMut(u64, bool) -> SearchTriple<'g, K, V>,
+        mut locate: impl FnMut() -> Located<'g, K, V>,
         guard: &'g Guard,
     ) -> Option<&'g Node<K, V>> {
-        let mut retry = false;
         loop {
-            // Lines 74–75.
-            let seq = self.read_phase();
-            let (gp, p, l) = locate(seq, retry);
+            let (_, (gp, p, l)) = locate();
             // SAFETY: a located p and l are non-null (Invariant 4.7).
             let (p_ref, l_ref) = unsafe { (p.deref(), l.deref()) };
             if self.validate_leaf(gp, p_ref, l, key, guard).is_some() {
                 return l_ref.key.fin_eq(key).then_some(l_ref);
             }
             self.stats.validation_failures();
-            retry = true;
         }
     }
 
@@ -333,7 +330,7 @@ where
     pub(crate) fn drive<'g>(
         &self,
         op: &Update<'_, K, V>,
-        locate: impl FnMut(u64, bool) -> SearchTriple<'g, K, V>,
+        locate: impl FnMut() -> Located<'g, K, V>,
         guard: &'g Guard,
     ) -> Option<Option<V>> {
         match self.attempt_until(op, locate, |info| self.finish_published(info, guard), guard) {
@@ -351,19 +348,17 @@ where
     pub(crate) fn attempt_until<'g>(
         &self,
         op: &Update<'_, K, V>,
-        mut locate: impl FnMut(u64, bool) -> SearchTriple<'g, K, V>,
+        mut locate: impl FnMut() -> Located<'g, K, V>,
         mut finish: impl FnMut(InfoPtr<K, V>) -> bool,
         guard: &'g Guard,
     ) -> AttemptOutcome<K, V> {
-        let mut retry = false;
         loop {
-            let seq = self.read_phase(); // lines 155 and 177
-            match self.attempt(op, locate(seq, retry), seq, guard) {
+            let (seq, triple) = locate(); // lines 155 and 177, then Search
+            match self.attempt(op, triple, seq, guard) {
                 Some(AttemptOutcome::Published { info, .. }) if !finish(info) => {}
                 Some(outcome) => return outcome,
                 None => {}
             }
-            retry = true;
         }
     }
 

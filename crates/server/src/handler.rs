@@ -89,7 +89,7 @@ pub fn handle(
 /// Run one decoded batch through the map's fused `apply_batch` path.
 ///
 /// Well-formed sub-ops are compacted into one `pnb_shard` batch (so
-/// they share descent prefixes and the epoch pin exactly like a native
+/// they share the lock-step search and the epoch pin exactly like a native
 /// caller's would — `Contains` rides as a `Get` and keeps only the
 /// presence bit); their outcomes are scattered back to submission
 /// order. `Malformed` slots are answered with their typed error in

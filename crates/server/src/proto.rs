@@ -88,7 +88,7 @@ pub enum Opcode {
     /// directory configured.
     Checkpoint = 0x09,
     /// A batch of point operations served through the map's fused
-    /// `apply_batch` path (one descent prefix, one epoch pin).
+    /// `apply_batch` path (lock-step search, one epoch pin).
     ///
     /// Request payload: `count:u32` then `count` length-prefixed
     /// sub-operations, each `sub_opcode:u8` + `len:u32` + `len` payload

@@ -2,7 +2,7 @@
 
 use std::ops::RangeBounds;
 
-use pnb_bst::{BatchOp, BatchOutcome, BatchReport, Handle, Range};
+use pnb_bst::{apply_batch_across, BatchOp, BatchOutcome, BatchReport, Handle, Range};
 
 use crate::map::ShardedPnbBst;
 use crate::merge::MergeRange;
@@ -55,8 +55,7 @@ where
         self.map
     }
 
-    /// The key's shard index, with the per-shard counter bumped by the
-    /// caller-named class (compiled out without the `stats` feature).
+    /// The key's shard index.
     #[inline]
     fn route(&self, key: &K) -> usize {
         let i = self.map.shard_of(key);
@@ -108,97 +107,55 @@ where
     }
 
     /// Batched lookup across shards: one `Option<V>` per key, in
-    /// submission order.
-    ///
-    /// Keys are bucketed per shard by the partitioner and each bucket
-    /// runs as one [`Handle::multi_get`] (key-sorted, shared descent
-    /// prefix, one amortized epoch pin per shard). Each lookup still
-    /// linearizes individually.
+    /// submission order — a batch of [`BatchOp::Get`]s (see
+    /// [`apply_batch`](Self::apply_batch)). Each lookup still linearizes
+    /// individually.
     pub fn multi_get(&self, keys: &[K]) -> Vec<Option<V>> {
         self.multi_get_reported(keys).0
     }
 
-    /// [`multi_get`](Self::multi_get) plus descent-sharing telemetry
-    /// merged across the participating shards.
+    /// [`multi_get`](Self::multi_get) plus descent telemetry.
     pub fn multi_get_reported(&self, keys: &[K]) -> (Vec<Option<V>>, BatchReport) {
-        let shards = self.handles.len();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (oi, k) in keys.iter().enumerate() {
-            buckets[self.map.shard_of(k)].push(oi);
-        }
-        let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        let mut report = BatchReport::default();
-        for (i, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let sub: Vec<K> = bucket.iter().map(|&oi| keys[oi].clone()).collect();
-            for _ in bucket {
-                self.map.counters[i].gets();
-            }
-            let (vals, r) = self.handles[i].multi_get_reported(&sub);
-            report.merge(r);
-            for (&oi, v) in bucket.iter().zip(vals) {
-                out[oi] = v;
-            }
-        }
-        (out, report)
+        let gets: Vec<BatchOp<K, V>> = keys.iter().map(|k| BatchOp::Get(k.clone())).collect();
+        let (outs, report) = self.apply_batch_reported(&gets);
+        let values = outs.into_iter().map(BatchOutcome::into_value);
+        (values.collect(), report)
     }
 
     /// Apply a mixed batch across shards, returning one
     /// [`BatchOutcome`] per operation in submission order.
     ///
-    /// Operations bucket per shard (stable, so duplicates of one key
-    /// keep batch order) and each bucket runs as one
-    /// [`Handle::apply_batch`]. Buckets execute in **ascending** shard
+    /// One [`apply_batch_across`] over every shard's handle: the ops
+    /// sort by (shard, key) (stable, so duplicates of one key keep batch
+    /// order), and each window of 16 is located by one lock-step
+    /// `Search` that may span shards. Shards execute in **ascending**
     /// order — the writer-side convention that, combined with
     /// snapshots/scans closing phases in *descending* shard order,
     /// yields prefix-consistent cross-shard cuts (crate docs): an
-    /// observer that misses this batch's sub-batch on shard `i` cannot
-    /// have seen its sub-batch on any `j > i`. A batch is a sequence of
+    /// observer that misses this batch's ops on shard `i` cannot have
+    /// seen its ops on any `j > i`. A batch is a sequence of
     /// individually-linearizable operations, not an atomic transaction.
     pub fn apply_batch(&self, ops: &[BatchOp<K, V>]) -> Vec<BatchOutcome<V>> {
         self.apply_batch_reported(ops).0
     }
 
-    /// [`apply_batch`](Self::apply_batch) plus descent-sharing
-    /// telemetry merged across the participating shards.
+    /// [`apply_batch`](Self::apply_batch) plus descent telemetry over
+    /// the participating shards.
     pub fn apply_batch_reported(
         &self,
         ops: &[BatchOp<K, V>],
     ) -> (Vec<BatchOutcome<V>>, BatchReport) {
-        let shards = self.handles.len();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (oi, op) in ops.iter().enumerate() {
-            buckets[self.map.shard_of(op.key())].push(oi);
-        }
-        let mut out: Vec<Option<BatchOutcome<V>>> = vec![None; ops.len()];
-        let mut report = BatchReport::default();
-        for (i, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
+        apply_batch_across(&self.handles, ops, |op| {
+            let i = self.route(op.key());
+            let counters = &self.map.counters[i];
+            match op {
+                BatchOp::Get(_) => counters.gets(),
+                BatchOp::Insert(..) => counters.inserts(),
+                BatchOp::Upsert(..) => counters.upserts(),
+                BatchOp::Delete(_) => counters.deletes(),
             }
-            let sub: Vec<BatchOp<K, V>> = bucket.iter().map(|&oi| ops[oi].clone()).collect();
-            for op in &sub {
-                match op {
-                    BatchOp::Get(_) => self.map.counters[i].gets(),
-                    BatchOp::Insert(..) => self.map.counters[i].inserts(),
-                    BatchOp::Upsert(..) => self.map.counters[i].upserts(),
-                    BatchOp::Delete(_) => self.map.counters[i].deletes(),
-                }
-            }
-            let (res, r) = self.handles[i].apply_batch_reported(&sub);
-            report.merge(r);
-            for (&oi, o) in bucket.iter().zip(res) {
-                out[oi] = Some(o);
-            }
-        }
-        (
-            out.into_iter()
-                .map(|o| o.expect("every op was bucketed exactly once"))
-                .collect(),
-            report,
-        )
+            i
+        })
     }
 
     /// Cross-shard lazy range query over any [`RangeBounds`], ascending

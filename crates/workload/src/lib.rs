@@ -164,8 +164,8 @@ pub struct Caps {
     pub upsert: bool,
     /// Point-in-time snapshots (informational; no mix drives it yet).
     pub snapshot: bool,
-    /// Native batched operations (`multi_get`/`apply_batch` with a
-    /// shared descent prefix). Every structure can *run* a batch — the
+    /// Native batched operations (`multi_get`/`apply_batch` sharing
+    /// their descents). Every structure can *run* a batch — the
     /// [`MapSession::apply_batch`] default falls back to singleton
     /// calls — so this flag marks structures whose batching is an
     /// actual fused hot path, which is what experiment E13 sweeps.
