@@ -19,6 +19,8 @@ step() {
 
 step cargo fmt --check
 step cargo clippy --all-targets --all-features --offline -- -D warnings
+# ci.yml's "Docs" step: a broken intra-doc link fails here too.
+step env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 # Tier-1 builds without `stats`: this runs the `stats`-gated assertions
 # and the server's failpoint tests.
 step cargo test --all-features -q --offline

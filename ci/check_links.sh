@@ -13,6 +13,10 @@
 # links (#section). Anchors on file targets are stripped — existence of
 # the file is the gate; heading drift is the reviewer's job.
 #
+# It also fails on any source line anchor (`file.rs:123`): line numbers
+# rot with every edit above them, so the docs name code by symbol or by
+# its `sc-ok:` tag instead.
+#
 # Usage: ci/check_links.sh [file.md ...]   (defaults to the doc set)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +34,11 @@ for f in "${files[@]}"; do
         continue
     fi
     dir=$(dirname "$f")
+
+    if grep -nE '\.rs:[0-9]+' "$f"; then
+        echo "FAIL: $f cites source lines (above); name the symbol instead"
+        fail=1
+    fi
 
     # Inline [text](target): extract every "](...)" group, then strip
     # the markup. Reference definitions: "[label]: target" lines.
@@ -59,7 +68,7 @@ $refs"
 done
 
 if [ "$fail" -ne 0 ]; then
-    echo "Broken intra-repo documentation links (see above)."
+    echo "Broken intra-repo documentation links or line anchors (see above)."
     exit 1
 fi
 echo "docs link gate OK: ${files[*]}"

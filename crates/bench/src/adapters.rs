@@ -58,7 +58,7 @@ impl MapSession for PnbSession<'_> {
         self.0.get(k)
     }
     fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
-        self.0.scan_count(lo, hi)
+        self.0.range(*lo..=*hi).count()
     }
     fn refresh(&mut self) {
         self.0.refresh()
@@ -134,7 +134,7 @@ impl MapSession for ShardedMapSession<'_> {
         self.0.get(k)
     }
     fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
-        self.0.scan_count(lo, hi)
+        self.0.range(*lo..=*hi).count()
     }
     fn refresh(&mut self) {
         self.0.refresh()

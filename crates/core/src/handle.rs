@@ -1,11 +1,17 @@
 //! Pinned session handles — the amortized-epoch hot-path API.
 //!
-//! Every compat method on [`PnbBst`] (`insert`, `get`, …) pins and drops
-//! an epoch guard: correct, but pure overhead in a loop, where the
-//! pin/unpin pair can rival the cost of the tree operation itself under
-//! read-mostly mixes. A [`Handle`] hoists that cost out of the loop: it
-//! pins **once** and exposes the whole operation set against the held
-//! guard, so the per-operation epoch cost drops to zero.
+//! Every per-call point operation on [`PnbBst`] (`insert`, `get`, …)
+//! pins and drops an epoch guard: correct, but pure overhead in a loop,
+//! where the pin/unpin pair can rival the cost of the tree operation
+//! itself under read-mostly mixes. A [`Handle`] hoists that cost out of
+//! the loop: it pins **once** and runs point operations, batches and the
+//! lazy [`range`](Handle::range) against the held guard, so the
+//! per-operation epoch cost drops to zero.
+//!
+//! Those are a map's two read surfaces: a handle for point reads and
+//! lazy ranges, and a [`Snapshot`] (`tree.snapshot()`) for every other
+//! multi-key read — `len`, `to_vec`, `keys`, visitor scans and ordered
+//! queries. There is no third, per-call copy of either.
 //!
 //! The price of a pin is that reclamation of memory retired *after* it
 //! cannot complete while the guard lives. A handle used for a bounded
@@ -163,29 +169,6 @@ where
         self.range(..)
     }
 
-    /// Closed-interval range query returning a `Vec` — compat shim over
-    /// [`range`](Self::range) mirroring [`PnbBst::range_scan`].
-    pub fn range_scan(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        self.range(lo.clone()..=hi.clone()).collect()
-    }
-
-    /// Count keys in `[lo, hi]` without cloning keys or values
-    /// (wait-free): [`PnbBst::scan_count`], which counts through a fresh
-    /// [`Snapshot`] under its own nested pin.
-    pub fn scan_count(&self, lo: &K, hi: &K) -> usize {
-        self.tree.scan_count(lo, hi)
-    }
-
-    /// Linearizable cardinality (one wait-free full scan, no clones).
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Linearizable emptiness test.
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
-    }
-
     /// Take a [`Snapshot`] of the tree. The snapshot pins its own guard,
     /// so it is independent of this handle and may outlive it.
     pub fn snapshot(&self) -> Snapshot<'t, K, V> {
@@ -230,23 +213,23 @@ mod tests {
     fn handle_covers_the_operation_set() {
         let t: PnbBst<i64, i64> = PnbBst::new();
         let h = t.pin();
-        assert!(h.is_empty());
+        assert!(h.iter().next().is_none());
         assert!(h.insert(5, 50));
         assert!(!h.insert(5, 51)); // set semantics preserved
         assert_eq!(h.upsert(5, 55), Some(50));
         assert_eq!(h.upsert(6, 60), None);
         assert_eq!(h.get(&5), Some(55));
         assert!(h.contains(&6));
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.range_scan(&0, &10), vec![(5, 55), (6, 60)]);
-        assert_eq!(h.scan_count(&0, &10), 2);
+        assert_eq!(h.range(0..=10).collect::<Vec<_>>(), vec![(5, 55), (6, 60)]);
+        assert_eq!(h.snapshot().len(), 2);
         assert_eq!(h.remove(&5), Some(55));
         assert!(!h.delete(&5));
-        assert_eq!(h.tree().len(), 1);
+        assert_eq!(h.tree().snapshot().len(), 1);
     }
 
     #[test]
     fn counting_scans_clone_nothing() {
+        use std::ops::Bound;
         use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
         static CLONES: AtomicUsize = AtomicUsize::new(0);
         struct Loud;
@@ -262,13 +245,14 @@ mod tests {
             h.insert(k, Loud);
         }
         let built = CLONES.load(Relaxed);
-        assert_eq!(h.scan_count(&100, &899), 800);
-        assert_eq!(h.len(), 1000);
-        assert_eq!(t.len(), 1000);
-        assert_eq!(t.scan_count(&100, &899), 800);
-        assert_eq!(t.snapshot().len(), 1000);
+        let snap = t.snapshot();
+        assert_eq!(snap.len(), 1000);
+        assert!(!snap.is_empty());
+        let mut n = 0;
+        snap.range_scan_with(Bound::Included(&100), Bound::Included(&899), |_, _| n += 1);
+        assert_eq!(n, 800);
         // Keys are `u32`: `keys` clones only those, never a value.
-        assert_eq!(t.snapshot().keys().len(), 1000);
+        assert_eq!(snap.keys().len(), 1000);
         assert_eq!(CLONES.load(Relaxed), built, "counting cloned values");
     }
 
@@ -430,6 +414,17 @@ mod tests {
     }
 
     #[test]
+    fn range_early_exit_stops_traversal() {
+        let t: PnbBst<i64, i64> = PnbBst::new();
+        for k in [8, 3, 10, 1, 6, 14, 4, 7, 13] {
+            t.insert(k, k * 100);
+        }
+        let h = t.pin();
+        let visited: Vec<i64> = h.range(..).take(3).map(|(k, _)| k).collect();
+        assert_eq!(visited, vec![1, 3, 4]);
+    }
+
+    #[test]
     fn refresh_keeps_the_session_usable() {
         let t: PnbBst<u32, u32> = PnbBst::new();
         let mut h = t.pin();
@@ -440,7 +435,7 @@ mod tests {
             }
         }
         h.flush();
-        assert_eq!(h.len(), 100);
+        assert_eq!(h.iter().count(), 100);
         assert_eq!(t.check_invariants(), 100);
     }
 

@@ -396,7 +396,7 @@ mod tests {
         let lazy: Vec<(i64, i64)> = t
             .range_in(Bound::Included(3), Bound::Included(10), guard)
             .collect();
-        assert_eq!(lazy, t.range_scan(&3, &10));
+        assert_eq!(lazy, t.snapshot().range_scan(&3, &10));
     }
 
     #[test]
@@ -500,7 +500,7 @@ mod tests {
         let t = PnbBst::from_sorted((0..4096).map(|k| (2 * k, k)).collect());
         let snap = t.snapshot();
         let seq = snap.seq();
-        let expected = t.to_vec();
+        let expected = t.snapshot().to_vec();
         // Updates the snapshot never sees: odd inserts, even deletes, and
         // a few pointers replaced several times, so `prev` chains grow.
         for i in 0..1500i64 {
@@ -615,7 +615,7 @@ mod tests {
                 Bound::Unbounded,
                 Bound::Unbounded,
             );
-            assert_eq!(keys.len(), t.len());
+            assert_eq!(keys.len(), t.snapshot().len());
             assert!(deepest <= bound, "stack reached {deepest} > {bound}");
             let (_, deepest) = drain(
                 &mut Walk::<_, _, true>::new(t, guard, seq),

@@ -14,10 +14,10 @@
 //!   different parts of the tree run fully in parallel, and searches help
 //!   only updates pending at the parent/grandparent of the leaf they
 //!   reach;
-//! * **wait-free** [`range_scan`](PnbBst::range_scan): every range query
-//!   finishes in a bounded number of its own steps regardless of
-//!   concurrent updates, by traversing an immutable *version* of the
-//!   tree;
+//! * **wait-free** range queries — a lazy [`Handle::range`] or a
+//!   [`Snapshot`]: every range query finishes in a bounded number of its
+//!   own steps regardless of concurrent updates, by traversing an
+//!   immutable *version* of the tree;
 //! * **persistence**: old versions remain reconstructible while anyone
 //!   needs them, exposed through [`Snapshot`]s;
 //! * **linearizability** of all operations, and tolerance of any number
@@ -58,22 +58,27 @@
 //!     .collect();
 //!
 //! // ...while a wait-free scan runs safely at any time.
-//! let _partial = tree.range_scan(&0, &399);
+//! let _partial = tree.snapshot().range_scan(&0, &399);
 //!
 //! for h in handles {
 //!     h.join().unwrap();
 //! }
-//! assert_eq!(tree.len(), 400);
-//! assert_eq!(tree.range_scan(&100, &102).len(), 3);
+//! let snap = tree.snapshot();
+//! assert_eq!(snap.len(), 400);
+//! assert_eq!(snap.range_scan(&100, &102).len(), 3);
 //! ```
 //!
-//! ## Sessions
+//! ## Two read surfaces
 //!
-//! The per-call methods above pin and drop an epoch guard on every
-//! operation — convenient, but measurable overhead in a hot loop. A
-//! pinned session amortizes the guard across any number of operations
-//! and unlocks the richer API surface (atomic [`Handle::upsert`], lazy
-//! [`Handle::range`] over arbitrary `RangeBounds`):
+//! Every map reads through one of two types. A pinned session
+//! ([`PnbBst::pin`] → [`Handle`]) serves point operations, batches and
+//! the lazy [`Handle::range`] over arbitrary `RangeBounds`, amortizing
+//! one epoch guard across any number of them (the per-call `insert`,
+//! `get`, … above pin and drop a guard on every call — convenient, but
+//! measurable overhead in a hot loop). A [`Snapshot`]
+//! ([`PnbBst::snapshot`]) serves every other multi-key read: `len`,
+//! `to_vec`, `keys`, visitor scans and ordered queries, all of one
+//! frozen version.
 //!
 //! ```
 //! use pnb_bst::PnbBst;

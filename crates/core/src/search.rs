@@ -174,7 +174,7 @@ mod tests {
         t.insert(10, 10); // phase 0
 
         // Bump the phase the way a RangeScan would.
-        let _ = t.range_scan(&0, &0);
+        let _ = t.snapshot().range_scan(&0, &0);
         assert_eq!(t.phase(), 1);
         t.insert(5, 5); // phase 1: replaces the leaf 10's position
         let guard = &epoch::pin();

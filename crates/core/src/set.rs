@@ -67,40 +67,16 @@ where
     pub fn range_scan(&self, lo: &K, hi: &K) -> Vec<K> {
         let mut out = Vec::new();
         self.map
+            .snapshot()
             .range_scan_with(Bound::Included(lo), Bound::Included(hi), |k, _| {
                 out.push(k.clone())
             });
         out
     }
 
-    /// Visitor-style wait-free range query with arbitrary bounds.
-    pub fn range_scan_with<F: FnMut(&K)>(&self, lo: Bound<&K>, hi: Bound<&K>, mut f: F) {
-        self.map.range_scan_with(lo, hi, |k, _| f(k));
-    }
-
-    /// Count keys in `[lo, hi]` (wait-free).
-    pub fn scan_count(&self, lo: &K, hi: &K) -> usize {
-        self.map.scan_count(lo, hi)
-    }
-
-    /// All keys, ascending (wait-free snapshot).
-    pub fn to_vec(&self) -> Vec<K> {
-        let mut out = Vec::new();
-        self.range_scan_with(Bound::Unbounded, Bound::Unbounded, |k| out.push(k.clone()));
-        out
-    }
-
-    /// Linearizable cardinality (O(n) wait-free scan).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Linearizable emptiness test.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Point-in-time snapshot; see [`PnbBst::snapshot`].
+    /// Point-in-time snapshot; see [`PnbBst::snapshot`]. Every other
+    /// multi-key read (`len`, `keys`, visitor scans, ordered queries)
+    /// goes through it.
     pub fn snapshot(&self) -> Snapshot<'_, K, ()> {
         self.map.snapshot()
     }
@@ -128,15 +104,15 @@ mod tests {
     #[test]
     fn set_semantics() {
         let s: PnbBstSet<u16> = PnbBstSet::new();
-        assert!(s.is_empty());
+        assert!(s.snapshot().is_empty());
         assert!(s.insert(5));
         assert!(!s.insert(5));
         assert!(s.insert(9));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.to_vec(), vec![5, 9]);
+        assert_eq!(s.snapshot().len(), 2);
+        assert_eq!(s.snapshot().keys(), vec![5, 9]);
         assert!(s.delete(&5));
         assert!(!s.delete(&5));
-        assert_eq!(s.to_vec(), vec![9]);
+        assert_eq!(s.snapshot().keys(), vec![9]);
     }
 
     #[test]
@@ -145,12 +121,14 @@ mod tests {
         for k in (0..50).step_by(5) {
             s.insert(k);
         }
+        let before = s.phase();
         assert_eq!(s.range_scan(&10, &30), vec![10, 15, 20, 25, 30]);
-        assert_eq!(s.scan_count(&10, &30), 5);
+        assert_eq!(s.phase(), before + 1, "one scan, one phase");
         let mut collected = Vec::new();
-        s.range_scan_with(Bound::Excluded(&10), Bound::Excluded(&30), |k| {
-            collected.push(*k)
-        });
+        s.snapshot()
+            .range_scan_with(Bound::Excluded(&10), Bound::Excluded(&30), |k, _| {
+                collected.push(*k)
+            });
         assert_eq!(collected, vec![15, 20, 25]);
     }
 
@@ -162,6 +140,6 @@ mod tests {
         let snap = s.snapshot();
         s.delete(&1);
         assert_eq!(snap.keys(), vec![1, 2]);
-        assert_eq!(s.to_vec(), vec![2]);
+        assert_eq!(s.snapshot().keys(), vec![2]);
     }
 }

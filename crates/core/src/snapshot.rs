@@ -14,8 +14,10 @@
 //! spell out; it reuses `ScanHelper`'s traversal and helping rules, so
 //! the same correctness argument (paper Lemma 44) applies.
 //!
-//! Every read-only scan on [`PnbBst`] is a one-line delegation to a
-//! fresh snapshot, so each scan body below is written once.
+//! A snapshot is the one multi-key read surface besides the lazy
+//! [`Handle::range`](crate::Handle::range): `len`, `to_vec`, `keys`,
+//! visitor scans and ordered queries are written here once, and a caller
+//! that wants one of them on the live tree takes `tree.snapshot()` first.
 //!
 //! A long-lived snapshot delays epoch reclamation of every node retired
 //! after its creation — treat it like holding a read lock on memory
@@ -147,13 +149,6 @@ where
         }
     }
 
-    /// Count keys in `[lo, hi]` without cloning.
-    pub(crate) fn scan_count(&self, lo: &K, hi: &K) -> usize {
-        let mut n = 0;
-        self.range_scan_with(Bound::Included(lo), Bound::Included(hi), |_, _| n += 1);
-        n
-    }
-
     /// Lazy, wait-free range iteration within the snapshot over any
     /// [`RangeBounds`](std::ops::RangeBounds) — the snapshot's phase is
     /// already closed, so (unlike [`Handle::range`](crate::Handle::range))
@@ -185,9 +180,11 @@ where
         n
     }
 
-    /// Whether the snapshot is empty.
+    /// Whether the snapshot is empty. The walk stops at its first leaf.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        Walk::<_, _, false>::new(self.tree, &self.guard, self.seq)
+            .next_leaf(Bound::Unbounded, Bound::Unbounded)
+            .is_none()
     }
 
     /// Keys only, ascending.
@@ -232,22 +229,124 @@ where
 mod tests {
     use super::*;
 
+    fn populated() -> PnbBst<i64, i64> {
+        let t = PnbBst::new();
+        for k in [8, 3, 10, 1, 6, 14, 4, 7, 13] {
+            assert!(t.insert(k, k * 100));
+        }
+        t
+    }
+
     #[cfg(feature = "stats")]
     #[test]
     fn every_phase_close_counts_as_a_scan() {
         let t: PnbBst<u32, u32> = PnbBst::new();
         t.insert(1, 1);
         let (phase, scans) = (t.phase(), t.stats().scans);
-        assert_eq!(t.range_scan(&0, &9), vec![(1, 1)]);
+        let snap = t.snapshot();
+        // Reads of a snapshot close no phase of their own.
+        assert_eq!(snap.range_scan(&0, &9), vec![(1, 1)]);
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap.to_vec(), vec![(1, 1)]);
+        assert_eq!(snap.first_key_value(), Some((1, 1)));
+        assert_eq!(snap.predecessor(&2), Some((1, 1)));
         assert_eq!(t.pin().range(..).count(), 1);
         assert_eq!(t.snapshot().get(&1), Some(1));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.scan_count(&0, &9), 1);
-        assert_eq!(t.to_vec(), vec![(1, 1)]);
-        assert_eq!(t.first_key_value(), Some((1, 1)));
-        assert_eq!(t.predecessor(&2), Some((1, 1)));
-        assert_eq!(t.phase() - phase, 8);
-        assert_eq!(t.stats().scans - scans, 8);
+        assert_eq!(t.phase() - phase, 3);
+        assert_eq!(t.stats().scans - scans, 3);
+    }
+
+    #[test]
+    fn each_snapshot_closes_one_phase() {
+        let t = populated();
+        let before = t.phase();
+        let snap = t.snapshot();
+        let _ = snap.range_scan(&0, &100);
+        let _ = snap.len();
+        let _ = snap.to_vec();
+        let _ = snap.successor(&3);
+        assert_eq!(t.phase(), before + 1);
+        let _ = t.snapshot().len();
+        let _ = t.pin().range(0..100).count();
+        assert_eq!(t.phase(), before + 3);
+    }
+
+    #[test]
+    fn range_scan_returns_sorted_inclusive_range() {
+        let t = populated();
+        assert_eq!(
+            t.snapshot().range_scan(&3, &10),
+            vec![(3, 300), (4, 400), (6, 600), (7, 700), (8, 800), (10, 1000)]
+        );
+    }
+
+    #[test]
+    fn range_scan_full_and_empty_ranges() {
+        let t = populated();
+        let s = t.snapshot();
+        assert_eq!(s.keys(), vec![1, 3, 4, 6, 7, 8, 10, 13, 14]);
+        assert!(s.range_scan(&20, &30).is_empty());
+        assert!(s.range_scan(&5, &5).is_empty()); // point query, absent
+        assert_eq!(s.range_scan(&6, &6), vec![(6, 600)]); // present
+        assert!(s.range_scan(&10, &3).is_empty()); // inverted bounds
+    }
+
+    #[test]
+    fn range_scan_with_exclusive_bounds() {
+        let t = populated();
+        let s = t.snapshot();
+        let keys = |lo, hi| {
+            let mut got = Vec::new();
+            s.range_scan_with(lo, hi, |k, _| got.push(*k));
+            got
+        };
+        assert_eq!(
+            keys(Bound::Excluded(&3), Bound::Excluded(&10)),
+            vec![4, 6, 7, 8]
+        );
+        assert_eq!(
+            keys(Bound::Excluded(&1), Bound::Unbounded),
+            vec![3, 4, 6, 7, 8, 10, 13, 14]
+        );
+        assert_eq!(
+            keys(Bound::Unbounded, Bound::Excluded(&8)),
+            vec![1, 3, 4, 6, 7]
+        );
+    }
+
+    #[test]
+    fn visitor_count_matches_range_scan_len() {
+        let t = populated();
+        let s = t.snapshot();
+        for (lo, hi) in [(3, 10), (-100, 0), (0, 100), (14, 14)] {
+            let mut n = 0;
+            s.range_scan_with(Bound::Included(&lo), Bound::Included(&hi), |_, _| n += 1);
+            assert_eq!(n, s.range_scan(&lo, &hi).len(), "[{lo}, {hi}]");
+            assert_eq!(n, s.range(lo..=hi).count(), "[{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn len_excludes_sentinels() {
+        let t: PnbBst<i64, i64> = PnbBst::new();
+        let s = t.snapshot();
+        assert!(s.to_vec().is_empty());
+        assert_eq!(s.len(), 0);
+        assert!(s.is_empty());
+        t.insert(1, 1);
+        let s = t.snapshot();
+        assert_eq!(s.len(), 1);
+        assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn snapshot_sees_updates_from_earlier_phases() {
+        let t: PnbBst<i64, i64> = PnbBst::new();
+        t.insert(1, 1);
+        let _ = t.snapshot(); // close phase 0
+        t.insert(2, 2);
+        t.delete(&1);
+        assert_eq!(t.snapshot().range_scan(&0, &10), vec![(2, 2)]);
     }
 
     #[test]
@@ -265,7 +364,7 @@ mod tests {
         }
         assert_eq!(snap.len(), 10);
         assert_eq!(snap.keys(), (0..10).collect::<Vec<_>>());
-        assert_eq!(t.len(), 15);
+        assert_eq!(t.snapshot().len(), 15);
         // Point lookups agree with the frozen view.
         assert_eq!(snap.get(&3), Some(3));
         assert!(snap.contains(&3));
@@ -276,7 +375,7 @@ mod tests {
     #[test]
     fn ordered_queries_read_the_frozen_version() {
         use std::collections::BTreeMap;
-        let t: PnbBst<i32, i32> = PnbBst::new();
+        let t: PnbBst<i64, i64> = PnbBst::new();
         let empty = t.snapshot();
         for k in [8, 3, 10, 1, 6, 14, 4, 7, 13] {
             t.insert(k, k * 100);
@@ -291,8 +390,8 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(snap.keys(), vec![1, 3, 4, 6, 7, 8, 10, 13, 14]);
         for s in [&empty, &snap] {
-            let model: BTreeMap<i32, i32> = s.to_vec().into_iter().collect();
-            let pair = |e: Option<(&i32, &i32)>| e.map(|(k, v)| (*k, *v));
+            let model: BTreeMap<i64, i64> = s.to_vec().into_iter().collect();
+            let pair = |e: Option<(&i64, &i64)>| e.map(|(k, v)| (*k, *v));
             assert_eq!(s.first_key_value(), pair(model.first_key_value()));
             assert_eq!(s.last_key_value(), pair(model.last_key_value()));
             for probe in -1..=17 {
@@ -302,6 +401,24 @@ mod tests {
                 assert_eq!(s.predecessor(&probe), pred, "predecessor of {probe}");
             }
         }
+    }
+
+    #[test]
+    fn ordered_queries_on_empty_and_single() {
+        let t: PnbBst<i64, i64> = PnbBst::new();
+        let s = t.snapshot();
+        assert_eq!(s.first_key_value(), None);
+        assert_eq!(s.last_key_value(), None);
+        assert_eq!(s.successor(&0), None);
+        assert_eq!(s.predecessor(&0), None);
+        t.insert(7, 70);
+        let s = t.snapshot();
+        assert_eq!(s.first_key_value(), Some((7, 70)));
+        assert_eq!(s.last_key_value(), Some((7, 70)));
+        assert_eq!(s.successor(&7), None);
+        assert_eq!(s.successor(&6), Some((7, 70)));
+        assert_eq!(s.predecessor(&7), None);
+        assert_eq!(s.predecessor(&8), Some((7, 70)));
     }
 
     #[test]
@@ -329,7 +446,7 @@ mod tests {
         for k in 0..20 {
             t.delete(&k);
         }
-        assert!(t.is_empty());
+        assert!(t.snapshot().is_empty());
         assert_eq!(
             snap.range_scan(&5, &8),
             vec![(5, -5), (6, -6), (7, -7), (8, -8)]

@@ -28,10 +28,11 @@ use crate::stats::{Stats, StatsSnapshot};
 ///   (non-blocking): some operation always completes in a bounded number
 ///   of steps system-wide, and operations on different parts of the tree
 ///   do not interfere.
-/// * [`range_scan`](Self::range_scan) (and friends) are **wait-free**:
-///   every scan completes in a bounded number of its own steps, no matter
-///   what other threads do, because it traverses the immutable
-///   version-`seq` tree of its phase.
+/// * range scans — a [`snapshot`](Self::snapshot) or a lazy
+///   [`Handle::range`](crate::Handle::range) — are **wait-free**: every
+///   scan completes in a bounded number of its own steps, no matter what
+///   other threads do, because it traverses the immutable version-`seq`
+///   tree of its phase.
 ///
 /// Keys follow the paper's *set* semantics: inserting a key that is
 /// already present fails (returns `false`) rather than replacing the
@@ -47,7 +48,7 @@ use crate::stats::{Stats, StatsSnapshot};
 /// assert!(tree.insert(5, "five"));
 /// assert!(!tree.insert(2, "again")); // no replace
 /// assert_eq!(tree.get(&5), Some("five"));
-/// assert_eq!(tree.range_scan(&0, &10), vec![(2, "two"), (5, "five")]);
+/// assert_eq!(tree.snapshot().range_scan(&0, &10), vec![(2, "two"), (5, "five")]);
 /// assert_eq!(tree.delete(&2), true);
 /// assert_eq!(tree.get(&2), None);
 /// ```

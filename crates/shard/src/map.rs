@@ -1,5 +1,5 @@
 //! The sharded map itself: construction, routing, and the per-call
-//! compat surface.
+//! point operations.
 
 use pnb_bst::PnbBst;
 
@@ -124,7 +124,7 @@ where
         ShardedSnapshot::new(self)
     }
 
-    // --- per-call compat surface (each call opens a session) ---------
+    // --- per-call point operations (each call opens a session) -------
 
     /// Look up `key` (pins per call; loops should use [`pin`](Self::pin)).
     pub fn get(&self, key: &K) -> Option<V> {
@@ -157,20 +157,15 @@ where
         self.pin().remove(key)
     }
 
-    /// Closed-interval range query returning a `Vec` (pins per call).
-    pub fn range_scan(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        self.pin().range(lo.clone()..=hi.clone()).collect()
-    }
-
-    /// Linearizable-per-shard cardinality: one wait-free scan per
-    /// shard, summed (pins per call).
+    /// Cardinality: the sum of one [`ShardedSnapshot`]'s per-shard
+    /// counts, which clone nothing and merge nothing.
     pub fn len(&self) -> usize {
-        self.pin().len()
+        self.snapshot().len()
     }
 
-    /// Whether the map holds no keys (pins per call).
+    /// Whether the map holds no keys, through one [`ShardedSnapshot`].
     pub fn is_empty(&self) -> bool {
-        self.pin().is_empty()
+        self.snapshot().is_empty()
     }
 
     /// Run every shard's structural validation; returns the total key
@@ -193,7 +188,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn per_call_compat_surface() {
+    fn per_call_surface() {
         let m: ShardedPnbBst<u64, u64> = ShardedPnbBst::new(4);
         assert_eq!(m.shard_count(), 4);
         assert!(m.is_empty());
@@ -204,10 +199,37 @@ mod tests {
         assert!(m.contains(&7));
         assert_eq!(m.get(&9), Some(90));
         assert_eq!(m.len(), 2);
-        assert_eq!(m.range_scan(&0, &100), vec![(7, 77), (9, 90)]);
+        assert_eq!(m.snapshot().to_vec(), vec![(7, 77), (9, 90)]);
         assert_eq!(m.remove(&7), Some(77));
         assert!(!m.delete(&7));
         assert_eq!(m.check_invariants(), 1);
+    }
+
+    #[test]
+    fn len_clones_nothing() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        static CLONES: AtomicUsize = AtomicUsize::new(0);
+        struct Loud;
+        impl Clone for Loud {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Relaxed);
+                Loud
+            }
+        }
+        // 256-key blocks: the 1,000 keys spread over all four shards.
+        let m = ShardedPnbBst::with_partitioner(4, RangePrefixPartitioner::with_block_bits(8));
+        let s = m.pin();
+        for k in 0..1000u64 {
+            s.insert(k, Loud);
+        }
+        drop(s);
+        let built = CLONES.load(Relaxed);
+        assert_eq!(m.len(), 1000);
+        assert!(!m.is_empty());
+        let snap = m.snapshot();
+        assert_eq!(snap.len(), 1000);
+        assert!(!snap.is_empty());
+        assert_eq!(CLONES.load(Relaxed), built, "counting cloned values");
     }
 
     #[test]
@@ -220,7 +242,9 @@ mod tests {
             s.insert(k, k);
         }
         drop(s);
-        let populated = (0..8).filter(|&i| !m.shard(i).is_empty()).count();
+        let populated = (0..8)
+            .filter(|&i| !m.shard(i).snapshot().is_empty())
+            .count();
         assert!(populated >= 4, "only {populated}/8 shards used");
         let total: usize = (0..8).map(|i| m.shard(i).check_invariants()).sum();
         assert_eq!(total, 64);
@@ -232,7 +256,7 @@ mod tests {
         let s = m.pin();
         assert!(s.insert(1, 1));
         assert_eq!(s.get(&1), Some(1));
-        assert_eq!(s.range_scan(&0, &10), vec![(1, 1)]);
+        assert_eq!(s.range(0..=10).collect::<Vec<_>>(), vec![(1, 1)]);
         drop(s);
         let st = m.shard_stats();
         assert_eq!(st.len(), 4);

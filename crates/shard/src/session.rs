@@ -202,28 +202,6 @@ where
         self.range(..)
     }
 
-    /// Closed-interval range query returning a `Vec` — compat shim over
-    /// [`range`](Self::range).
-    pub fn range_scan(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        self.range(lo.clone()..=hi.clone()).collect()
-    }
-
-    /// Count keys in `[lo, hi]` across shards without cloning values
-    /// into a result set.
-    pub fn scan_count(&self, lo: &K, hi: &K) -> usize {
-        self.range(lo.clone()..=hi.clone()).count()
-    }
-
-    /// Cardinality: one wait-free scan per shard, merged.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// Emptiness test (stops at the first key found).
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
-    }
-
     /// Take a cross-shard snapshot (independent of this session; it
     /// pins its own guards and may outlive the session). See
     /// [`ShardedPnbBst::snapshot`].
@@ -282,16 +260,16 @@ mod tests {
     fn session_covers_the_operation_set() {
         let m = map(4);
         let s = m.pin();
-        assert!(s.is_empty());
+        assert!(s.iter().next().is_none());
         assert!(s.insert(5, 50));
         assert!(!s.insert(5, 51));
         assert_eq!(s.upsert(5, 55), Some(50));
         assert_eq!(s.upsert(6_000, 60), None);
         assert_eq!(s.get(&5), Some(55));
         assert!(s.contains(&6_000));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.range_scan(&0, &10_000), vec![(5, 55), (6_000, 60)]);
-        assert_eq!(s.scan_count(&0, &10_000), 2);
+        let all: Vec<(u64, u64)> = s.range(0..=10_000).collect();
+        assert_eq!(all, vec![(5, 55), (6_000, 60)]);
+        assert_eq!(s.snapshot().len(), 2);
         assert_eq!(s.remove(&5), Some(55));
         assert!(!s.delete(&5));
         assert_eq!(s.map().check_invariants(), 1);
@@ -362,7 +340,7 @@ mod tests {
             }
         }
         s.flush();
-        assert_eq!(s.len(), 300);
+        assert_eq!(s.iter().count(), 300);
         assert_eq!(s.shard_handles(), 3);
         assert_eq!(m.check_invariants(), 300);
     }

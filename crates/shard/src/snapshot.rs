@@ -37,7 +37,7 @@ use crate::partition::Partitioner;
 /// for k in 0..100u64 {
 ///     s.delete(&(k * 1000));
 /// }
-/// assert!(s.is_empty());          // the map has moved on...
+/// assert!(map.is_empty());        // the map has moved on...
 /// assert_eq!(snap.len(), 100);    // ...the snapshot has not
 /// assert_eq!(snap.get(&5_000), Some(5));
 /// ```

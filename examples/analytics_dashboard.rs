@@ -125,7 +125,7 @@ fn main() {
     let reports = dashboard.join().unwrap();
     let audits = audit.join().unwrap();
 
-    let final_size = index.len();
+    let final_size = index.snapshot().len();
     println!("---");
     println!("ingested {ingested} orders, indexed size {final_size}");
     println!("dashboard produced {reports} aggregate reports (wait-free scans)");

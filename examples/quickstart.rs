@@ -16,8 +16,8 @@ fn main() {
 
     // --- Sessions: the hot-path API ---------------------------------
     // `pin()` takes one epoch guard for any number of operations (the
-    // per-call methods further down pin per call — fine for occasional
-    // use, wasteful in loops).
+    // per-call point operations further down pin per call — fine for
+    // occasional use, wasteful in loops).
     let h = tree.pin();
     assert!(h.insert(20, "twenty".into()));
     assert!(h.insert(10, "ten".into()));
@@ -44,27 +44,30 @@ fn main() {
     assert_eq!(h.iter().next().map(|(k, _)| k), Some(10)); // lazy: O(depth)
     drop(h);
 
-    // --- Per-call compat API ----------------------------------------
-    // The paper-literal methods still exist (each pins internally):
+    // --- Per-call point operations ---------------------------------
+    // The paper's Insert/Delete/Find also exist per call (each pins
+    // internally):
     assert_eq!(tree.get(&10).as_deref(), Some("ten"));
-    let range: Vec<u64> = tree
+
+    // --- Point-in-time snapshots ------------------------------------
+    // Every multi-key read other than the lazy range goes through a
+    // snapshot: `len`, `to_vec`, `keys`, visitor scans, ordered queries.
+    let snap = tree.snapshot();
+    tree.insert(99, "late".into());
+    assert_eq!(snap.get(&99), None); // the snapshot predates 99
+    assert_eq!(tree.get(&99).as_deref(), Some("late"));
+    // The paper's closed-interval RangeScan(a, b), materialized:
+    let range: Vec<u64> = snap
         .range_scan(&10, &20)
         .into_iter()
         .map(|(k, _)| k)
         .collect();
     assert_eq!(range, vec![10, 15, 20]);
-
     // Visitor form with arbitrary bounds — no allocation per element:
     let mut count = 0;
-    tree.range_scan_with(Bound::Excluded(&10), Bound::Unbounded, |_, _| count += 1);
+    snap.range_scan_with(Bound::Excluded(&10), Bound::Unbounded, |_, _| count += 1);
     assert_eq!(count, 3); // 15, 20, 25
-
-    // --- Point-in-time snapshots ------------------------------------
-    let snap = tree.snapshot();
-    tree.insert(99, "late".into());
-    assert_eq!(snap.get(&99), None); // the snapshot predates 99
-    assert_eq!(tree.get(&99).as_deref(), Some("late"));
-    // Snapshots iterate lazily too, over their frozen version:
+                          // Snapshots iterate lazily too, over their frozen version:
     let frozen_keys: Vec<u64> = snap.range(..).map(|(k, _)| k).collect();
     assert_eq!(frozen_keys, vec![10, 15, 20, 25]);
     println!("snapshot of phase {} holds {} keys", snap.seq(), snap.len());
@@ -90,17 +93,17 @@ fn main() {
         .collect();
 
     // Scans are safe (and wait-free) at any point during the writes.
-    let mid_flight = tree.scan_count(&1_000, &5_999);
+    let mid_flight = tree.pin().range(1_000..6_000).count();
     println!("keys visible to a mid-flight scan: {mid_flight}");
 
     for w in writers {
         w.join().unwrap();
     }
     let h = tree.pin();
-    assert_eq!(h.scan_count(&1_000, &5_999), 4_000);
+    assert_eq!(h.range(1_000..6_000).count(), 4_000);
     println!(
         "final size: {} keys across phases 0..{}",
-        h.len(),
+        tree.snapshot().len(),
         h.phase()
     );
     println!("quickstart OK");

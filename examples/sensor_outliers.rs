@@ -74,7 +74,7 @@ fn main() {
             let mut evicted = 0u64;
             let mut session = index.pin();
             while !stop.load(Ordering::Relaxed) {
-                if session.len() > 4_000 {
+                if session.snapshot().len() > 4_000 {
                     // Lazily walk a band and delete every other key —
                     // no victim list is ever materialized: the Range
                     // iterator reads a closed phase, so deleting through
@@ -139,9 +139,9 @@ fn main() {
 
     println!("readings produced: {produced}, evicted: {evicted}");
     println!("spike classifications: {outliers} outliers, {inliers} dense");
-    println!("index size at shutdown: {}", index.len());
+    println!("index size at shutdown: {}", index.snapshot().len());
     // Sanity: the cluster around CENTER must be dense.
-    let cluster = index.scan_count(&(CENTER * 16), &((CENTER + 200) * 16));
+    let cluster = index.pin().range(CENTER * 16..=(CENTER + 200) * 16).count();
     println!("cluster density near center: {cluster}");
     println!("sensor_outliers OK");
 }

@@ -46,7 +46,7 @@ fn main() {
     assert!(narrow.width() <= 2); // spans at most two 4096-key blocks
     let keys: Vec<u64> = s.range(100_000u64..200_000).map(|(k, _)| k).collect();
     assert_eq!(keys, (10..20u64).map(|k| k * 10_000).collect::<Vec<_>>());
-    assert_eq!(s.len(), 49);
+    assert_eq!(s.snapshot().len(), 49);
     drop(s);
 
     // --- Cross-shard snapshots --------------------------------------

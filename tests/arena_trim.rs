@@ -39,7 +39,7 @@ fn trim_returns_slabs_and_spares_live_ones() {
             h.insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15), k);
         }
     }
-    assert_eq!(map.len(), KEYS as usize);
+    assert_eq!(map.snapshot().len(), KEYS as usize);
     let built = ALLOC.live_bytes() - start;
     // 2n + 1 nodes of 64 B, rounded up to whole slabs, plus Infos.
     assert!(built >= 2 * KEYS as i64 * 64, "built only {built} B");

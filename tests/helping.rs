@@ -49,7 +49,7 @@ fn scan_aborts_a_pre_handshake_insert_via_the_counter() {
     let op = paused(tree.insert_paused(1, 10));
     assert_eq!(op.seq(), 0);
 
-    let seen = tree.range_scan(&0, &100);
+    let seen = tree.snapshot().range_scan(&0, &100);
     assert!(seen.is_empty(), "scan must not observe the aborted insert");
     assert_eq!(
         op.state(),
@@ -90,11 +90,7 @@ fn scan_aborts_a_pre_handshake_delete() {
     assert!(tree.insert(2, 20));
 
     let op = paused(tree.delete_paused(&1));
-    let seen: Vec<u64> = tree
-        .range_scan(&0, &100)
-        .into_iter()
-        .map(|(k, _)| k)
-        .collect();
+    let seen: Vec<u64> = tree.pin().range(0..=100).map(|(k, _)| k).collect();
     assert_eq!(seen, vec![1, 2], "scan still sees the key: delete aborted");
     assert_eq!(op.state(), PausedState::Aborted);
     assert!(!op.resume());
@@ -132,8 +128,9 @@ fn abandoned_delete_is_completed_by_a_scan() {
     // — but a subsequent Find on the same neighbourhood re-observes the
     // tree in a clean state either way.
     op.abandon();
-    let _ = tree.range_scan(&0, &100); // helps (aborts) the orphan
-                                       // The delete never committed (it was pre-handshake), so 3 is alive:
+    // The scan helps (aborts) the orphan. The delete never committed (it
+    // was pre-handshake), so 3 is alive:
+    let _ = tree.snapshot().range_scan(&0, &100);
     assert_eq!(tree.get(&3), Some(3));
     // And the neighbourhood is fully operational:
     assert!(tree.delete(&3));
@@ -171,7 +168,7 @@ fn batch_ops_help_an_abandoned_update() {
     // A scan handshake-aborts a pre-handshake insert; a batched insert
     // of the same key then succeeds.
     let op = paused(tree.insert_paused(3, 30));
-    assert!(tree.range_scan(&0, &100).iter().all(|&(k, _)| k != 3));
+    assert!(tree.pin().range(0..=100).all(|(k, _)| k != 3));
     assert_eq!(op.state(), PausedState::Aborted);
     op.abandon();
     assert_eq!(
@@ -234,14 +231,13 @@ fn many_sequential_paused_cycles_stay_structurally_sound() {
             assert!(op.resume());
         } else {
             // Scan path: handshake abort, then real insert.
-            let _ = tree.scan_count(&0, &1_000);
+            let _ = tree.pin().range(0..=1_000).count();
             assert!(!op.resume());
             assert!(tree.insert(round, round));
         }
     }
     assert_eq!(tree.check_invariants(), 50);
-    let all: Vec<u64> = tree.to_vec().into_iter().map(|(k, _)| k).collect();
-    assert_eq!(all, (0..50).collect::<Vec<_>>());
+    assert_eq!(tree.snapshot().keys(), (0..50).collect::<Vec<_>>());
 }
 
 #[test]
@@ -283,7 +279,7 @@ fn scan_helps_parked_updates_across_lanes() {
     // scan closed its phase), so each help must abort it: the scan
     // returns exactly the contents from before the parking.
     let tree: PnbBst<u64, u64> = PnbBst::from_sorted((0..1024).map(|k| (2 * k, k)).collect());
-    let before = tree.to_vec();
+    let before = tree.snapshot().to_vec();
     // Keys 84 apart: no two updates freeze a common node.
     let ops: Vec<_> = (0..24u64)
         .map(|i| {
@@ -299,7 +295,7 @@ fn scan_helps_parked_updates_across_lanes() {
         assert_eq!(op.state(), PausedState::Undecided);
     }
 
-    assert_eq!(tree.range_scan(&0, &u64::MAX), before);
+    assert_eq!(tree.snapshot().range_scan(&0, &u64::MAX), before);
     for op in &ops {
         assert_eq!(op.state(), PausedState::Aborted, "the scan aborted it");
     }

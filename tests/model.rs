@@ -57,7 +57,7 @@ proptest! {
                     prop_assert_eq!(tree.get(k), model.get(k).copied());
                 }
                 Action::Scan(lo, hi) => {
-                    let got = tree.range_scan(lo, hi);
+                    let got = tree.snapshot().range_scan(lo, hi);
                     let expect: Vec<(u16, u16)> =
                         model.range(*lo..=*hi).map(|(k, v)| (*k, *v)).collect();
                     prop_assert_eq!(got, expect);
@@ -72,7 +72,7 @@ proptest! {
 
         // The final state matches...
         let expect: Vec<(u16, u16)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(tree.to_vec(), expect);
+        prop_assert_eq!(tree.snapshot().to_vec(), expect);
         prop_assert_eq!(tree.check_invariants(), model.len());
         // ...and every live snapshot still reflects its own epoch.
         for (snap, frozen) in &snaps {
@@ -161,9 +161,9 @@ proptest! {
             tree.insert(k, k * 3);
         }
         let hi = lo.saturating_add(width);
-        let got: Vec<u32> = tree.range_scan(&lo, &hi).into_iter().map(|(k, _)| k).collect();
+        let got: Vec<u32> = tree.snapshot().range_scan(&lo, &hi).into_iter().map(|(k, _)| k).collect();
         let expect: Vec<u32> = keys.iter().copied().filter(|k| *k >= lo && *k <= hi).collect();
-        prop_assert_eq!(tree.scan_count(&lo, &hi), expect.len());
+        prop_assert_eq!(tree.pin().range(lo..=hi).count(), expect.len());
         prop_assert_eq!(got, expect);
     }
 
@@ -251,7 +251,7 @@ proptest! {
                 _ => { prop_assert_eq!(set.contains(&k), model.contains(&k)); }
             }
         }
-        let got = set.to_vec();
+        let got = set.snapshot().keys();
         let expect: Vec<u16> = model.into_iter().collect();
         prop_assert_eq!(got, expect);
     }

@@ -236,7 +236,7 @@ proptest! {
                     // The scan helps-and-aborts every undecided attempt
                     // it traverses, then reads a consistent cut. All
                     // in-flight ops are pre-handshake, so they die.
-                    let got: Vec<(u8, u16)> = tree.range_scan(&0, &u8::MAX);
+                    let got: Vec<(u8, u16)> = tree.snapshot().range_scan(&0, &u8::MAX);
                     settle_decided(&tree, &mut model, &mut inflight);
                     prop_assert!(inflight.is_empty(), "scan decides every in-flight op");
                     let expect: Vec<(u8, u16)> =
@@ -261,7 +261,7 @@ proptest! {
             settle(&mut model, key, class, value, key_was_present, committed);
         }
         let expect: Vec<(u8, u16)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(tree.to_vec(), expect, "final content");
+        prop_assert_eq!(tree.snapshot().to_vec(), expect, "final content");
         prop_assert_eq!(tree.check_invariants(), model.len());
     }
 }

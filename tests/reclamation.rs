@@ -21,6 +21,7 @@
 //! `pnb_bst::collector_stats()` when built with `--features stats`.
 
 use pnb_bst::PnbBst;
+use std::ops::Bound::Included;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,12 +92,13 @@ fn sequential_churn_frees_everything() {
                 assert!(tree.insert(k, Counted::new(&live)));
             }
             // Interleave scans so prev-chains actually form.
-            let _ = tree.scan_count(&0, &200);
+            tree.snapshot()
+                .range_scan_with(Included(&0), Included(&200), |_, _| {});
             for k in 0..200u64 {
                 let shifted = (k + round) % 200;
                 assert!(tree.delete(&shifted));
             }
-            assert_eq!(tree.len(), 0);
+            assert_eq!(tree.snapshot().len(), 0);
         }
         drop(tree);
     }
@@ -141,7 +143,11 @@ fn concurrent_churn_frees_everything_after_quiescence() {
                         for i in 0..100 {
                             tree.insert(base + i, Counted::new(&live));
                         }
-                        let _ = tree.scan_count(&base, &(base + 100));
+                        tree.snapshot().range_scan_with(
+                            Included(&base),
+                            Included(&(base + 100)),
+                            |_, _| {},
+                        );
                         for i in 0..100 {
                             tree.delete(&(base + i));
                         }
@@ -158,7 +164,7 @@ fn concurrent_churn_frees_everything_after_quiescence() {
                 }
             });
         });
-        assert_eq!(tree.len(), 0);
+        assert_eq!(tree.snapshot().len(), 0);
         drop(tree);
     }
     // Each thread's garbage bag drains as epochs advance.
@@ -264,7 +270,7 @@ fn mixed_workload_drop_accounting_is_exact() {
                 });
             }
         });
-        assert_eq!(tree.len(), 0);
+        assert_eq!(tree.snapshot().len(), 0);
     }
     drain_epochs_until(&live, 0);
     let remaining = live.load(Ordering::SeqCst);
@@ -495,9 +501,9 @@ fn session_refresh_unblocks_epoch_advancement() {
         assert!(after.bags_freed > before.bags_freed);
     }
     // The refreshed session is still a fully usable view of the tree.
-    assert!(session.is_empty());
+    assert!(session.iter().next().is_none());
     assert!(session.insert(7, Counted::new(&live)));
-    assert_eq!(session.tree().len(), 1);
+    assert_eq!(session.tree().snapshot().len(), 1);
 }
 
 #[test]
@@ -507,10 +513,12 @@ fn string_keys_and_boxed_values() {
     for i in 0..200 {
         assert!(tree.insert(format!("key-{i:04}"), Box::new([i as u8; 64])));
     }
-    assert_eq!(tree.len(), 200);
+    assert_eq!(tree.snapshot().len(), 200);
     assert_eq!(tree.get(&"key-0042".to_string()).map(|b| b[0]), Some(42));
     // Range scan over string keys is lexicographic.
-    let window = tree.range_scan(&"key-0010".to_string(), &"key-0013".to_string());
+    let window = tree
+        .snapshot()
+        .range_scan(&"key-0010".to_string(), &"key-0013".to_string());
     let keys: Vec<String> = window.into_iter().map(|(k, _)| k).collect();
     assert_eq!(keys, vec!["key-0010", "key-0011", "key-0012", "key-0013"]);
     for i in (0..200).step_by(2) {

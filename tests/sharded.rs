@@ -108,16 +108,17 @@ proptest! {
                     let expect: Vec<(u64, u64)> =
                         model.range(*lo..=*hi).map(|(k, v)| (*k, *v)).collect();
                     for s in &sessions {
-                        // Both the closed-interval compat shim and the
-                        // lazy merged iterator must agree with the model.
-                        prop_assert_eq!(s.range_scan(lo, hi), expect.clone());
+                        // Both the lazy merged iterator and a snapshot's
+                        // range must agree with the model.
                         let lazy: Vec<(u64, u64)> = s.range(*lo..=*hi).collect();
                         prop_assert_eq!(lazy, expect.clone());
+                        let snap: Vec<(u64, u64)> = s.snapshot().range(*lo..=*hi).collect();
+                        prop_assert_eq!(snap, expect.clone());
                     }
                 }
                 Action::Count => {
                     for s in &sessions {
-                        prop_assert_eq!(s.len(), model.len());
+                        prop_assert_eq!(s.snapshot().len(), model.len());
                     }
                 }
             }
@@ -377,7 +378,7 @@ fn concurrent_mixed_hammer_preserves_shard_invariants() {
     }
 
     let s = map.pin();
-    let total = s.len() as u64;
+    let total = s.snapshot().len() as u64;
     drop(s);
     assert_eq!(total, expect_live * nthreads as u64);
     assert_eq!(map.check_invariants() as u64, total);

@@ -191,7 +191,7 @@ fn scans_observe_prefixes_of_a_sequential_writer() {
                 let mut max_seen = 0usize;
                 let mut scans = 0usize;
                 while !done.load(Ordering::SeqCst) {
-                    let snap = tree.range_scan(&0, &n);
+                    let snap = tree.snapshot().range_scan(&0, &n);
                     // Prefix property: keys must be exactly 0..len.
                     for (i, (k, v)) in snap.iter().enumerate() {
                         assert_eq!(*k, i as u64, "scan must see a prefix");
@@ -258,7 +258,7 @@ fn sliding_window_cardinality_invariant() {
             for _ in 0..scaled(300) {
                 for w in 0..nwriters {
                     let base = w * stripe;
-                    let count = tree.scan_count(&base, &(base + stripe - 1));
+                    let count = tree.pin().range(base..base + stripe).count();
                     assert!(
                         count == C || count == C + 1,
                         "stripe {w} had {count} keys (expected {C} or {})",
@@ -280,7 +280,7 @@ fn sliding_window_cardinality_invariant() {
     // Quiescent: every stripe has exactly C keys.
     for w in 0..nwriters {
         let base = w * stripe;
-        assert_eq!(tree.scan_count(&base, &(base + stripe - 1)), C);
+        assert_eq!(tree.pin().range(base..base + stripe).count(), C);
     }
     tree.check_invariants();
 }
@@ -310,7 +310,7 @@ fn deletions_leave_suffixes_for_scans() {
         thread::spawn(move || {
             let mut min_front = 0u64;
             while !done.load(Ordering::SeqCst) {
-                let snap = tree.range_scan(&0, &n);
+                let snap = tree.snapshot().range_scan(&0, &n);
                 if let Some((first, _)) = snap.first() {
                     // Suffix property: contiguous from `first` to n-1.
                     for (i, (k, _)) in snap.iter().enumerate() {
@@ -358,7 +358,7 @@ fn mixed_churn_with_scans_and_snapshots() {
                         }
                         8 => {
                             let lo = base + (x >> 33) % 512;
-                            let _ = tree.scan_count(&lo, &(lo + 64));
+                            let _ = tree.pin().range(lo..=lo + 64).count();
                         }
                         _ => {
                             let snap = tree.snapshot();
@@ -373,8 +373,8 @@ fn mixed_churn_with_scans_and_snapshots() {
         h.join().unwrap();
     }
     let total = tree.check_invariants();
-    assert_eq!(total, tree.len());
-    assert_eq!(tree.to_vec().len(), total);
+    assert_eq!(total, tree.snapshot().len());
+    assert_eq!(tree.snapshot().to_vec().len(), total);
 }
 
 #[test]
@@ -405,7 +405,7 @@ fn scan_completes_under_sustained_update_load() {
         .collect();
 
     for _ in 0..scaled(50) {
-        let scan = tree.range_scan(&0, &8_192);
+        let scan = tree.snapshot().range_scan(&0, &8_192);
         // The even keys are permanent; every scan must contain them all.
         let evens = scan.iter().filter(|(k, _)| k % 2 == 0).count();
         assert_eq!(evens, 4_096);

@@ -19,7 +19,7 @@ fn phase_counter_advances_only_on_scans_and_snapshots() {
     t.delete(&1);
     t.get(&2);
     assert_eq!(t.phase(), 0, "updates and finds never advance the phase");
-    let _ = t.range_scan(&0, &10);
+    let _ = t.pin().range(0..=10).count();
     assert_eq!(t.phase(), 1);
     let s = t.snapshot();
     assert_eq!(t.phase(), 2);
@@ -118,8 +118,7 @@ fn figure1_insert_shape() {
     // Insert C: lands on the leaf B (C < D), so the new internal node
     // must have key C→max(B,C)=C with B left, C right.
     assert!(t.insert('C', 3));
-    let all: Vec<char> = t.to_vec().into_iter().map(|(k, _)| k).collect();
-    assert_eq!(all, vec!['B', 'C', 'D']);
+    assert_eq!(t.snapshot().keys(), vec!['B', 'C', 'D']);
     assert_eq!(t.check_invariants(), 3); // checks BST + fullness + placement
 
     // Searches route correctly through the new shape.
@@ -150,8 +149,7 @@ fn figure1_delete_copies_sibling() {
     let old: Vec<u32> = snap.to_vec().into_iter().map(|(k, _)| k).collect();
     assert_eq!(old, vec![25, 50, 60, 75, 90]);
     // New version correct:
-    let new: Vec<u32> = t.to_vec().into_iter().map(|(k, _)| k).collect();
-    assert_eq!(new, vec![50, 75, 90]);
+    assert_eq!(t.snapshot().keys(), vec![50, 75, 90]);
     assert_eq!(t.check_invariants(), 3);
 }
 
@@ -194,7 +192,7 @@ fn interleaved_snapshots_and_scans_across_many_phases() {
         }
         // Every scan agrees with the model (single-threaded, so the
         // linearization order is the program order).
-        let got: Vec<u64> = t.range_scan(&0, &127).into_iter().map(|(k, _)| k).collect();
+        let got: Vec<u64> = t.pin().range(0..=127).map(|(k, _)| k).collect();
         let expect: Vec<u64> = model.iter().copied().collect();
         assert_eq!(got, expect, "round {round}");
         assert_eq!(t.phase(), round + 1, "one phase per scan");
