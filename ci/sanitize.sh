@@ -24,7 +24,10 @@ if ! cargo +nightly --version >/dev/null 2>&1; then
 fi
 
 # `pnb_asan`: the arena poisons pooled blocks, so a touch of a recycled
-# `Node` or `Info` is a report too, not only of freed heap.
+# `Node` or `Info` is a report too, not only of freed heap. Arena slabs
+# are mappings from the kernel that ASan's allocator never sees, so that
+# poisoning is the only guard they have; `pnb-bst --lib` runs the
+# arena's own unit tests (slab carving, trim, huge-page collapse) under it.
 export RUSTFLAGS="-Zsanitizer=address --cfg pnb_asan"
 export CARGO_TARGET_DIR=target/asan
 # An explicit --target keeps the flag off build scripts and proc macros.

@@ -18,17 +18,35 @@
 //! spillover stack** of block chunks: overflowing locals push surplus
 //! there, and a thread whose local list runs dry pulls a chunk back.
 //! Only when both are empty does the thread take the next block of its
-//! current slab, and only when that is used up does it ask the global
-//! allocator — for a whole line-aligned slab (about [`SLAB_BYTES`]),
-//! not a block. So a 64-byte `Node` costs 64 bytes of heap and sits on
-//! its own cache line, and a cold update performs no `malloc` at all.
+//! current slab, and only when that is used up does it map a new slab
+//! — [`SLAB_BYTES`] of anonymous memory from the kernel, aligned to its
+//! own size — not a block. So a 64-byte `Node` costs 64 bytes and sits
+//! on its own cache line, and a cold update performs no `malloc` at all.
+//!
+//! # Huge pages
+//!
+//! Every operation is a pointer chase from the root to a leaf, and
+//! below the top few levels of a large tree each step lands on a page
+//! no recent step touched: a TLB miss, which on a virtual machine is a
+//! two-dimensional page walk. A slab is one 2-MiB-aligned transparent
+//! huge page's worth of memory, so the moment a thread carves its last
+//! block, it asks the kernel to collapse the slab into one huge page
+//! (`madvise(MADV_COLLAPSE)`). Every block of the slab has been handed
+//! out, and [`alloc`] writes each one it hands out, so every 4-KiB page
+//! of it is resident already: the collapse replaces 512 page-table
+//! entries with one and adds no memory. The slab a thread is still
+//! carving stays in 4-KiB pages — advising huge pages at fault time
+//! instead (`MADV_HUGEPAGE`) makes each half-carved slab resident in
+//! full. The call is advice: where the kernel refuses it (Linux before
+//! 6.1, no THP support, no free 2-MiB frame), nothing changes but the
+//! speed.
 //!
 //! # Why this is sound
 //!
 //! * A block belongs to its slab for life: it goes back to a pool
 //!   ([`free_now`], [`recycle_raw`]), never to `Box::from_raw` or
 //!   `dealloc` on its own. Each class lists its slabs, and [`trim`]
-//!   frees one only while it privately holds every block of it.
+//!   unmaps one only while it privately holds every block of it.
 //! * Recycling obeys the same two-epoch rule as freeing: a block enters
 //!   a free list only when `defer_recycle` proves no pinned thread can
 //!   still reference it, so reuse introduces no ABA hazard that freeing
@@ -42,7 +60,7 @@
 //!
 //! Local lists spill past [`LOCAL_CAP`] blocks; exiting threads hand
 //! their pools to the spillover so survivors inherit the warm memory.
-//! The pools retain their peak working set by design — [`trim`] frees
+//! The pools retain their peak working set by design — [`trim`] unmaps
 //! every wholly unused slab at workload boundaries. The `stats` feature
 //! adds process-global hit/miss/recycle counters ([`ArenaStats`]).
 
@@ -64,10 +82,9 @@ const CHUNK_BLOCKS: usize = 2048;
 /// Upper bound on pooled scan-stack buffers per thread.
 const MAX_STACK_BUFS: usize = 8;
 
-/// Bytes per slab: big enough that the global allocator's own header
-/// and page rounding cost under half a percent, small enough that a
-/// thread's untouched tail of one (never resident) is no burden.
-const SLAB_BYTES: usize = 1 << 20;
+/// Bytes per slab, and the alignment of every slab: one transparent
+/// huge page, so a carved-out slab can become one TLB entry.
+const SLAB_BYTES: usize = 2 << 20;
 
 /// Floor on blocks per slab, for layouts past `SLAB_BYTES / 512`.
 const MIN_SLAB_BLOCKS: usize = 512;
@@ -77,11 +94,14 @@ fn stride(block: Layout) -> usize {
     block.pad_to_align().size()
 }
 
-/// The slabs a class carves: whole blocks only, based on a cache line
-/// (or the block's own alignment).
-fn slab_of(block: Layout) -> Layout {
-    let bytes = (SLAB_BYTES / stride(block)).max(MIN_SLAB_BLOCKS) * stride(block);
-    Layout::from_size_align(bytes, block.align().max(64)).expect("slab size overflows")
+/// Bytes a class maps per slab: whole huge pages, at least one.
+fn slab_len(block: Layout) -> usize {
+    (MIN_SLAB_BLOCKS * stride(block)).next_multiple_of(SLAB_BYTES)
+}
+
+/// The part of a slab a class carves: whole blocks only.
+fn carve_len(block: Layout) -> usize {
+    slab_len(block) / stride(block) * stride(block)
 }
 
 fn global_alloc_checked(layout: Layout) -> *mut u8 {
@@ -102,7 +122,9 @@ struct Class {
     /// is its own global allocation.
     global: Option<&'static GlobalClass>,
     free: Vec<*mut u8>,
-    /// `fresh..fresh_end` is the uncarved tail of a registered slab.
+    /// `fresh..fresh_end` is the uncarved tail of a registered slab;
+    /// both are null before the first slab and after [`trim`] unmaps
+    /// the slab they were in.
     fresh: *mut u8,
     fresh_end: *mut u8,
 }
@@ -127,12 +149,12 @@ impl Class {
             counters::miss();
             return global_alloc_checked(self.layout);
         };
+        let carve = carve_len(self.layout);
         if self.fresh == self.fresh_end {
             counters::miss();
-            let slab = slab_of(self.layout);
-            self.fresh = global_alloc_checked(slab);
-            // SAFETY: one past the end of the slab just allocated.
-            self.fresh_end = unsafe { self.fresh.add(slab.size()) };
+            self.fresh = os::map(slab_len(self.layout));
+            // SAFETY: the carved part of the slab just mapped.
+            self.fresh_end = unsafe { self.fresh.add(carve) };
             g.slabs.push(vec![self.fresh]);
         } else {
             counters::hit();
@@ -140,6 +162,12 @@ impl Class {
         let raw = self.fresh;
         // SAFETY: the tail is a whole number of strides long.
         self.fresh = unsafe { raw.add(stride(self.layout)) };
+        if self.fresh == self.fresh_end {
+            // Carved out: every block but this one has been written, so
+            // the slab is resident (this block's page too, unless the
+            // block spans pages) and the collapse adds no memory.
+            os::collapse(self.fresh_end.wrapping_sub(carve), slab_len(self.layout));
+        }
         raw
     }
 
@@ -510,18 +538,124 @@ fn retype<A, B>(v: Vec<*const A>) -> Vec<*const B> {
 pub struct ArenaStats {
     /// Allocations served from a thread-local free list.
     pub pool_hits: u64,
-    /// Allocations that had to take a new slab from the global
-    /// allocator.
+    /// Allocations that had to map a new slab.
     pub pool_misses: u64,
     /// Bytes returned to thread-local free lists by the collector.
     pub recycled_bytes: u64,
 }
 
+/// Slabs come from the kernel, not the global allocator: an anonymous
+/// mapping over-sized by one huge page and trimmed to an aligned one.
+/// Declared here rather than through a `libc` dependency, like the
+/// server's `epoll` calls.
+mod os {
+    use super::SLAB_BYTES;
+    use std::alloc::{handle_alloc_error, Layout};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    extern "C" {
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
+        fn munmap(addr: *mut u8, len: usize) -> i32;
+        #[cfg(target_os = "linux")]
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+
+    const PROT_READ: i32 = 1;
+    const PROT_WRITE: i32 = 2;
+    const MAP_PRIVATE: i32 = 2;
+    const MAP_ANONYMOUS: i32 = if cfg!(target_os = "linux") {
+        0x20
+    } else {
+        0x1000
+    };
+    const MAP_FAILED: *mut u8 = usize::MAX as *mut u8;
+    #[cfg(target_os = "linux")]
+    const MADV_COLLAPSE: i32 = 25;
+
+    /// Bytes of slab currently mapped, process-wide.
+    pub(super) static MAPPED: AtomicUsize = AtomicUsize::new(0);
+
+    /// `len` bytes (a multiple of [`SLAB_BYTES`]) of zeroed memory,
+    /// aligned to [`SLAB_BYTES`]. None of it is resident until touched.
+    pub(super) fn map(len: usize) -> *mut u8 {
+        let over = len + SLAB_BYTES;
+        // SAFETY: a fresh private anonymous mapping aliases nothing.
+        let raw = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                over,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if raw == MAP_FAILED {
+            handle_alloc_error(Layout::from_size_align(len, SLAB_BYTES).expect("slab layout"));
+        }
+        let head = raw.align_offset(SLAB_BYTES);
+        // SAFETY: both ends lie in the mapping just made, outside the
+        // aligned `len` bytes kept, and nothing has seen them.
+        unsafe {
+            let base = raw.add(head);
+            trim_end(raw, head);
+            trim_end(base.add(len), SLAB_BYTES - head);
+            MAPPED.fetch_add(len, Relaxed);
+            base
+        }
+    }
+
+    /// # Safety
+    ///
+    /// `len` bytes at `at` are mapped and nothing will touch them again.
+    unsafe fn trim_end(at: *mut u8, len: usize) {
+        // SAFETY: the caller's contract; `munmap` refuses a zero length.
+        if len > 0 && unsafe { munmap(at, len) } != 0 {
+            panic!(
+                "munmap of a slab's end failed: {}",
+                std::io::Error::last_os_error()
+            );
+        }
+    }
+
+    /// Give a slab back to the kernel.
+    ///
+    /// # Safety
+    ///
+    /// `base` and `len` are a slab [`map`] returned, and no block of it
+    /// is reachable any more.
+    pub(super) unsafe fn unmap(base: *mut u8, len: usize) {
+        // SAFETY: the caller's contract.
+        unsafe { trim_end(base, len) };
+        MAPPED.fetch_sub(len, Relaxed);
+    }
+
+    /// Ask for `len` bytes at `base` (a slab) to become huge pages. Only
+    /// advice: a kernel that cannot (or will not) leaves them as they are.
+    pub(super) fn collapse(base: *mut u8, len: usize) {
+        // SAFETY: a slab this thread mapped; the advice changes how the
+        // range is backed, never its contents.
+        #[cfg(target_os = "linux")]
+        unsafe {
+            madvise(base, len, MADV_COLLAPSE);
+        }
+        #[cfg(not(target_os = "linux"))]
+        let _ = (base, len);
+    }
+}
+
+/// Bytes of slab mapped right now, process-wide.
+#[cfg(feature = "testing-internals")]
+pub(crate) fn mapped_slab_bytes() -> usize {
+    os::MAPPED.load(Relaxed)
+}
+
 /// A pooled block is freed memory as far as the program is concerned,
-/// but the global allocator never saw it go, so AddressSanitizer would
-/// take a read of a recycled `Node` or `Info` for a valid one. Built
-/// with `--cfg pnb_asan` (as `ci/sanitize.sh` does), a block is
-/// poisoned while it sits in a pool and any touch of it is a report.
+/// but AddressSanitizer's allocator never saw it (a slab is a plain
+/// mapping), so ASan would take a read of a recycled `Node` or `Info`
+/// for a valid one. Built with `--cfg pnb_asan` (as `ci/sanitize.sh`
+/// does), a block is poisoned while it sits in a pool and any touch of
+/// it is a report.
 #[cfg(pnb_asan)]
 mod asan {
     use std::alloc::Layout;
@@ -584,7 +718,7 @@ mod counters {
     pub(super) fn recycled(_bytes: u64) {}
 }
 
-/// Return to the global allocator every slab whose blocks are *all*
+/// Return to the kernel every slab whose blocks are *all*
 /// pooled — on this thread's lists or the global spillover stacks — and
 /// keep the rest pooled. Blocks held live, or by another thread's
 /// lists, pin their slab until a later call.
@@ -609,7 +743,7 @@ pub fn trim() {
 }
 
 fn trim_class(local: &mut Class, g: &GlobalClass) {
-    let (stride, slab) = (stride(local.layout), slab_of(local.layout));
+    let (stride, carve) = (stride(local.layout), carve_len(local.layout));
     // Own everything poolable outright: the chunks stay the vectors
     // they already are, and the only new memory is one word pair per
     // slab — a trim must not raise the footprint it is there to cut.
@@ -622,7 +756,7 @@ fn trim_class(local: &mut Class, g: &GlobalClass) {
     let find = |slabs: &[(usize, usize)], block: *mut u8| {
         let at = slabs.partition_point(|s| s.0 <= block as usize);
         let i = at.checked_sub(1)?;
-        (block as usize - slabs[i].0 < slab.size()).then_some(i)
+        (block as usize - slabs[i].0 < carve).then_some(i)
     };
     for &block in chunks.iter().flatten().chain(&local.free) {
         if let Some(i) = find(&slabs, block) {
@@ -633,10 +767,11 @@ fn trim_class(local: &mut Class, g: &GlobalClass) {
     if let Some(i) = find(&slabs, local.fresh) {
         slabs[i].1 += (local.fresh_end as usize - local.fresh as usize) / stride;
     }
-    let whole = |s: &(usize, usize)| s.1 * stride == slab.size();
+    let whole = |s: &(usize, usize)| s.1 * stride == carve;
     let doomed = |block: &*mut u8| find(&slabs, *block).is_some_and(|i| whole(&slabs[i]));
     if doomed(&local.fresh) {
-        local.fresh = local.fresh_end;
+        local.fresh = std::ptr::null_mut();
+        local.fresh_end = std::ptr::null_mut();
     }
     local.free.retain(|b| !doomed(b));
     for mut chunk in chunks {
@@ -648,10 +783,10 @@ fn trim_class(local: &mut Class, g: &GlobalClass) {
     }
     slabs.retain(|s| {
         if whole(s) {
-            // SAFETY: allocated with `slab` by `Class::take`; every
+            // SAFETY: mapped with this length by `Class::take`; every
             // block of it was in the lists this call owns and has been
             // dropped from them, so nothing can reach it again.
-            unsafe { global_dealloc(s.0 as *mut u8, slab) };
+            unsafe { os::unmap(s.0 as *mut u8, slab_len(local.layout)) };
         }
         !whole(s)
     });
@@ -719,8 +854,7 @@ mod tests {
         use std::ptr::null;
         let leaf = |k| Node::<u64, u64>::leaf(SKey::Fin(k), Some(k), 0, null(), null());
         // Whatever the pools held, this many cross two slab ends.
-        let slab = slab_of(Layout::new::<Node<u64, u64>>());
-        let count = 2 * slab.size() as u64 / 64 + 1;
+        let count = 2 * slab_len(Layout::new::<Node<u64, u64>>()) as u64 / 64 + 1;
         let nodes: Vec<_> = (0..count).map(|k| alloc(leaf(k))).collect();
         assert!(nodes.iter().all(|n| *n as usize & 63 == 0));
         nodes.into_iter().for_each(free_now);
@@ -741,6 +875,73 @@ mod tests {
         free_now(live);
         trim();
         assert!(class.slabs.take_all().is_empty(), "now wholly pooled");
+    }
+
+    #[test]
+    fn trim_forgets_the_open_slab_it_unmaps() {
+        // A layout of this test's own: its one slab is this thread's
+        // open slab, carved one block deep.
+        type B = [u16; 27];
+        let class = global_class(Layout::new::<B>()).unwrap();
+        free_now(alloc([1u16; 27]));
+        trim();
+        assert!(class.slabs.take_all().is_empty(), "the slab is unmapped");
+        let tail = with_pools(|p| {
+            let c = p.class_mut(Layout::new::<B>());
+            (c.fresh, c.fresh_end)
+        });
+        assert_eq!(tail, (std::ptr::null_mut(), std::ptr::null_mut()));
+        // The next block comes from a new slab, and is writable.
+        let b = alloc([2u16; 27]);
+        assert_eq!(unsafe { *b }, [2u16; 27]);
+        assert_eq!(class.slabs.take_all().concat(), [b as *mut u8]);
+        free_now(b);
+    }
+
+    #[test]
+    fn a_carved_out_slab_is_a_huge_page() {
+        let thp = "/sys/kernel/mm/transparent_hugepage/enabled";
+        match std::fs::read_to_string(thp) {
+            Ok(mode) if mode.contains("[never]") => {
+                return println!("skipped: {thp} reads {}", mode.trim());
+            }
+            _ => {}
+        }
+        // A layout of this test's own, so its first block is its first
+        // slab's base. Carve that slab out and one block of the next.
+        type B = [u64; 9];
+        let count = carve_len(Layout::new::<B>()) / size_of::<B>() + 1;
+        let blocks: Vec<_> = (0..count).map(|i| alloc([i as u64; 9])).collect();
+        let base = blocks[0] as usize;
+        assert_eq!(
+            base % SLAB_BYTES,
+            0,
+            "slab at {base:#x} is not 2 MiB-aligned"
+        );
+        // The smaps entry of the mapping holding the slab (neighbouring
+        // slabs may merge into one mapping, with more huge pages).
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let holds_base = |header: &str| {
+            let range = header.split(' ').next().unwrap_or_default();
+            range.split_once('-').is_some_and(|(lo, hi)| {
+                let at = |hex| usize::from_str_radix(hex, 16).unwrap_or(0);
+                (at(lo)..at(hi)).contains(&base)
+            })
+        };
+        let huge_kb: u64 = (smaps.lines())
+            .skip_while(|l| !holds_base(l))
+            .find_map(|l| l.strip_prefix("AnonHugePages:"))
+            .expect("the slab's mapping is in smaps")
+            .trim()
+            .trim_end_matches(" kB")
+            .parse()
+            .unwrap();
+        assert!(huge_kb >= 2048, "AnonHugePages: {huge_kb} kB");
+        assert!(blocks
+            .iter()
+            .enumerate()
+            .all(|(i, b)| unsafe { **b } == [i as u64; 9]));
+        blocks.into_iter().for_each(free_now);
     }
 
     #[test]

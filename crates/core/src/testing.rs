@@ -144,13 +144,22 @@ where
     pub fn abandon(self) {}
 }
 
+/// Bytes of arena slab mapped right now, process-wide. Slabs come from
+/// the kernel, not the global allocator, so a [`CountingAllocator`]
+/// never sees them: this is what `arena_trim` must bring back down
+/// (see `tests/arena_trim.rs`).
+pub fn arena_slab_bytes() -> usize {
+    crate::arena::mapped_slab_bytes()
+}
+
 /// A counting wrapper around the system allocator, for asserting the
 /// arena's steady-state behaviour (see `tests/alloc_steady_state.rs`):
 /// install it with `#[global_allocator]` in a test binary and diff
 /// [`allocations`](CountingAllocator::allocations) around the region
 /// under test. Read paths must show a delta of zero; update loops
-/// only the collector's own allocations. [`live_bytes`] is what
-/// `arena_trim` must bring back down (see `tests/arena_trim.rs`).
+/// only the collector's own allocations. [`live_bytes`] counts what the
+/// arena's free lists and the collector hold, not its slabs
+/// ([`arena_slab_bytes`]).
 ///
 /// [`live_bytes`]: CountingAllocator::live_bytes
 pub struct CountingAllocator {
