@@ -21,15 +21,7 @@ rows present in BOTH files are compared, so a quick-mode CI sweep can
 be gated against a full-mode baseline. Judging medians per
 (experiment, structure) series rides out single-cell noise.
 
-Tail-latency gate: rows carrying ``p99_ns`` (the E11 open-loop sweep)
-are additionally matched on (op, offered_rate) and judged the same way
-with the normalization inverted (a faster machine should show *lower*
-latency, so the normalized ratio is fresh/baseline x speed). The
-latency threshold is wider — a series fails only when its normalized
-median p99 more than doubles — because p99 at a fixed offered rate is
-far noisier than median throughput, especially near saturation.
-
-Usage: check_bench_regression.py <baseline.json> <fresh.json> [threshold] [lat_growth]
+Usage: check_bench_regression.py <baseline.json> <fresh.json> [threshold]
 """
 
 import json
@@ -43,19 +35,7 @@ def rows(path):
     with open(path) as f:
         doc = json.load(f)
     out = {}
-    lat = {}
     for r in doc.get("results", []):
-        if "p99_ns" in r and "offered_rate" in r:
-            key = (
-                r.get("experiment"),
-                r.get("structure"),
-                r.get("threads"),
-                r.get("key_range"),
-                r.get("op"),
-                r.get("offered_rate"),
-            )
-            lat[key] = float(r["p99_ns"])
-            continue
         if "ops_per_sec" not in r:
             continue  # closed-loop latency/ablation rows carry no throughput
         key = (
@@ -65,17 +45,15 @@ def rows(path):
             r.get("key_range"),
         )
         out[key] = float(r["ops_per_sec"])
-    return out, lat
+    return out
 
 
 def main():
     if len(sys.argv) < 3:
         sys.exit(__doc__)
-    baseline, baseline_lat = rows(sys.argv[1])
-    fresh, fresh_lat = rows(sys.argv[2])
+    baseline = rows(sys.argv[1])
+    fresh = rows(sys.argv[2])
     threshold = float(sys.argv[3]) if len(sys.argv) > 3 else 0.25
-    # Max allowed normalized p99 growth factor (2.0 = p99 may double).
-    lat_growth = float(sys.argv[4]) if len(sys.argv) > 4 else 2.0
 
     shared = sorted(set(baseline) & set(fresh))
     if not shared:
@@ -126,47 +104,14 @@ def main():
         if med < 1.0 - threshold:
             failed = True
 
-    # --- Tail-latency gate (E11 open-loop p99 rows) ---------------------
-    lat_shared = sorted(set(baseline_lat) & set(fresh_lat))
-    lat_series = {}
-    lat_compared = 0
-    for key in lat_shared:
-        exp, structure = key[0], key[1]
-        if structure in REFERENCE_STRUCTURES or baseline_lat[key] <= 0:
-            continue
-        # Latency normalization is the inverse of throughput's: on a
-        # machine measured `speed`x faster, a code-neutral p99 should be
-        # ~`speed`x lower, so scale the raw ratio back up by `speed`.
-        ratio = (fresh_lat[key] / baseline_lat[key]) * speed
-        lat_series.setdefault((exp, structure), []).append((key, ratio))
-        lat_compared += 1
-    if not lat_series:
-        print(
-            "note: no overlapping tail-latency (p99) rows — latency gate "
-            "skipped (baseline predates the E11 columns?)"
-        )
-    for (exp, structure), cells in sorted(lat_series.items()):
-        med = statistics.median(r for _, r in cells)
-        verdict = "OK" if med <= lat_growth else "REGRESSED"
-        print(
-            f"{verdict:9} {exp}/{structure} p99: normalized median ratio "
-            f"{med:.3f} over {len(cells)} cell(s) (allowed <= {lat_growth:.1f}x)"
-        )
-        for key, ratio in cells:
-            print(f"          {key}: {ratio:.3f}")
-        if med > lat_growth:
-            failed = True
-
     if failed:
         sys.exit(
             f"FAIL: a tested series regressed — normalized median throughput "
-            f"dropped more than {threshold:.0%}, or normalized median p99 grew "
-            f"more than {lat_growth:.1f}x, vs BENCH_baseline.json."
+            f"dropped more than {threshold:.0%} vs BENCH_baseline.json."
         )
     print(
         f"regression gate OK: {sum(len(c) for c in series.values())} throughput "
-        f"rows + {lat_compared} p99 rows compared "
-        f"(threshold {threshold:.0%}, p99 growth cap {lat_growth:.1f}x)"
+        f"rows compared (threshold {threshold:.0%})"
     )
 
 

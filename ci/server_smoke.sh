@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI server-smoke gate: boot a real pnb-server on an ephemeral loopback
 # port, drive it with pnb-load through the open-loop engine for ~2s,
-# assert the emitted JSON carries the e11/e14-schema latency columns and
-# the interval log has rows, then SIGTERM the server and require a clean
+# assert the emitted JSON carries the open-loop latency columns and the
+# interval log has rows, then SIGTERM the server and require a clean
 # graceful-drain exit. Everything a PR could break on the wire path —
 # codec, worker loop, session refresh, NetMap adapter, drain — has to
 # work for this to pass. Before the load, one idle second must cost the

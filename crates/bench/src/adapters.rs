@@ -8,7 +8,7 @@
 //! a misconfigured mix reaches it — the drivers reject such mixes with a
 //! [`workload::CapabilityError`] before any operation runs.
 
-use workload::{BatchOp, BatchReport, CapabilityError, Caps, ConcurrentMap, MapSession, Mix};
+use workload::{BatchOp, BatchReport, Caps, ConcurrentMap, MapSession, Mix};
 
 /// Convert the harness's `u64` batch ops into the core batch type.
 fn to_core_batch(ops: &[BatchOp]) -> Vec<pnb_bst::BatchOp<u64, u64>> {
@@ -30,6 +30,39 @@ fn from_core_report(r: pnb_bst::BatchReport) -> BatchReport {
     }
 }
 
+/// The [`MapSession`] forwarding shared by the two PNB-BST sessions:
+/// `pnb_bst::Handle` and `pnb_shard::ShardedSession` expose the same
+/// methods.
+macro_rules! pnb_session {
+    ($session:ident) => {
+        impl MapSession for $session<'_> {
+            fn insert(&mut self, k: u64, v: u64) -> bool {
+                self.0.insert(k, v)
+            }
+            fn upsert(&mut self, k: u64, v: u64) -> Option<u64> {
+                self.0.upsert(k, v)
+            }
+            fn delete(&mut self, k: &u64) -> bool {
+                self.0.delete(k)
+            }
+            fn get(&mut self, k: &u64) -> Option<u64> {
+                self.0.get(k)
+            }
+            fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
+                self.0.range(*lo..=*hi).count()
+            }
+            fn refresh(&mut self) {
+                self.0.refresh()
+            }
+            fn apply_batch(&mut self, ops: &[BatchOp]) -> BatchReport {
+                let (out, r) = self.0.apply_batch_reported(&to_core_batch(ops));
+                std::hint::black_box(out);
+                from_core_report(r)
+            }
+        }
+    };
+}
+
 /// PNB-BST (the paper's structure).
 #[derive(Default)]
 pub struct Pnb(pub pnb_bst::PnbBst<u64, u64>);
@@ -44,31 +77,7 @@ impl Pnb {
 /// Pinned session on a [`Pnb`] (wraps `pnb_bst::Handle`).
 pub struct PnbSession<'a>(pnb_bst::Handle<'a, u64, u64>);
 
-impl MapSession for PnbSession<'_> {
-    fn insert(&mut self, k: u64, v: u64) -> bool {
-        self.0.insert(k, v)
-    }
-    fn upsert(&mut self, k: u64, v: u64) -> Option<u64> {
-        self.0.upsert(k, v)
-    }
-    fn delete(&mut self, k: &u64) -> bool {
-        self.0.delete(k)
-    }
-    fn get(&mut self, k: &u64) -> Option<u64> {
-        self.0.get(k)
-    }
-    fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
-        self.0.range(*lo..=*hi).count()
-    }
-    fn refresh(&mut self) {
-        self.0.refresh()
-    }
-    fn apply_batch(&mut self, ops: &[BatchOp]) -> BatchReport {
-        let (out, r) = self.0.apply_batch_reported(&to_core_batch(ops));
-        std::hint::black_box(out);
-        from_core_report(r)
-    }
-}
+pnb_session!(PnbSession);
 
 impl ConcurrentMap for Pnb {
     type Session<'a> = PnbSession<'a>;
@@ -120,31 +129,7 @@ impl Default for Sharded {
 /// one epoch handle per shard).
 pub struct ShardedMapSession<'a>(pnb_shard::ShardedSession<'a, u64, u64>);
 
-impl MapSession for ShardedMapSession<'_> {
-    fn insert(&mut self, k: u64, v: u64) -> bool {
-        self.0.insert(k, v)
-    }
-    fn upsert(&mut self, k: u64, v: u64) -> Option<u64> {
-        self.0.upsert(k, v)
-    }
-    fn delete(&mut self, k: &u64) -> bool {
-        self.0.delete(k)
-    }
-    fn get(&mut self, k: &u64) -> Option<u64> {
-        self.0.get(k)
-    }
-    fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
-        self.0.range(*lo..=*hi).count()
-    }
-    fn refresh(&mut self) {
-        self.0.refresh()
-    }
-    fn apply_batch(&mut self, ops: &[BatchOp]) -> BatchReport {
-        let (out, r) = self.0.apply_batch_reported(&to_core_batch(ops));
-        std::hint::black_box(out);
-        from_core_report(r)
-    }
-}
+pnb_session!(ShardedMapSession);
 
 impl ConcurrentMap for Sharded {
     type Session<'a> = ShardedMapSession<'a>;
@@ -235,105 +220,71 @@ impl ConcurrentMap for Nb {
     }
 }
 
-/// Coarse reader-writer-locked BTreeMap.
-#[derive(Default)]
-pub struct Rw(pub lock_bst::RwLockTree<u64, u64>);
+/// A coarse-locked `BTreeMap` adapter: the map, a guard-free session (a
+/// plain borrow) and its capabilities — ranges and upserts under the
+/// lock, no snapshots, no native batching.
+macro_rules! locked_map {
+    ($(#[$doc:meta])* $map:ident, $session:ident, $tree:ident, $name:literal) => {
+        $(#[$doc])*
+        #[derive(Default)]
+        pub struct $map(pub lock_bst::$tree<u64, u64>);
 
-impl Rw {
-    /// Fresh empty map.
-    pub fn new() -> Self {
-        Rw(lock_bst::RwLockTree::new())
-    }
-}
-
-/// Session on an [`Rw`] — no guard; a plain borrow.
-pub struct RwSession<'a>(&'a lock_bst::RwLockTree<u64, u64>);
-
-impl MapSession for RwSession<'_> {
-    fn insert(&mut self, k: u64, v: u64) -> bool {
-        self.0.insert(k, v)
-    }
-    fn upsert(&mut self, k: u64, v: u64) -> Option<u64> {
-        self.0.upsert(k, v)
-    }
-    fn delete(&mut self, k: &u64) -> bool {
-        self.0.delete(k)
-    }
-    fn get(&mut self, k: &u64) -> Option<u64> {
-        self.0.get(k)
-    }
-    fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
-        self.0.scan_count(lo, hi)
-    }
-}
-
-impl ConcurrentMap for Rw {
-    type Session<'a> = RwSession<'a>;
-    fn pin(&self) -> RwSession<'_> {
-        RwSession(&self.0)
-    }
-    fn capabilities(&self) -> Caps {
-        Caps {
-            range_scan: true,
-            upsert: true,
-            snapshot: false,
-            batched: false,
+        impl $map {
+            /// Fresh empty map.
+            pub fn new() -> Self {
+                $map(lock_bst::$tree::new())
+            }
         }
-    }
-    fn name(&self) -> &'static str {
-        "rwlock-btreemap"
-    }
-}
 
-/// Coarse mutex-locked BTreeMap.
-#[derive(Default)]
-pub struct Mx(pub lock_bst::MutexTree<u64, u64>);
+        #[doc = concat!("Session on an [`", stringify!($map), "`] — no guard; a plain borrow.")]
+        pub struct $session<'a>(&'a lock_bst::$tree<u64, u64>);
 
-impl Mx {
-    /// Fresh empty map.
-    pub fn new() -> Self {
-        Mx(lock_bst::MutexTree::new())
-    }
-}
-
-/// Session on an [`Mx`] — no guard; a plain borrow.
-pub struct MxSession<'a>(&'a lock_bst::MutexTree<u64, u64>);
-
-impl MapSession for MxSession<'_> {
-    fn insert(&mut self, k: u64, v: u64) -> bool {
-        self.0.insert(k, v)
-    }
-    fn upsert(&mut self, k: u64, v: u64) -> Option<u64> {
-        self.0.upsert(k, v)
-    }
-    fn delete(&mut self, k: &u64) -> bool {
-        self.0.delete(k)
-    }
-    fn get(&mut self, k: &u64) -> Option<u64> {
-        self.0.get(k)
-    }
-    fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
-        self.0.scan_count(lo, hi)
-    }
-}
-
-impl ConcurrentMap for Mx {
-    type Session<'a> = MxSession<'a>;
-    fn pin(&self) -> MxSession<'_> {
-        MxSession(&self.0)
-    }
-    fn capabilities(&self) -> Caps {
-        Caps {
-            range_scan: true,
-            upsert: true,
-            snapshot: false,
-            batched: false,
+        impl MapSession for $session<'_> {
+            fn insert(&mut self, k: u64, v: u64) -> bool {
+                self.0.insert(k, v)
+            }
+            fn upsert(&mut self, k: u64, v: u64) -> Option<u64> {
+                self.0.upsert(k, v)
+            }
+            fn delete(&mut self, k: &u64) -> bool {
+                self.0.delete(k)
+            }
+            fn get(&mut self, k: &u64) -> Option<u64> {
+                self.0.get(k)
+            }
+            fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
+                self.0.scan_count(lo, hi)
+            }
         }
-    }
-    fn name(&self) -> &'static str {
-        "mutex-btreemap"
-    }
+
+        impl ConcurrentMap for $map {
+            type Session<'a> = $session<'a>;
+            fn pin(&self) -> $session<'_> {
+                $session(&self.0)
+            }
+            fn capabilities(&self) -> Caps {
+                Caps {
+                    range_scan: true,
+                    upsert: true,
+                    snapshot: false,
+                    batched: false,
+                }
+            }
+            fn name(&self) -> &'static str {
+                $name
+            }
+        }
+    };
 }
+
+locked_map!(
+    /// Coarse reader-writer-locked BTreeMap.
+    Rw, RwSession, RwLockTree, "rwlock-btreemap"
+);
+locked_map!(
+    /// Coarse mutex-locked BTreeMap.
+    Mx, MxSession, MutexTree, "mutex-btreemap"
+);
 
 /// One of the structures under test, for code that iterates the roster
 /// (the session-typed [`ConcurrentMap`] is not object-safe, so the
@@ -356,8 +307,8 @@ pub enum Structure {
 }
 
 /// Dispatch a generic closure-like body over the concrete map inside a
-/// [`Structure`] (crate-visible so the experiments module can reuse it
-/// for its own generic helpers).
+/// [`Structure`] (crate-visible so the experiments call the `workload`
+/// drivers on it directly: `dispatch!(s, m => workload::run_throughput(m, cfg))`).
 macro_rules! dispatch {
     ($self:expr, $m:ident => $body:expr) => {
         match $self {
@@ -394,50 +345,6 @@ impl Structure {
             Structure::Rw(_) => Structure::Rw(Rw::new()),
             Structure::Mx(_) => Structure::Mx(Mx::new()),
         }
-    }
-
-    /// [`workload::run_throughput`] on the wrapped map.
-    pub fn run_throughput(
-        &self,
-        cfg: &workload::RunConfig,
-    ) -> Result<workload::Measurement, CapabilityError> {
-        dispatch!(self, m => workload::run_throughput(m, cfg))
-    }
-
-    /// [`workload::run_scan_updater`] on the wrapped map.
-    pub fn run_scan_updater(
-        &self,
-        cfg: &workload::ScanUpdaterConfig,
-    ) -> Result<workload::ScanUpdaterMeasurement, CapabilityError> {
-        dispatch!(self, m => workload::run_scan_updater(m, cfg))
-    }
-
-    /// [`workload::run_open_loop`] on the wrapped map.
-    pub fn run_open_loop(
-        &self,
-        cfg: &workload::OpenLoopConfig,
-    ) -> Result<workload::OpenLoopMeasurement, CapabilityError> {
-        dispatch!(self, m => workload::run_open_loop(m, cfg))
-    }
-
-    /// [`workload::run_batched_throughput`] on the wrapped map.
-    pub fn run_batched_throughput(
-        &self,
-        cfg: &workload::BatchedRunConfig,
-    ) -> Result<workload::BatchedMeasurement, CapabilityError> {
-        dispatch!(self, m => workload::run_batched_throughput(m, cfg))
-    }
-
-    /// [`workload::run_latency`] on the wrapped map.
-    pub fn run_latency(
-        &self,
-        threads: usize,
-        duration: std::time::Duration,
-        key_dist: &workload::KeyDist,
-        mix: Mix,
-        seed: u64,
-    ) -> Result<workload::LatencyReport, CapabilityError> {
-        dispatch!(self, m => workload::run_latency(m, threads, duration, key_dist, mix, seed))
     }
 }
 
@@ -476,6 +383,7 @@ pub fn required_caps(mix: &Mix) -> Caps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workload::CapabilityError;
 
     fn drive<M: ConcurrentMap>(m: &M) {
         let mut s = m.pin();
@@ -580,14 +488,13 @@ mod tests {
     fn misconfigured_mix_is_a_typed_config_error_not_a_panic() {
         // The old adapter hit `unreachable!` mid-run; now the driver
         // rejects the configuration before any operation executes.
-        let nb = Structure::Nb(Nb::new());
         let cfg = workload::RunConfig::new(
             1,
             std::time::Duration::from_millis(10),
             workload::KeyDist::uniform(64),
             Mix::with_ranges(8),
         );
-        let err = nb.run_throughput(&cfg).unwrap_err();
+        let err = workload::run_throughput(&Nb::new(), &cfg).unwrap_err();
         assert_eq!(
             err,
             CapabilityError::RangeScan {

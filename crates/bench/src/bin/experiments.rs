@@ -1,7 +1,6 @@
-//! Regenerate the paper-protocol experiment tables (E1–E8, plus the
-//! E8r collector-reclamation, E9 allocator-churn, E10 shard-scaling,
-//! E11 open-loop tail-latency, E12 checkpoint-drag, E13 batch-size,
-//! E14 network-server and E15 overload-shedding extensions).
+//! Regenerate the experiment tables: the paper's evaluation (E1–E8) and
+//! the design ablations (E8r collector, E9 arena, E10 shard count, E13
+//! batch size).
 //!
 //! ```text
 //! cargo run --release -p pnbbst-bench --bin experiments            # full sweep
@@ -16,92 +15,32 @@
 //! Markdown goes to stdout (pipe into EXPERIMENTS.md material); progress
 //! goes to stderr; `--json <path>` additionally writes every measurement
 //! as a flat machine-readable row so CI can record `BENCH_*.json` perf
-//! trajectories across PRs.
+//! trajectories across PRs. A bad argument exits 2 before any
+//! experiment runs.
 
-use pnbbst_bench::experiments::{self, ExpOpts, JsonLog};
+use pnbbst_bench::experiments::{parse_args, ExpOpts, JsonLog};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path: Option<String> =
-        args.iter()
-            .position(|a| a == "--json")
-            .map(|i| match args.get(i + 1) {
-                Some(p) if !p.starts_with("--") => p.clone(),
-                _ => {
-                    eprintln!("--json requires a file path argument");
-                    std::process::exit(2);
-                }
-            });
-    let mut skip_next = false;
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--json" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .collect();
-    let all = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e8r", "e9", "e10", "e11", "e12", "e13",
-        "e14", "e15",
-    ];
-    let run_list: Vec<&str> = if selected.is_empty() {
-        all.to_vec()
-    } else {
-        selected
-    };
-
-    let opts = ExpOpts { quick };
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let mode = if args.quick { "quick" } else { "full" };
+    let opts = ExpOpts { quick: args.quick };
     let hw_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!(
-        "## Experiment results ({} mode, {} hardware threads)\n",
-        if quick { "quick" } else { "full" },
-        hw_threads
-    );
+    println!("## Experiment results ({mode} mode, {hw_threads} hardware threads)\n");
 
     let mut log = JsonLog::new();
-    for exp in run_list {
-        eprintln!("=== running {exp} ===");
-        let section = match exp {
-            "e1" => experiments::e1(&opts, &mut log),
-            "e2" => experiments::e2(&opts, &mut log),
-            "e3" => experiments::e3(&opts, &mut log),
-            "e4" => experiments::e4(&opts, &mut log),
-            "e5" => experiments::e5(&opts, &mut log),
-            "e6" => experiments::e6(&opts, &mut log),
-            "e7" => experiments::e7(&opts, &mut log),
-            "e8" => experiments::e8(&opts, &mut log),
-            "e8r" => experiments::e8r(&opts, &mut log),
-            "e9" => experiments::e9(&opts, &mut log),
-            "e10" => experiments::e10(&opts, &mut log),
-            "e11" => experiments::e11(&opts, &mut log),
-            "e12" => experiments::e12(&opts, &mut log),
-            "e13" => experiments::e13(&opts, &mut log),
-            "e14" => experiments::e14(&opts, &mut log),
-            "e15" => experiments::e15(&opts, &mut log),
-            other => {
-                eprintln!(
-                    "unknown experiment: {other} (expected e1..e8, e8r, e9, e10, e11, e12, e13, e14, e15)"
-                );
-                std::process::exit(2);
-            }
-        };
-        println!("{section}");
+    for spec in &args.run {
+        eprintln!("=== running {} ===", spec.name);
+        println!("{}", spec.run(&opts, &mut log));
     }
 
-    if let Some(path) = json_path {
-        let doc = log.render(if quick { "quick" } else { "full" }, hw_threads);
-        if let Err(e) = std::fs::write(&path, doc) {
+    if let Some(path) = args.json {
+        if let Err(e) = std::fs::write(&path, log.render(mode, hw_threads)) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }

@@ -1,26 +1,26 @@
-//! Experiment definitions E1–E8 plus the E8r collector, E9 allocator,
-//! E10 shard-scaling, E11 open-loop tail-latency and E13 batch-size
-//! sweep extensions (see DESIGN.md §4): each function runs
-//! one experiment family, renders a markdown section with the same
-//! rows/series the paper's evaluation protocol reports, and appends
-//! machine-readable rows to a [`json::JsonLog`] so CI can record
-//! `BENCH_*.json` perf trajectories across PRs.
+//! The experiment table: E1–E8 reproduce the paper's evaluation
+//! protocol (PNB-BST against the PODC 2010 tree it extends and the
+//! lock-based maps), and E8r, E9, E10 and E13 are the design ablations
+//! (collector, arena, shard count, batch size; see DESIGN.md §4). Each
+//! experiment renders a markdown section with the rows the protocol
+//! reports and appends machine-readable rows to a [`JsonLog`] so CI can
+//! record `BENCH_*.json` perf trajectories across PRs.
 //!
-//! The experiments bin (`cargo run --release -p pnbbst-bench --bin
-//! experiments`) composes these into EXPERIMENTS.md material (and, with
-//! `--json <path>`, the JSON trajectory file); it is the one runner of
-//! every experiment.
+//! [`EXPERIMENTS`] is the one list of them: the `experiments` binary
+//! parses its command line against it ([`parse_args`]) and the tests
+//! run its entries by name. Open-loop and served-path measurements
+//! live in `benchmark/`, not here.
 
 use std::time::Duration;
 
 use workload::{
-    ConcurrentMap, KeyDist, MapSession, Measurement, Mix, OpenLoopConfig, RunConfig,
-    ScanUpdaterConfig,
+    ConcurrentMap, KeyDist, MapSession, Measurement, Mix, RunConfig, ScanUpdaterConfig,
 };
 
 use crate::adapters::{self, required_caps, Structure};
 
-pub use workload::json::{self, JsonLog, Val};
+pub use workload::json::JsonLog;
+use workload::json::Val;
 
 /// Global experiment options.
 #[derive(Clone, Copy, Debug)]
@@ -55,6 +55,106 @@ impl ExpOpts {
     }
 }
 
+/// One experiment: the id it answers to on the command line and in
+/// every JSON row it logs, and how to run it.
+#[derive(Debug)]
+pub struct Spec {
+    /// Experiment id (`e1`, `e8r`, ...).
+    pub name: &'static str,
+    run: Run,
+}
+
+#[derive(Debug)]
+enum Run {
+    /// E1–E3: every capable structure × thread count × key range under
+    /// one closed-loop mix (section title, mix).
+    Sweep(&'static str, fn() -> Mix),
+    /// Every other experiment.
+    Custom(fn(&ExpOpts, &mut JsonLog) -> String),
+}
+
+impl Spec {
+    /// Run the experiment, log its rows and return its markdown section.
+    pub fn run(&self, opts: &ExpOpts, log: &mut JsonLog) -> String {
+        match self.run {
+            Run::Sweep(title, mix) => sweep(self.name, title, mix(), opts, log),
+            Run::Custom(f) => f(opts, log),
+        }
+    }
+}
+
+/// Every experiment, in the order a bare `experiments` run executes them.
+#[rustfmt::skip]
+pub const EXPERIMENTS: &[Spec] = &[
+    Spec { name: "e1", run: Run::Sweep("E1 — Update-only scaling (50i/50d)", Mix::update_only) },
+    Spec { name: "e2", run: Run::Sweep("E2 — Search-dominated scaling (10i/10d/80f)", Mix::read_mostly) },
+    Spec { name: "e3", run: Run::Sweep(
+        "E3 — Mixed workload with range queries (25i/25d/40f/10rq, width 100)",
+        || Mix::with_ranges(100),
+    ) },
+    Spec { name: "e4", run: Run::Custom(e4) },
+    Spec { name: "e5", run: Run::Custom(e5) },
+    Spec { name: "e6", run: Run::Custom(e6) },
+    Spec { name: "e7", run: Run::Custom(e7) },
+    Spec { name: "e8", run: Run::Custom(e8) },
+    Spec { name: "e8r", run: Run::Custom(e8r) },
+    Spec { name: "e9", run: Run::Custom(e9) },
+    Spec { name: "e10", run: Run::Custom(e10) },
+    Spec { name: "e13", run: Run::Custom(e13) },
+];
+
+/// A parsed `experiments` command line.
+#[derive(Debug)]
+pub struct Args {
+    /// `--quick`: CI-sized sweeps.
+    pub quick: bool,
+    /// `--json <path>`: also write every row to this file.
+    pub json: Option<String>,
+    /// The experiments to run, in command-line order (all of
+    /// [`EXPERIMENTS`] when none is named).
+    pub run: Vec<&'static Spec>,
+}
+
+/// Parse the binary's arguments (without the program name). Every
+/// argument is checked before anything runs: an unknown flag, an
+/// unknown experiment or a `--json` without a path is an error.
+pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Args, String> {
+    let mut parsed = Args {
+        quick: false,
+        json: None,
+        run: Vec::new(),
+    };
+    let mut it = args.iter().map(AsRef::as_ref);
+    while let Some(a) = it.next() {
+        match a {
+            "--quick" => parsed.quick = true,
+            "--json" => match it.next() {
+                Some(p) if !p.starts_with("--") => parsed.json = Some(p.to_string()),
+                _ => return Err("--json requires a file path argument".into()),
+            },
+            flag if flag.starts_with("--") => {
+                return Err(format!(
+                    "unknown flag: {flag} (expected --quick, --json <path>)"
+                ))
+            }
+            name => match EXPERIMENTS.iter().find(|s| s.name == name) {
+                Some(spec) => parsed.run.push(spec),
+                None => {
+                    let known: Vec<&str> = EXPERIMENTS.iter().map(|s| s.name).collect();
+                    return Err(format!(
+                        "unknown experiment: {name} (expected one of {})",
+                        known.join(", ")
+                    ));
+                }
+            },
+        }
+    }
+    if parsed.run.is_empty() {
+        parsed.run = EXPERIMENTS.iter().collect();
+    }
+    Ok(parsed)
+}
+
 fn fmt_tput(ops_per_sec: f64) -> String {
     if ops_per_sec >= 1e6 {
         format!("{:.2} Mops/s", ops_per_sec / 1e6)
@@ -63,27 +163,20 @@ fn fmt_tput(ops_per_sec: f64) -> String {
     }
 }
 
-/// Render a threads-vs-structures throughput table.
-fn tput_table(title: &str, threads: &[usize], rows: &[(String, Vec<Measurement>)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n#### {title}\n\n"));
-    out.push_str("| structure |");
-    for t in threads {
-        out.push_str(&format!(" {t} thr |"));
-    }
-    out.push_str("\n|---|");
-    for _ in threads {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    for (name, ms) in rows {
-        out.push_str(&format!("| {name} |"));
-        for m in ms {
-            out.push_str(&format!(" {} |", fmt_tput(m.ops_per_sec)));
-        }
-        out.push('\n');
-    }
-    out
+/// A markdown table header: `structure`, then `cols`, then the `|---|` rule.
+fn md_head(cols: impl IntoIterator<Item = String>) -> String {
+    let cols: Vec<_> = std::iter::once("structure".to_string())
+        .chain(cols)
+        .collect();
+    format!("{}|{}\n", md_row(&cols), "---|".repeat(cols.len()))
+}
+
+/// One markdown table row.
+fn md_row(cells: &[String]) -> String {
+    cells
+        .iter()
+        .fold("|".to_string(), |row, c| row + " " + c + " |")
+        + "\n"
 }
 
 fn log_measurement(log: &mut JsonLog, exp: &str, key_range: u64, m: &Measurement) {
@@ -106,84 +199,40 @@ fn log_measurement(log: &mut JsonLog, exp: &str, key_range: u64, m: &Measurement
     );
 }
 
-fn sweep_structures(
-    opts: &ExpOpts,
-    mix: Mix,
-    key_range: u64,
-    exp: &str,
-    log: &mut JsonLog,
-) -> (Vec<usize>, Vec<(String, Vec<Measurement>)>) {
+/// E1–E3: closed-loop throughput of every structure whose capabilities
+/// cover `mix`, per key range × thread count.
+fn sweep(exp: &str, title: &str, mix: Mix, opts: &ExpOpts, log: &mut JsonLog) -> String {
+    let mut out = format!("\n### {title}\n");
     let threads = opts.threads();
-    let mut rows = Vec::new();
-    for s in adapters::all_structures(required_caps(&mix)) {
-        let mut ms = Vec::new();
-        for &t in &threads {
-            let cfg = RunConfig::new(t, opts.duration(), KeyDist::uniform(key_range), mix);
-            eprintln!("  {} / {} threads / range {key_range} ...", s.name(), t);
-            let m = s
-                .run_throughput(&cfg)
-                .expect("roster is filtered by capability");
-            log_measurement(log, exp, key_range, &m);
-            ms.push(m);
+    for key_range in opts.key_ranges() {
+        let log10 = (key_range as f64).log10();
+        out.push_str(&format!("\n#### key range 10^{log10:.0} ({key_range})\n\n"));
+        out.push_str(&md_head(threads.iter().map(|t| format!("{t} thr"))));
+        for s in adapters::all_structures(required_caps(&mix)) {
+            let mut cells = vec![s.name().to_string()];
+            for &t in &threads {
+                let cfg = RunConfig::new(t, opts.duration(), KeyDist::uniform(key_range), mix);
+                eprintln!("  {} / {} threads / range {key_range} ...", s.name(), t);
+                let m = adapters::dispatch!(&s, m => workload::run_throughput(m, &cfg))
+                    .expect("roster is filtered by capability");
+                log_measurement(log, exp, key_range, &m);
+                cells.push(fmt_tput(m.ops_per_sec));
+            }
+            out.push_str(&md_row(&cells));
+            // Measurement hygiene: drain still-deferred garbage into the
+            // pools, then release the arena's retained footprint, so the
+            // next structure is benchmarked neither inside this one's heap
+            // nor while its garbage is still ripening (pnb-bst pools
+            // deliberately hold their peak working set).
+            pnb_bst::collector_drain(64);
+            pnb_bst::arena_trim();
         }
-        rows.push((s.name().to_string(), ms));
-        // Measurement hygiene: drain still-deferred garbage into the
-        // pools, then release the arena's retained footprint, so the
-        // next structure is benchmarked neither inside this one's heap
-        // nor while its garbage is still ripening (pnb-bst pools
-        // deliberately hold their peak working set).
-        pnb_bst::collector_drain(64);
-        pnb_bst::arena_trim();
-    }
-    (threads, rows)
-}
-
-/// E1: update-only scaling (50% ins / 50% del), per key range.
-pub fn e1(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    let mut out = String::from("\n### E1 — Update-only scaling (50i/50d)\n");
-    for kr in opts.key_ranges() {
-        let (threads, rows) = sweep_structures(opts, Mix::update_only(), kr, "e1", log);
-        out.push_str(&tput_table(
-            &format!("key range 10^{:.0} ({kr})", (kr as f64).log10()),
-            &threads,
-            &rows,
-        ));
-    }
-    out
-}
-
-/// E2: search-dominated scaling (10i/10d/80f), per key range.
-pub fn e2(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    let mut out = String::from("\n### E2 — Search-dominated scaling (10i/10d/80f)\n");
-    for kr in opts.key_ranges() {
-        let (threads, rows) = sweep_structures(opts, Mix::read_mostly(), kr, "e2", log);
-        out.push_str(&tput_table(
-            &format!("key range 10^{:.0} ({kr})", (kr as f64).log10()),
-            &threads,
-            &rows,
-        ));
-    }
-    out
-}
-
-/// E3: range-query mix scaling (25i/25d/40f/10rq, width 100).
-pub fn e3(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    let mut out = String::from(
-        "\n### E3 — Mixed workload with range queries (25i/25d/40f/10rq, width 100)\n",
-    );
-    for kr in opts.key_ranges() {
-        let (threads, rows) = sweep_structures(opts, Mix::with_ranges(100), kr, "e3", log);
-        out.push_str(&tput_table(
-            &format!("key range 10^{:.0} ({kr})", (kr as f64).log10()),
-            &threads,
-            &rows,
-        ));
     }
     out
 }
 
 /// E4: range-width sweep under a scan-heavy mix (10i/10d/30f/50rq).
-pub fn e4(opts: &ExpOpts, log: &mut JsonLog) -> String {
+fn e4(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let kr: u64 = if opts.quick { 20_000 } else { 100_000 };
     let widths: Vec<u64> = if opts.quick {
         vec![10, 100, 1_000]
@@ -194,22 +243,14 @@ pub fn e4(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let mut out = format!(
         "\n### E4 — Range-width sweep (10i/10d/30f/50rq, {threads} threads, key range {kr})\n\n"
     );
-    out.push_str("| structure |");
-    for w in &widths {
-        out.push_str(&format!(" width {w} |"));
-    }
-    out.push_str("\n|---|");
-    for _ in &widths {
-        out.push_str("---|");
-    }
-    out.push('\n');
+    out.push_str(&md_head(widths.iter().map(|w| format!("width {w}"))));
 
     let prototypes = [
         Structure::Pnb(adapters::Pnb::new()),
         Structure::Rw(adapters::Rw::new()),
     ];
     for proto in &prototypes {
-        let mut cells = Vec::new();
+        let mut cells = vec![proto.name().to_string()];
         for &w in &widths {
             // Fresh instance per cell so widths don't contaminate.
             let fresh = proto.fresh();
@@ -220,7 +261,8 @@ pub fn e4(opts: &ExpOpts, log: &mut JsonLog) -> String {
                 Mix::scan_heavy(w),
             );
             eprintln!("  {} / width {w} ...", fresh.name());
-            let m = fresh.run_throughput(&cfg).expect("range-capable roster");
+            let m = adapters::dispatch!(&fresh, m => workload::run_throughput(m, &cfg))
+                .expect("range-capable roster");
             log_measurement(log, "e4", kr, &m);
             cells.push(format!(
                 "{} ({} keys/scan)",
@@ -228,18 +270,14 @@ pub fn e4(opts: &ExpOpts, log: &mut JsonLog) -> String {
                 m.scanned_keys.checked_div(m.scans).unwrap_or(0)
             ));
         }
-        out.push_str(&format!("| {} |", proto.name()));
-        for c in cells {
-            out.push_str(&format!(" {c} |"));
-        }
-        out.push('\n');
+        out.push_str(&md_row(&cells));
     }
     out
 }
 
 /// E5: cost of persistence — single-threaded op latency, PNB vs NB vs
 /// sequential floor.
-pub fn e5(opts: &ExpOpts, log: &mut JsonLog) -> String {
+fn e5(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let n: u64 = if opts.quick { 10_000 } else { 50_000 };
     let reps: u64 = if opts.quick { 3 } else { 10 };
     let mut out = format!(
@@ -252,7 +290,15 @@ pub fn e5(opts: &ExpOpts, log: &mut JsonLog) -> String {
         Structure::Pnb(adapters::Pnb::new()),
         Structure::Nb(adapters::Nb::new()),
     ] {
-        let (ins, fnd, del) = adapters::dispatch!(&s, m => latency_triple(m, n, reps));
+        let (ins, fnd, del) = adapters::dispatch!(&s, m => {
+            let mut session = m.pin();
+            latency_triple(n, reps, |step, k| match step {
+                Step::Insert => _ = session.insert(k, k),
+                Step::Find => _ = std::hint::black_box(session.get(&k)),
+                Step::Delete => _ = session.delete(&k),
+                Step::Settle => session.refresh(),
+            })
+        });
         log_e5(log, s.name(), n, ins, fnd, del);
         out.push_str(&format!(
             "| {} | {ins:.0} | {fnd:.0} | {del:.0} |\n",
@@ -263,7 +309,13 @@ pub fn e5(opts: &ExpOpts, log: &mut JsonLog) -> String {
     }
 
     // Sequential floor (needs &mut, measured directly).
-    let (ins, fnd, del) = seq_latency_triple(n, reps);
+    let mut t = lock_bst::seq::SeqBst::<u64, u64>::new();
+    let (ins, fnd, del) = latency_triple(n, reps, |step, k| match step {
+        Step::Insert => _ = t.insert(k, k),
+        Step::Find => _ = std::hint::black_box(t.get(&k)),
+        Step::Delete => _ = t.remove(&k),
+        Step::Settle => {}
+    });
     log_e5(log, "seq-bst", n, ins, fnd, del);
     out.push_str(&format!(
         "| seq-bst (floor) | {ins:.0} | {fnd:.0} | {del:.0} |\n"
@@ -284,77 +336,39 @@ fn log_e5(log: &mut JsonLog, name: &str, key_space: u64, ins: f64, fnd: f64, del
     );
 }
 
-fn latency_triple<M: ConcurrentMap>(map: &M, n: u64, reps: u64) -> (f64, f64, f64) {
-    use std::time::Instant;
-    let mut ins_ns = 0.0;
-    let mut find_ns = 0.0;
-    let mut del_ns = 0.0;
-    let mut session = map.pin();
-    for r in 0..reps {
-        // Insert all keys in shuffled-ish order (odd stride walks the
-        // whole space).
-        let stride = 0x9E37u64 | 1;
-        let t0 = Instant::now();
-        for i in 0..n {
-            let k = (i.wrapping_mul(stride) ^ r) % n;
-            session.insert(k, k);
-        }
-        ins_ns += t0.elapsed().as_nanos() as f64;
-        session.refresh();
-        let t0 = Instant::now();
-        for i in 0..n {
-            let k = (i.wrapping_mul(stride) ^ r) % n;
-            std::hint::black_box(session.get(&k));
-        }
-        find_ns += t0.elapsed().as_nanos() as f64;
-        session.refresh();
-        let t0 = Instant::now();
-        for i in 0..n {
-            let k = (i.wrapping_mul(stride) ^ r) % n;
-            session.delete(&k);
-        }
-        del_ns += t0.elapsed().as_nanos() as f64;
-        session.refresh();
-    }
-    let total = (n * reps) as f64;
-    (ins_ns / total, find_ns / total, del_ns / total)
+/// One step of E5's timing loop.
+#[derive(Clone, Copy)]
+enum Step {
+    Insert,
+    Find,
+    Delete,
+    /// Untimed, after each pass (a session refresh).
+    Settle,
 }
 
-fn seq_latency_triple(n: u64, reps: u64) -> (f64, f64, f64) {
-    use std::time::Instant;
-    let mut t = lock_bst::seq::SeqBst::<u64, u64>::new();
-    let mut ins_ns = 0.0;
-    let mut find_ns = 0.0;
-    let mut del_ns = 0.0;
+/// Mean ns/op of `reps` rounds of an insert, a find and a delete pass
+/// over all `n` keys; `op(step, key)` performs one step.
+fn latency_triple(n: u64, reps: u64, mut op: impl FnMut(Step, u64)) -> (f64, f64, f64) {
+    let mut ns = [0.0f64; 3];
     for r in 0..reps {
-        let stride = 0x9E37u64 | 1;
-        let t0 = Instant::now();
-        for i in 0..n {
-            let k = (i.wrapping_mul(stride) ^ r) % n;
-            t.insert(k, k);
+        for (total, step) in ns.iter_mut().zip([Step::Insert, Step::Find, Step::Delete]) {
+            let t0 = std::time::Instant::now();
+            for i in 0..n {
+                // Shuffled-ish order: an odd stride walks the whole space.
+                op(step, (i.wrapping_mul(0x9E37 | 1) ^ r) % n);
+            }
+            *total += t0.elapsed().as_nanos() as f64;
+            op(Step::Settle, 0);
         }
-        ins_ns += t0.elapsed().as_nanos() as f64;
-        let t0 = Instant::now();
-        for i in 0..n {
-            let k = (i.wrapping_mul(stride) ^ r) % n;
-            std::hint::black_box(t.get(&k));
-        }
-        find_ns += t0.elapsed().as_nanos() as f64;
-        let t0 = Instant::now();
-        for i in 0..n {
-            let k = (i.wrapping_mul(stride) ^ r) % n;
-            t.remove(&k);
-        }
-        del_ns += t0.elapsed().as_nanos() as f64;
     }
-    let total = (n * reps) as f64;
-    (ins_ns / total, find_ns / total, del_ns / total)
+    let per_op = |ns: f64| ns / (n * reps) as f64;
+    (per_op(ns[0]), per_op(ns[1]), per_op(ns[2]))
 }
 
 /// E6: scan/update non-interference — dedicated scanners on disjoint vs
 /// overlapping ranges against dedicated updaters (paper §1: "RangeScans
 /// operating on different parts of the tree do not interfere").
-pub fn e6(opts: &ExpOpts, log: &mut JsonLog) -> String {
+fn e6(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let kr: u64 = if opts.quick { 20_000 } else { 100_000 };
     let scanner_counts = if opts.quick {
         vec![1, 2]
@@ -409,7 +423,7 @@ pub fn e6(opts: &ExpOpts, log: &mut JsonLog) -> String {
 /// helping as the scan rate grows. Needs the `stats` build
 /// (`--features stats`); otherwise counters read zero and the table says
 /// so.
-pub fn e7(opts: &ExpOpts, log: &mut JsonLog) -> String {
+fn e7(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let kr = 10_000u64;
     let threads = if opts.quick { 2 } else { 4 };
     let mut out = format!(
@@ -461,7 +475,7 @@ pub fn e7(opts: &ExpOpts, log: &mut JsonLog) -> String {
 /// time*: the interesting comparison is the p99/p999 of updates while
 /// scans run (lock-based maps stall writers behind every scan) and of
 /// scans while updates run.
-pub fn e8(opts: &ExpOpts, log: &mut JsonLog) -> String {
+fn e8(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let kr: u64 = if opts.quick { 20_000 } else { 100_000 };
     let threads = if opts.quick { 2 } else { 4 };
     let mix = Mix::new(20, 20, 40, 20, 1_000); // scan-heavy enough to stall locks
@@ -476,8 +490,8 @@ pub fn e8(opts: &ExpOpts, log: &mut JsonLog) -> String {
     ];
     for s in &structures {
         eprintln!("  {} latency ...", s.name());
-        let rep = s
-            .run_latency(threads, opts.duration(), &KeyDist::uniform(kr), mix, 42)
+        let dist = KeyDist::uniform(kr);
+        let rep = adapters::dispatch!(s, m => workload::run_latency(m, threads, opts.duration(), &dist, mix, 42))
             .expect("range-capable roster");
         for (label, count, p50, p99, p999) in &rep.classes {
             log.push(
@@ -539,64 +553,81 @@ fn collector_delta<T>(run: impl FnOnce() -> T) -> (T, [u64; 4]) {
 /// mutexes rather than the tree; with the lock-free collector the curve
 /// tracks the structure. With `--features stats` the table also shows
 /// the collector at work (bags sealed/freed, epoch advances).
-pub fn e8r(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    let kr: u64 = 1_024;
-    let threads: Vec<usize> = if opts.quick {
-        vec![1, 2, 4]
-    } else {
-        vec![1, 2, 4, 8, 16]
-    };
+fn e8r(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let stats_enabled = cfg!(feature = "stats");
     let mut out = format!(
-        "\n### E8r — Collector reclamation scaling (50i/50d, key range {kr})\n\n\
+        "\n### E8r — Collector reclamation scaling (50i/50d, key range {CHURN_KEYS})\n\n\
          | structure | threads | throughput | bags sealed | bags freed | advances (ok/try) |\n\
          |---|---|---|---|---|---|\n"
     );
-    let structures = [
-        Structure::Pnb(adapters::Pnb::new()),
-        Structure::Nb(adapters::Nb::new()),
-    ];
-    for s in &structures {
-        for &t in &threads {
-            let cfg = RunConfig::new(t, opts.duration(), KeyDist::uniform(kr), Mix::update_only());
-            eprintln!("  {} / {t} threads (retire-heavy) ...", s.name());
-            let (m, d) = collector_delta(|| {
-                s.run_throughput(&cfg)
-                    .expect("update-only mix needs only point ops")
-            });
-            log.push(
-                "e8r",
-                &[
-                    ("structure", Val::s(&m.name)),
-                    ("threads", Val::U(t as u64)),
-                    ("key_range", Val::U(kr)),
-                    ("stats_enabled", Val::B(stats_enabled)),
-                    ("total_ops", Val::U(m.total_ops)),
-                    ("ops_per_sec", Val::F(m.ops_per_sec)),
-                    ("bags_sealed", Val::U(d[0])),
-                    ("bags_freed", Val::U(d[1])),
-                    ("advance_attempts", Val::U(d[2])),
-                    ("advance_successes", Val::U(d[3])),
-                ],
-            );
-            out.push_str(&format!(
-                "| {} | {t} | {} | {} | {} | {}/{} |\n",
-                m.name,
-                fmt_tput(m.ops_per_sec),
-                d[0],
-                d[1],
-                d[3],
-                d[2],
-            ));
-        }
-        pnb_bst::collector_drain(64);
-        pnb_bst::arena_trim(); // heap hygiene between structures
-    }
+    out += &churn(opts, &[1, 2, 4, 8, 16], |s, cfg| {
+        let t = cfg.threads;
+        eprintln!("  {} / {t} threads (retire-heavy) ...", s.name());
+        let (m, d) = collector_delta(|| {
+            adapters::dispatch!(s, m => workload::run_throughput(m, cfg))
+                .expect("update-only mix needs only point ops")
+        });
+        log.push(
+            "e8r",
+            &[
+                ("structure", Val::s(&m.name)),
+                ("threads", Val::U(t as u64)),
+                ("key_range", Val::U(CHURN_KEYS)),
+                ("stats_enabled", Val::B(stats_enabled)),
+                ("total_ops", Val::U(m.total_ops)),
+                ("ops_per_sec", Val::F(m.ops_per_sec)),
+                ("bags_sealed", Val::U(d[0])),
+                ("bags_freed", Val::U(d[1])),
+                ("advance_attempts", Val::U(d[2])),
+                ("advance_successes", Val::U(d[3])),
+            ],
+        );
+        format!(
+            "| {} | {t} | {} | {} | {} | {}/{} |\n",
+            m.name,
+            fmt_tput(m.ops_per_sec),
+            d[0],
+            d[1],
+            d[3],
+            d[2],
+        )
+    });
     if !stats_enabled {
         out.push_str(
             "\n*(collector columns are all zero: rebuild with `--features \
              stats` to watch the collector work)*\n",
         );
+    }
+    out
+}
+
+/// Key range of the E8r and E9 cells: small enough that nearly every
+/// committed update retires and allocates.
+const CHURN_KEYS: u64 = 1_024;
+
+/// The cells E8r and E9 share: the update-only mix over [`CHURN_KEYS`]
+/// keys on pnb-bst and nb-bst, per thread count (`full` outside quick
+/// mode). `cell` runs one, logs its row and returns its markdown row.
+fn churn(
+    opts: &ExpOpts,
+    full: &[usize],
+    mut cell: impl FnMut(&Structure, &RunConfig) -> String,
+) -> String {
+    let threads = if opts.quick { &[1, 2, 4][..] } else { full };
+    let mut out = String::new();
+    for s in [
+        Structure::Pnb(adapters::Pnb::new()),
+        Structure::Nb(adapters::Nb::new()),
+    ] {
+        for &t in threads {
+            let keys = KeyDist::uniform(CHURN_KEYS);
+            out += &cell(
+                &s,
+                &RunConfig::new(t, opts.duration(), keys, Mix::update_only()),
+            );
+        }
+        pnb_bst::collector_drain(64);
+        pnb_bst::arena_trim(); // heap hygiene between structures
     }
     out
 }
@@ -637,62 +668,48 @@ fn arena_delta<T>(run: impl FnOnce() -> T) -> (T, [u64; 3]) {
 /// along as the non-pooled epoch baseline. The committed
 /// `BENCH_baseline.json` E1 rows are the pre-arena reference this
 /// experiment's gains are measured against.
-pub fn e9(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    let kr: u64 = 1_024;
-    let threads: Vec<usize> = if opts.quick {
-        vec![1, 2, 4]
-    } else {
-        vec![1, 2, 4, 8]
-    };
+fn e9(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let stats_enabled = cfg!(feature = "stats");
     let mut out = format!(
-        "\n### E9 — Arena/allocator churn (50i/50d, key range {kr})\n\n\
+        "\n### E9 — Arena/allocator churn (50i/50d, key range {CHURN_KEYS})\n\n\
          | structure | threads | throughput | pool hits | pool misses | hit rate | recycled |\n\
          |---|---|---|---|---|---|---|\n"
     );
-    let structures = [
-        Structure::Pnb(adapters::Pnb::new()),
-        Structure::Nb(adapters::Nb::new()),
-    ];
-    for s in &structures {
-        for &t in &threads {
-            let cfg = RunConfig::new(t, opts.duration(), KeyDist::uniform(kr), Mix::update_only());
-            eprintln!("  {} / {t} threads (alloc churn) ...", s.name());
-            let (m, d) = arena_delta(|| {
-                s.run_throughput(&cfg)
-                    .expect("update-only mix needs only point ops")
-            });
-            let hit_rate = if d[0] + d[1] > 0 {
-                format!("{:.1}%", 100.0 * d[0] as f64 / (d[0] + d[1]) as f64)
-            } else {
-                "-".to_string()
-            };
-            log.push(
-                "e9",
-                &[
-                    ("structure", Val::s(&m.name)),
-                    ("threads", Val::U(t as u64)),
-                    ("key_range", Val::U(kr)),
-                    ("stats_enabled", Val::B(stats_enabled)),
-                    ("total_ops", Val::U(m.total_ops)),
-                    ("ops_per_sec", Val::F(m.ops_per_sec)),
-                    ("pool_hits", Val::U(d[0])),
-                    ("pool_misses", Val::U(d[1])),
-                    ("recycled_bytes", Val::U(d[2])),
-                ],
-            );
-            out.push_str(&format!(
-                "| {} | {t} | {} | {} | {} | {hit_rate} | {} |\n",
-                m.name,
-                fmt_tput(m.ops_per_sec),
-                d[0],
-                d[1],
-                fmt_bytes(d[2]),
-            ));
-        }
-        pnb_bst::collector_drain(64);
-        pnb_bst::arena_trim(); // heap hygiene between structures
-    }
+    out += &churn(opts, &[1, 2, 4, 8], |s, cfg| {
+        let t = cfg.threads;
+        eprintln!("  {} / {t} threads (alloc churn) ...", s.name());
+        let (m, d) = arena_delta(|| {
+            adapters::dispatch!(s, m => workload::run_throughput(m, cfg))
+                .expect("update-only mix needs only point ops")
+        });
+        let hit_rate = if d[0] + d[1] > 0 {
+            format!("{:.1}%", 100.0 * d[0] as f64 / (d[0] + d[1]) as f64)
+        } else {
+            "-".to_string()
+        };
+        log.push(
+            "e9",
+            &[
+                ("structure", Val::s(&m.name)),
+                ("threads", Val::U(t as u64)),
+                ("key_range", Val::U(CHURN_KEYS)),
+                ("stats_enabled", Val::B(stats_enabled)),
+                ("total_ops", Val::U(m.total_ops)),
+                ("ops_per_sec", Val::F(m.ops_per_sec)),
+                ("pool_hits", Val::U(d[0])),
+                ("pool_misses", Val::U(d[1])),
+                ("recycled_bytes", Val::U(d[2])),
+            ],
+        );
+        format!(
+            "| {} | {t} | {} | {} | {} | {hit_rate} | {} |\n",
+            m.name,
+            fmt_tput(m.ops_per_sec),
+            d[0],
+            d[1],
+            fmt_bytes(d[2]),
+        )
+    });
     if !stats_enabled {
         out.push_str(
             "\n*(arena columns are all zero: rebuild with `--features \
@@ -709,7 +726,7 @@ pub fn e9(opts: &ExpOpts, log: &mut JsonLog) -> String {
 /// so the shard count divides the contended state `N` ways. The JSON
 /// rows tag the sharded series `pnb-sharded-x{N}` so every shard count
 /// is its own trajectory series, and carry an explicit `shards` field.
-pub fn e10(opts: &ExpOpts, log: &mut JsonLog) -> String {
+fn e10(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let kr: u64 = if opts.quick { 20_000 } else { 100_000 };
     let shard_counts: Vec<usize> = if opts.quick {
         vec![1, 2, 8]
@@ -722,33 +739,31 @@ pub fn e10(opts: &ExpOpts, log: &mut JsonLog) -> String {
         vec![1, 2, 4, 8, 16]
     };
     let mix = Mix::update_only();
-    let mut out = format!(
-        "\n### E10 — Shard scaling (50i/50d point ops, key range {kr})\n\n\
-         | structure |"
+    let mut out = format!("\n### E10 — Shard scaling (50i/50d point ops, key range {kr})\n\n");
+    out.push_str(&md_head(threads.iter().map(|t| format!("{t} thr"))));
+    // Unsharded reference first: the same tree the sharded series wraps.
+    let unsharded = (
+        Structure::Pnb(adapters::Pnb::new()),
+        "pnb-bst".to_string(),
+        1,
     );
-    for t in &threads {
-        out.push_str(&format!(" {t} thr |"));
-    }
-    out.push_str("\n|---|");
-    for _ in &threads {
-        out.push_str("---|");
-    }
-    out.push('\n');
-
-    let mut run_row = |s: &Structure, label: String, shards: u64, log: &mut JsonLog| {
-        let mut cells = Vec::new();
+    let sharded = shard_counts.iter().map(|&n| {
+        let s = Structure::PnbSharded(adapters::Sharded::with_shards(n));
+        (s, format!("pnb-sharded-x{n}"), n)
+    });
+    for (s, label, shards) in std::iter::once(unsharded).chain(sharded) {
+        let mut cells = vec![label.clone()];
         for &t in &threads {
             let fresh = s.fresh(); // fresh instance per cell: no carry-over heap
             let cfg = RunConfig::new(t, opts.duration(), KeyDist::uniform(kr), mix);
             eprintln!("  {label} / {t} threads ...");
-            let m = fresh
-                .run_throughput(&cfg)
+            let m = adapters::dispatch!(&fresh, m => workload::run_throughput(m, &cfg))
                 .expect("update-only mix needs only point ops");
             log.push(
                 "e10",
                 &[
                     ("structure", Val::s(&label)),
-                    ("shards", Val::U(shards)),
+                    ("shards", Val::U(shards as u64)),
                     ("threads", Val::U(t as u64)),
                     ("key_range", Val::U(kr)),
                     ("total_ops", Val::U(m.total_ops)),
@@ -759,274 +774,8 @@ pub fn e10(opts: &ExpOpts, log: &mut JsonLog) -> String {
             pnb_bst::collector_drain(64);
             pnb_bst::arena_trim(); // heap hygiene between cells
         }
-        out.push_str(&format!("| {label} |"));
-        for c in cells {
-            out.push_str(&format!(" {c} |"));
-        }
-        out.push('\n');
-    };
-
-    // Unsharded reference: the same tree the sharded series wraps.
-    run_row(
-        &Structure::Pnb(adapters::Pnb::new()),
-        "pnb-bst".to_string(),
-        1,
-        log,
-    );
-    for &n in &shard_counts {
-        run_row(
-            &Structure::PnbSharded(adapters::Sharded::with_shards(n)),
-            format!("pnb-sharded-x{n}"),
-            n as u64,
-            log,
-        );
+        out.push_str(&md_row(&cells));
     }
-    out
-}
-
-/// E11 (extension) — open-loop tail latency vs offered rate: the
-/// latency-honest replacement for E8's closed-loop lens. Each cell
-/// offers a *fixed* arrival rate (a per-thread intended-start schedule;
-/// see `workload::schedule`) and records per-class latency from the
-/// intended start, so queueing delay is charged to the structure instead
-/// of silently omitted. Keys come from the scrambled-Zipfian
-/// distribution — the same skew as rank-Zipf, but with the hot keys
-/// dispersed across the key space instead of packed into block 0 (which
-/// used to melt exactly one shard of `pnb-sharded` by accident). The
-/// rows report offered vs achieved rate, so saturation is visible as a
-/// rate gap rather than quietly renormalized percentiles.
-pub fn e11(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    let kr: u64 = if opts.quick { 20_000 } else { 100_000 };
-    let threads = if opts.quick { 2 } else { 4 };
-    let rates: Vec<f64> = if opts.quick {
-        vec![50e3, 200e3, 800e3]
-    } else {
-        vec![100e3, 400e3, 1600e3]
-    };
-    // Insert/delete/find only: nb-bst declares neither ranges nor
-    // upserts, and the point of the table is comparing the same mix
-    // across pnb, nb, sharded and the lock baseline.
-    let mix = Mix::new(25, 25, 50, 0, 0);
-    let mut out = format!(
-        "\n### E11 — Open-loop tail latency vs offered rate (25i/25d/50f, \
-         scrambled-Zipf θ=0.99, {threads} threads, key range {kr})\n\n\
-         | structure | offered | achieved | op | samples | p50 | p99 | p999 |\n\
-         |---|---|---|---|---|---|---|---|\n"
-    );
-    let structures = [
-        Structure::Pnb(adapters::Pnb::new()),
-        Structure::PnbSharded(adapters::Sharded::new()),
-        Structure::Nb(adapters::Nb::new()),
-        Structure::Rw(adapters::Rw::new()),
-    ];
-    for s in &structures {
-        for &rate in &rates {
-            // Fresh instance per rate so a saturated run's backlog and
-            // heap do not contaminate the next cell.
-            let fresh = s.fresh();
-            let cfg = OpenLoopConfig {
-                threads,
-                target_rate: rate,
-                duration: opts.duration(),
-                key_dist: KeyDist::scrambled_zipfian(kr, 0.99),
-                mix,
-                prefill_fraction: 0.5,
-                seed: 42,
-                interval_log: None,
-            };
-            eprintln!("  {} / offered {:.0}k ops/s ...", fresh.name(), rate / 1e3);
-            let m = fresh
-                .run_open_loop(&cfg)
-                .expect("point-op mix runs on the whole roster");
-            for c in &m.classes {
-                log.push(
-                    "e11",
-                    &[
-                        ("structure", Val::s(&m.name)),
-                        ("threads", Val::U(threads as u64)),
-                        ("key_range", Val::U(kr)),
-                        ("offered_rate", Val::F(m.offered_rate)),
-                        ("achieved_rate", Val::F(m.achieved_rate)),
-                        ("elapsed_secs", Val::F(m.elapsed_secs)),
-                        ("op", Val::s(&c.class)),
-                        ("samples", Val::U(c.count)),
-                        ("p50_ns", Val::U(c.p50_ns)),
-                        ("p99_ns", Val::U(c.p99_ns)),
-                        ("p999_ns", Val::U(c.p999_ns)),
-                        ("max_ns", Val::U(c.max_ns)),
-                    ],
-                );
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
-                    m.name,
-                    fmt_tput(m.offered_rate),
-                    fmt_tput(m.achieved_rate),
-                    c.class,
-                    c.count,
-                    fmt_ns(c.p50_ns),
-                    fmt_ns(c.p99_ns),
-                    fmt_ns(c.p999_ns),
-                ));
-            }
-            pnb_bst::collector_drain(64);
-            pnb_bst::arena_trim(); // heap hygiene between cells
-        }
-    }
-    out.push_str(
-        "\n*(latency measured from each operation's intended start — \
-         queueing delay included; achieved < offered marks saturation)*\n",
-    );
-    out
-}
-
-/// E12 (extension) — checkpoint drag: what a concurrent durable
-/// checkpointer costs the foreground. Each cell drives the open-loop
-/// point mix against `pnb-sharded` at a fixed offered rate, once
-/// undisturbed and once with a background thread repeatedly writing
-/// full durable checkpoints (`ShardedPnbBst::checkpoint`, DESIGN §9)
-/// into a scratch directory. Because the checkpointer's cut is a
-/// wait-free `ShardedSnapshot`, the *expected* drag is IO + allocator
-/// pressure, not blocking — the rows make that claim measurable:
-/// `checkpoint_active` marks the mode, `checkpoints` counts completed
-/// generations, and `interval_p99_max_ns` (worst per-interval p99 from
-/// the interval log) exposes pauses that a whole-run p99 would average
-/// away.
-pub fn e12(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let kr: u64 = if opts.quick { 20_000 } else { 100_000 };
-    let threads = if opts.quick { 2 } else { 4 };
-    let rates: Vec<f64> = if opts.quick {
-        vec![50e3, 200e3]
-    } else {
-        vec![100e3, 400e3]
-    };
-    let mix = Mix::new(25, 25, 50, 0, 0);
-    let mut out = format!(
-        "\n### E12 — Checkpoint drag on open-loop tail latency \
-         (pnb-sharded, 25i/25d/50f, scrambled-Zipf θ=0.99, {threads} \
-         threads, key range {kr})\n\n\
-         | ckpt | offered | achieved | ckpts | op | samples | p50 | p99 | worst-interval p99 |\n\
-         |---|---|---|---|---|---|---|---|---|\n"
-    );
-    let scratch = std::env::temp_dir().join(format!("pnb_e12_{}", std::process::id()));
-    for checkpoint_active in [false, true] {
-        for (cell, &rate) in rates.iter().enumerate() {
-            let map = adapters::Sharded::new();
-            let ckpt_dir = scratch.join(format!("ckpt_{checkpoint_active}_{cell}"));
-            let log_path = scratch.join(format!("ivl_{checkpoint_active}_{cell}.jsonl"));
-            let _ = std::fs::remove_file(&log_path);
-            std::fs::create_dir_all(&scratch).expect("scratch dir");
-            let cfg = OpenLoopConfig {
-                threads,
-                target_rate: rate,
-                duration: opts.duration(),
-                key_dist: KeyDist::scrambled_zipfian(kr, 0.99),
-                mix,
-                prefill_fraction: 0.5,
-                seed: 42,
-                interval_log: Some(workload::IntervalLogConfig::with_interval(
-                    &log_path,
-                    Duration::from_millis(50),
-                )),
-            };
-            eprintln!(
-                "  checkpointer {} / offered {:.0}k ops/s ...",
-                if checkpoint_active { "on" } else { "off" },
-                rate / 1e3
-            );
-            let stop = AtomicBool::new(false);
-            let mut checkpoints = 0u64;
-            let m = std::thread::scope(|s| {
-                let ckpt = checkpoint_active.then(|| {
-                    s.spawn(|| {
-                        // Checkpoint continuously (with a breather) for
-                        // the run's whole lifetime: every generation is
-                        // a full wait-free cut serialized + fsynced.
-                        let mut n = 0u64;
-                        while !stop.load(Ordering::Acquire) {
-                            map.0.checkpoint(&ckpt_dir).expect("checkpoint scratch dir");
-                            n += 1;
-                            for _ in 0..4 {
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                std::thread::sleep(Duration::from_millis(25));
-                            }
-                        }
-                        n
-                    })
-                });
-                let m = workload::run_open_loop(&map, &cfg)
-                    .expect("sharded map declares the point-op surface");
-                stop.store(true, Ordering::Release);
-                if let Some(h) = ckpt {
-                    checkpoints = h.join().expect("checkpointer thread joins");
-                }
-                m
-            });
-
-            // Worst per-interval p99 from the interval log: the pause
-            // lens. (The log is JSONL written by this run alone.)
-            let rows_text = std::fs::read_to_string(&log_path).unwrap_or_default();
-            let mut intervals = 0u64;
-            let mut interval_p99_max_ns = 0u64;
-            for line in rows_text.lines() {
-                if let Some(rest) = line.split("\"p99_ns\": ").nth(1) {
-                    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-                    if let Ok(v) = digits.parse::<u64>() {
-                        intervals += 1;
-                        interval_p99_max_ns = interval_p99_max_ns.max(v);
-                    }
-                }
-            }
-            let _ = std::fs::remove_file(&log_path);
-            let _ = std::fs::remove_dir_all(&ckpt_dir);
-
-            for c in &m.classes {
-                log.push(
-                    "e12",
-                    &[
-                        ("structure", Val::s(&m.name)),
-                        ("threads", Val::U(threads as u64)),
-                        ("key_range", Val::U(kr)),
-                        ("checkpoint_active", Val::B(checkpoint_active)),
-                        ("checkpoints", Val::U(checkpoints)),
-                        ("offered_rate", Val::F(m.offered_rate)),
-                        ("achieved_rate", Val::F(m.achieved_rate)),
-                        ("elapsed_secs", Val::F(m.elapsed_secs)),
-                        ("intervals", Val::U(intervals)),
-                        ("interval_p99_max_ns", Val::U(interval_p99_max_ns)),
-                        ("op", Val::s(&c.class)),
-                        ("samples", Val::U(c.count)),
-                        ("p50_ns", Val::U(c.p50_ns)),
-                        ("p99_ns", Val::U(c.p99_ns)),
-                        ("p999_ns", Val::U(c.p999_ns)),
-                        ("max_ns", Val::U(c.max_ns)),
-                    ],
-                );
-                out.push_str(&format!(
-                    "| {} | {} | {} | {checkpoints} | {} | {} | {} | {} | {} |\n",
-                    if checkpoint_active { "on" } else { "off" },
-                    fmt_tput(m.offered_rate),
-                    fmt_tput(m.achieved_rate),
-                    c.class,
-                    c.count,
-                    fmt_ns(c.p50_ns),
-                    fmt_ns(c.p99_ns),
-                    fmt_ns(interval_p99_max_ns),
-                ));
-            }
-            pnb_bst::collector_drain(64);
-            pnb_bst::arena_trim(); // heap hygiene between cells
-        }
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-    out.push_str(
-        "\n*(checkpointer serializes a full wait-free cut + fsync per \
-         generation; drag shows up as the on/off gap in p99 and \
-         worst-interval p99, not as blocking)*\n",
-    );
     out
 }
 
@@ -1046,7 +795,7 @@ pub fn e12(opts: &ExpOpts, log: &mut JsonLog) -> String {
 /// structures declaring [`workload::Caps::batched`] (the PNB tree and
 /// its sharded front-end); everything else would only re-measure the
 /// singleton fallback at 1.0 ops/descent.
-pub fn e13(opts: &ExpOpts, log: &mut JsonLog) -> String {
+fn e13(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let kr: u64 = 1_000;
     let mix = Mix::update_only();
     let batch_sizes: Vec<usize> = if opts.quick {
@@ -1085,8 +834,7 @@ pub fn e13(opts: &ExpOpts, log: &mut JsonLog) -> String {
                 // Fresh instance per cell: a batch-size sweep must not
                 // inherit the previous cell's heap or epoch garbage.
                 let cell = s.fresh();
-                let m = cell
-                    .run_batched_throughput(&cfg)
+                let m = adapters::dispatch!(&cell, m => workload::run_batched_throughput(m, &cfg))
                     .expect("roster is filtered by Caps::batched; mix is range-free");
                 if b == 1 {
                     baseline = m.ops_per_sec;
@@ -1135,359 +883,6 @@ pub fn e13(opts: &ExpOpts, log: &mut JsonLog) -> String {
     out
 }
 
-/// E14 (extension) — the network round trip: open-loop tail latency vs
-/// offered rate through `pnb-server` on loopback. Same engine and
-/// schema as E11, but every operation crosses the full server stack
-/// (frame encode → TCP → worker loop → long-lived sharded session →
-/// response), so the rows price the paper's wait-free range queries as
-/// a *service*: series `pnb-sharded-net`, one point-op mix and one
-/// range mix, three offered rates each. A fresh in-process server is
-/// spawned (ephemeral port) and drained per cell so one saturated
-/// cell's backlog cannot contaminate the next. With `--features stats`
-/// the per-shard op counters also yield a load-imbalance (max/mean)
-/// figure per cell; without it that column reads `n/a`.
-pub fn e14(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    use pnb_server::{Client, NetMap, Server, ServerConfig};
-
-    let kr: u64 = if opts.quick { 8_192 } else { 65_536 };
-    let threads = if opts.quick { 2 } else { 4 };
-    let rates: Vec<f64> = if opts.quick {
-        vec![5e3, 20e3, 80e3]
-    } else {
-        vec![20e3, 80e3, 320e3]
-    };
-    let mixes: [(&str, Mix); 2] = [
-        ("point", Mix::new(25, 25, 50, 0, 0)),
-        ("range", Mix::new(20, 20, 50, 10, 100)),
-    ];
-    let mut out = format!(
-        "\n### E14 — Open-loop latency through the network server \
-         (pnb-server on loopback, scrambled-Zipf θ=0.99, {threads} client \
-         threads, key range {kr})\n\n\
-         | mix | offered | achieved | imbalance | op | samples | p50 | p99 | p999 |\n\
-         |---|---|---|---|---|---|---|---|---|\n"
-    );
-    for (mix_name, mix) in mixes {
-        for &rate in &rates {
-            // Fresh server per cell: its own map, workers and port;
-            // drained and joined before the next cell starts.
-            let server_cfg = ServerConfig {
-                shards: 8,
-                workers: threads,
-                refresh_every: 256,
-                drain_grace: Duration::from_millis(100),
-                ..Default::default()
-            };
-            let (addr, shutdown, join) = Server::bind("127.0.0.1:0", server_cfg)
-                .expect("bind loopback ephemeral port")
-                .spawn()
-                .expect("spawn in-process server");
-            let map = NetMap::connect(addr).expect("dial in-process server");
-            let cfg = OpenLoopConfig {
-                threads,
-                target_rate: rate,
-                duration: opts.duration(),
-                key_dist: KeyDist::scrambled_zipfian(kr, 0.99),
-                mix,
-                prefill_fraction: 0.5,
-                seed: 42,
-                interval_log: None,
-            };
-            eprintln!("  {mix_name} mix / offered {:.0}k ops/s ...", rate / 1e3);
-            let m = workload::run_open_loop(&map, &cfg).expect("NetMap declares every capability");
-
-            // Per-shard load spread, served by the Stats opcode (zeros
-            // without the stats build).
-            let shard_ops = Client::connect(addr)
-                .and_then(|mut c| c.stats().map_err(|_| std::io::ErrorKind::Other.into()))
-                .map(|s| s.shard_ops)
-                .unwrap_or_default();
-            let total: u64 = shard_ops.iter().sum();
-            let imbalance = if total == 0 {
-                None
-            } else {
-                let max = *shard_ops.iter().max().expect("non-empty") as f64;
-                Some(max / (total as f64 / shard_ops.len() as f64))
-            };
-            let imb_label = imbalance.map_or("n/a".to_string(), |x| format!("{x:.2}"));
-
-            drop(map);
-            shutdown.signal();
-            join.join()
-                .expect("server thread joins")
-                .expect("server drains cleanly");
-
-            for c in &m.classes {
-                log.push(
-                    "e14",
-                    &[
-                        ("structure", Val::s(&m.name)),
-                        ("mix", Val::s(mix_name)),
-                        ("threads", Val::U(threads as u64)),
-                        ("key_range", Val::U(kr)),
-                        ("offered_rate", Val::F(m.offered_rate)),
-                        ("achieved_rate", Val::F(m.achieved_rate)),
-                        ("elapsed_secs", Val::F(m.elapsed_secs)),
-                        ("load_imbalance", Val::F(imbalance.unwrap_or(0.0))),
-                        ("op", Val::s(&c.class)),
-                        ("samples", Val::U(c.count)),
-                        ("p50_ns", Val::U(c.p50_ns)),
-                        ("p99_ns", Val::U(c.p99_ns)),
-                        ("p999_ns", Val::U(c.p999_ns)),
-                        ("max_ns", Val::U(c.max_ns)),
-                    ],
-                );
-                out.push_str(&format!(
-                    "| {mix_name} | {} | {} | {imb_label} | {} | {} | {} | {} | {} |\n",
-                    fmt_tput(m.offered_rate),
-                    fmt_tput(m.achieved_rate),
-                    c.class,
-                    c.count,
-                    fmt_ns(c.p50_ns),
-                    fmt_ns(c.p99_ns),
-                    fmt_ns(c.p999_ns),
-                ));
-            }
-            pnb_bst::collector_drain(64);
-            pnb_bst::arena_trim(); // heap hygiene between cells
-        }
-    }
-    out.push_str(
-        "\n*(every operation crosses loopback TCP and the server's worker \
-         loop; imbalance is max/mean of per-shard op counts — `n/a` without \
-         `--features stats`)*\n",
-    );
-    out
-}
-
-/// E15: the graceful-degradation curve. Calibrate the server's
-/// single-connection capacity with a closed-loop pipelined burst, then
-/// sweep offered rate at {0.5, 1, 2, 4}× capacity with an open-loop
-/// pipelined driver (arrivals on schedule, *not* waiting for
-/// responses, so the worker's backlog genuinely grows past its
-/// admission limit) and record, per rate: goodput (accepted ops/s),
-/// shed rate (fraction answered with a typed `Busy` frame), and the
-/// p99 of *accepted* ops measured from each op's intended start.
-///
-/// The overload contract this plots: goodput must plateau near
-/// capacity instead of collapsing, every over-limit request must be
-/// *answered* (the driver asserts sent == accepted + shed), and the
-/// Busy frames carry the shed signal clients back off on.
-pub fn e15(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    use pnb_server::{
-        decode_response, encode_request, AdmissionConfig, Client, FrameBuf, ReqBody, Request,
-        RespBody, Server, ServerConfig,
-    };
-    use std::io::{Read, Write};
-    use workload::HdrHistogram;
-
-    let kr: u64 = if opts.quick { 8_192 } else { 65_536 };
-    let duration = if opts.quick {
-        Duration::from_millis(400)
-    } else {
-        Duration::from_millis(1500)
-    };
-    let multipliers = [0.5, 1.0, 2.0, 4.0];
-
-    // One worker with a modest in-flight budget: overload must shed,
-    // not absorb the whole sweep into queueing.
-    let server_cfg = ServerConfig {
-        shards: 8,
-        workers: 1,
-        drain_grace: Duration::from_millis(100),
-        admission: AdmissionConfig {
-            max_inflight: 512,
-            ..AdmissionConfig::default()
-        },
-        ..Default::default()
-    };
-    let (addr, shutdown, join) = Server::bind("127.0.0.1:0", server_cfg)
-        .expect("bind loopback ephemeral port")
-        .spawn()
-        .expect("spawn in-process server");
-
-    // Prefill so gets have data to hit — windowed at 256 outstanding so
-    // the admission limit (512) never sheds a prefill insert.
-    {
-        let mut c = Client::connect(addr).expect("dial for prefill");
-        let n = kr.min(8_192);
-        for batch in (0..n).step_by(256) {
-            let hi = (batch + 256).min(n);
-            for k in batch..hi {
-                c.send(ReqBody::Insert { key: k, value: k }).expect("send");
-            }
-            for _ in batch..hi {
-                c.recv().expect("prefill ack");
-            }
-        }
-    }
-
-    // Closed-loop calibration: a fixed window of pipelined gets (well
-    // under max_inflight, so nothing sheds) for ~300 ms.
-    let capacity = {
-        let mut c = Client::connect(addr).expect("dial for calibration");
-        let window = 256u64;
-        for i in 0..window {
-            c.send(ReqBody::Get { key: i % kr }).expect("send");
-        }
-        let t0 = std::time::Instant::now();
-        let mut done = 0u64;
-        while t0.elapsed() < Duration::from_millis(300) {
-            c.recv().expect("calibration recv");
-            c.send(ReqBody::Get { key: done % kr }).expect("send");
-            done += 1;
-        }
-        for _ in 0..window {
-            c.recv().expect("drain window");
-        }
-        done as f64 / t0.elapsed().as_secs_f64()
-    };
-    eprintln!("  calibrated capacity ≈ {:.0}k ops/s", capacity / 1e3);
-
-    let mut out = format!(
-        "\n### E15 — Graceful degradation past capacity (pnb-server on \
-         loopback, 1 worker, max_inflight 512, calibrated capacity \
-         {}, key range {kr})\n\n\
-         | offered | ×cap | goodput | goodput/cap | shed | p99 accepted |\n\
-         |---|---|---|---|---|---|\n",
-        fmt_tput(capacity)
-    );
-
-    for &mult in &multipliers {
-        let rate = capacity * mult;
-        eprintln!("  offered {:.0}k ops/s ({mult}× capacity) ...", rate / 1e3);
-        let stream = std::net::TcpStream::connect(addr).expect("dial driver conn");
-        stream.set_nodelay(true).expect("nodelay");
-        // Short read timeout: the reader re-checks the writer's final
-        // sent count on each wakeup instead of parking forever once the
-        // last response has been drained.
-        stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .expect("read timeout");
-        let mut wstream = stream.try_clone().expect("clone for writer");
-        let interval = Duration::from_secs_f64(1.0 / rate);
-        let total_sent = std::sync::atomic::AtomicU64::new(u64::MAX);
-        let (accepted, shed, hist, elapsed) = std::thread::scope(|s| {
-            // Writer: open loop — send every op at its intended time,
-            // batch whatever is due, never wait for responses.
-            let sent_ref = &total_sent;
-            s.spawn(move || {
-                let start = std::time::Instant::now();
-                let mut sent = 0u64;
-                let mut buf = Vec::with_capacity(64 * 28);
-                while start.elapsed() < duration {
-                    let due = (start.elapsed().as_secs_f64() / interval.as_secs_f64()) as u64 + 1;
-                    buf.clear();
-                    while sent < due {
-                        buf.extend_from_slice(&encode_request(&Request {
-                            id: sent,
-                            body: ReqBody::Get { key: sent % kr },
-                        }));
-                        sent += 1;
-                    }
-                    if !buf.is_empty() {
-                        wstream.write_all(&buf).expect("driver write");
-                    }
-                    std::thread::sleep(interval.min(Duration::from_micros(200)));
-                }
-                sent_ref.store(sent, std::sync::atomic::Ordering::Release);
-            });
-            // Reader: responses come back in request order; latency is
-            // measured from each op's *intended* start (index i maps to
-            // start + i·interval) — coordinated-omission-free.
-            let reader = s.spawn(move || {
-                let start = std::time::Instant::now();
-                let mut rstream = stream;
-                let mut frames = FrameBuf::new();
-                let mut chunk = [0u8; 64 * 1024];
-                let mut hist = HdrHistogram::new();
-                let (mut got, mut ok, mut busy) = (0u64, 0u64, 0u64);
-                loop {
-                    let target = sent_ref.load(std::sync::atomic::Ordering::Acquire);
-                    if got >= target {
-                        break;
-                    }
-                    assert!(
-                        start.elapsed() < duration + Duration::from_secs(30),
-                        "driver wedged: {got} of {target} responses after the deadline"
-                    );
-                    match frames.next_frame().expect("driver frame") {
-                        Some(frame) => {
-                            let resp = decode_response(&frame).expect("driver decode");
-                            let intended = interval.mul_f64(got as f64);
-                            match resp.body {
-                                RespBody::Busy { .. } => busy += 1,
-                                _ => {
-                                    ok += 1;
-                                    hist.record(
-                                        start.elapsed().saturating_sub(intended).as_nanos() as u64,
-                                    );
-                                }
-                            }
-                            got += 1;
-                        }
-                        None => match rstream.read(&mut chunk) {
-                            Ok(0) => panic!("server closed mid-run"),
-                            Ok(n) => frames.feed(&chunk[..n]),
-                            Err(e)
-                                if e.kind() == std::io::ErrorKind::WouldBlock
-                                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-                            Err(e) => panic!("driver read: {e}"),
-                        },
-                    }
-                }
-                assert_eq!(got, ok + busy, "every request answered, none dropped");
-                (ok, busy, hist, start.elapsed())
-            });
-            reader.join().expect("reader thread")
-        });
-        let total = accepted + shed;
-        let goodput = accepted as f64 / elapsed.as_secs_f64();
-        let shed_rate = shed as f64 / total.max(1) as f64;
-        let p99 = hist.value_at_percentile(99.0).unwrap_or(0);
-        out.push_str(&format!(
-            "| {} | {mult}× | {} | {:.2} | {:.1}% | {} |\n",
-            fmt_tput(rate),
-            fmt_tput(goodput),
-            goodput / capacity,
-            shed_rate * 100.0,
-            fmt_ns(p99),
-        ));
-        log.push(
-            "e15",
-            &[
-                ("structure", Val::s("pnb-sharded-net")),
-                ("key_range", Val::U(kr)),
-                ("capacity_ops", Val::F(capacity)),
-                ("rate_multiplier", Val::F(mult)),
-                ("offered_rate", Val::F(rate)),
-                ("goodput", Val::F(goodput)),
-                ("goodput_vs_capacity", Val::F(goodput / capacity)),
-                ("shed_rate", Val::F(shed_rate)),
-                ("accepted", Val::U(accepted)),
-                ("shed", Val::U(shed)),
-                ("p99_ns", Val::U(p99)),
-            ],
-        );
-    }
-
-    shutdown.signal();
-    join.join()
-        .expect("server thread joins")
-        .expect("server drains cleanly");
-    pnb_bst::collector_drain(64);
-    pnb_bst::arena_trim();
-    out.push_str(
-        "\n*(open-loop pipelined driver on one connection: arrivals stay on \
-         schedule past capacity, so the worker's backlog crosses its \
-         admission limit and excess requests come back as typed `Busy` \
-         frames; goodput plateauing near capacity — instead of collapsing \
-         under queueing — is the graceful-degradation contract. p99 is over \
-         accepted ops only, measured from intended start.)*\n",
-    );
-    out
-}
-
 fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 20 {
         format!("{:.1} MiB", b as f64 / (1 << 20) as f64)
@@ -1507,16 +902,48 @@ fn fmt_ns(ns: u64) -> String {
         format!("{ns} ns")
     }
 }
-
-// Re-exported so the roster helpers read naturally from the bin.
-pub use workload::CapabilityError;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> ExpOpts {
-        ExpOpts { quick: true }
+    const TINY: ExpOpts = ExpOpts { quick: true };
+
+    /// Run one entry of [`EXPERIMENTS`] in quick mode.
+    fn run(name: &str, log: &mut JsonLog) -> String {
+        let spec = EXPERIMENTS.iter().find(|s| s.name == name);
+        spec.expect("experiment in the table").run(&TINY, log)
+    }
+
+    #[test]
+    fn parse_args_takes_flags_and_names_in_command_line_order() {
+        let all = parse_args::<&str>(&[]).unwrap();
+        assert!(!all.quick && all.json.is_none());
+        assert_eq!(all.run.len(), EXPERIMENTS.len());
+        let a = parse_args(&["e5", "--quick", "e1", "--json", "out.json"]).unwrap();
+        assert!(a.quick);
+        assert_eq!(a.json.as_deref(), Some("out.json"));
+        let names: Vec<&str> = a.run.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["e5", "e1"]);
+    }
+
+    #[test]
+    fn parse_args_rejects_an_unknown_flag() {
+        let err = parse_args(&["--quik"]).unwrap_err();
+        assert!(err.contains("unknown flag: --quik"), "{err}");
+    }
+
+    #[test]
+    fn parse_args_rejects_an_unknown_experiment() {
+        let err = parse_args(&["e1", "e99"]).unwrap_err();
+        assert!(err.contains("unknown experiment: e99"), "{err}");
+    }
+
+    #[test]
+    fn parse_args_rejects_json_without_a_path() {
+        for args in [&["e1", "--json"][..], &["--json", "--quick"]] {
+            let err = parse_args(args).unwrap_err();
+            assert!(err.contains("--json requires a file path"), "{err}");
+        }
     }
 
     // These are smoke tests: each experiment must run end-to-end and
@@ -1526,11 +953,8 @@ mod tests {
     /// range, and no cell may sit idle.
     fn assert_full_sweep(exp: &str, mix: Mix, log: &JsonLog) -> String {
         let structures = adapters::all_structures(required_caps(&mix)).len();
-        let o = tiny();
-        assert_eq!(
-            log.len(),
-            structures * o.threads().len() * o.key_ranges().len()
-        );
+        let cells = structures * TINY.threads().len() * TINY.key_ranges().len();
+        assert_eq!(log.len(), cells);
         let rendered = log.render("quick", 1);
         assert!(rendered.contains(&format!("\"experiment\": \"{exp}\"")));
         assert!(!rendered.contains("\"total_ops\": 0,"), "idle cell");
@@ -1540,7 +964,7 @@ mod tests {
     #[test]
     fn e1_sweeps_every_structure_update_only() {
         let mut log = JsonLog::new();
-        let s = e1(&tiny(), &mut log);
+        let s = run("e1", &mut log);
         assert!(s.contains("pnb-bst"));
         let rendered = assert_full_sweep("e1", Mix::update_only(), &log);
         assert!(!rendered.contains("\"inserts\": 0,"));
@@ -1550,7 +974,7 @@ mod tests {
     #[test]
     fn e2_sweeps_every_structure_read_mostly() {
         let mut log = JsonLog::new();
-        let s = e2(&tiny(), &mut log);
+        let s = run("e2", &mut log);
         assert!(s.contains("pnb-bst"));
         let rendered = assert_full_sweep("e2", Mix::read_mostly(), &log);
         assert!(!rendered.contains("\"finds\": 0,"));
@@ -1559,7 +983,7 @@ mod tests {
     #[test]
     fn e3_sweeps_range_capable_structures_with_scans() {
         let mut log = JsonLog::new();
-        let s = e3(&tiny(), &mut log);
+        let s = run("e3", &mut log);
         assert!(s.contains("pnb-bst"));
         let rendered = assert_full_sweep("e3", Mix::with_ranges(100), &log);
         assert!(!rendered.contains("\"scans\": 0,"), "no range query ran");
@@ -1568,7 +992,7 @@ mod tests {
     #[test]
     fn e4_runs_every_width_for_both_structures() {
         let mut log = JsonLog::new();
-        let s = e4(&tiny(), &mut log);
+        let s = run("e4", &mut log);
         assert!(s.contains("pnb-bst"));
         assert!(s.contains("width 1000"));
         assert_eq!(log.len(), 6); // {pnb-bst, rwlock-btreemap} × 3 widths
@@ -1579,7 +1003,7 @@ mod tests {
     #[test]
     fn e5_produces_three_rows_and_json() {
         let mut log = JsonLog::new();
-        let s = e5(&tiny(), &mut log);
+        let s = run("e5", &mut log);
         assert!(s.contains("pnb-bst"));
         assert!(s.contains("nb-bst"));
         assert!(s.contains("seq-bst"));
@@ -1592,7 +1016,7 @@ mod tests {
     #[test]
     fn e6_runs_disjoint_and_full_range() {
         let mut log = JsonLog::new();
-        e6(&tiny(), &mut log);
+        run("e6", &mut log);
         assert_eq!(log.len(), 4); // {1, 2} scanners × {disjoint, full-range}
         let rendered = log.render("quick", 1);
         assert!(rendered.contains("\"disjoint\": true"));
@@ -1604,7 +1028,7 @@ mod tests {
     #[test]
     fn e7_runs_and_mentions_stats_state() {
         let mut log = JsonLog::new();
-        let s = e7(&tiny(), &mut log);
+        let s = run("e7", &mut log);
         assert!(s.contains("scan %") || s.contains("scan%") || s.contains("| 0 |"));
         assert_eq!(log.len(), 4); // one row per scan percentage
     }
@@ -1618,7 +1042,7 @@ mod tests {
     #[test]
     fn e8_reports_both_structures() {
         let mut log = JsonLog::new();
-        let s = e8(&ExpOpts { quick: true }, &mut log);
+        let s = run("e8", &mut log);
         assert!(s.contains("pnb-bst"));
         assert!(s.contains("rwlock-btreemap"));
         assert!(s.contains("range_scan"));
@@ -1628,7 +1052,7 @@ mod tests {
     #[test]
     fn e8r_reports_collector_scaling_rows() {
         let mut log = JsonLog::new();
-        let s = e8r(&tiny(), &mut log);
+        let s = run("e8r", &mut log);
         assert!(s.contains("pnb-bst"));
         assert!(s.contains("nb-bst"));
         // 2 structures × 3 thread counts in quick mode.
@@ -1641,7 +1065,7 @@ mod tests {
     #[test]
     fn e9_reports_arena_churn_rows() {
         let mut log = JsonLog::new();
-        let s = e9(&tiny(), &mut log);
+        let s = run("e9", &mut log);
         assert!(s.contains("pnb-bst"));
         assert!(s.contains("nb-bst"));
         // 2 structures × 3 thread counts in quick mode.
@@ -1659,7 +1083,7 @@ mod tests {
     #[test]
     fn e10_reports_shard_scaling_rows() {
         let mut log = JsonLog::new();
-        let s = e10(&tiny(), &mut log);
+        let s = run("e10", &mut log);
         assert!(s.contains("pnb-bst"));
         assert!(s.contains("pnb-sharded-x8"));
         // (1 unsharded + 3 shard counts) × 3 thread counts in quick mode.
@@ -1670,41 +1094,9 @@ mod tests {
     }
 
     #[test]
-    fn e11_reports_open_loop_rows_per_rate_and_class() {
-        let mut log = JsonLog::new();
-        let s = e11(&tiny(), &mut log);
-        for name in ["pnb-bst", "pnb-sharded", "nb-bst", "rwlock-btreemap"] {
-            assert!(s.contains(name), "{name} missing from the table");
-        }
-        // 4 structures × 3 offered rates × 3 op classes (every class of
-        // a 25/25/50 mix is sampled thousands of times per cell).
-        assert_eq!(log.len(), 36);
-        let rendered = log.render("quick", 1);
-        assert!(rendered.contains("\"experiment\": \"e11\""));
-        assert!(rendered.contains("\"offered_rate\""));
-        assert!(rendered.contains("\"achieved_rate\""));
-        assert!(rendered.contains("\"p999_ns\""));
-    }
-
-    #[test]
-    fn e12_reports_checkpoint_drag_rows_per_mode_rate_and_class() {
-        let mut log = JsonLog::new();
-        let s = e12(&tiny(), &mut log);
-        assert!(s.contains("Checkpoint drag"));
-        // 2 checkpointer modes × 2 offered rates × 3 op classes.
-        assert_eq!(log.len(), 12);
-        let rendered = log.render("quick", 1);
-        assert!(rendered.contains("\"experiment\": \"e12\""));
-        assert!(rendered.contains("\"checkpoint_active\": true"));
-        assert!(rendered.contains("\"checkpoint_active\": false"));
-        assert!(rendered.contains("\"checkpoints\""));
-        assert!(rendered.contains("\"interval_p99_max_ns\""));
-    }
-
-    #[test]
     fn e13_reports_batched_rows_with_descent_sharing() {
         let mut log = JsonLog::new();
-        let s = e13(&tiny(), &mut log);
+        let s = run("e13", &mut log);
         assert!(s.contains("Batch-size sweep"));
         assert!(s.contains("pnb-bst"));
         assert!(s.contains("pnb-sharded"));
@@ -1717,21 +1109,6 @@ mod tests {
         assert!(rendered.contains("\"ops_per_descent\""));
         assert!(rendered.contains("\"speedup_vs_singleton\""));
         assert!(rendered.contains("\"p99_ns\""));
-    }
-
-    #[test]
-    fn e15_reports_overload_shedding_rows() {
-        let mut log = JsonLog::new();
-        let s = e15(&tiny(), &mut log);
-        assert!(s.contains("Graceful degradation"));
-        assert!(s.contains("shed"));
-        // One row per offered-rate multiplier.
-        assert_eq!(log.len(), 4);
-        let rendered = log.render("quick", 1);
-        assert!(rendered.contains("\"experiment\": \"e15\""));
-        assert!(rendered.contains("\"goodput\""));
-        assert!(rendered.contains("\"shed_rate\""));
-        assert!(rendered.contains("\"goodput_vs_capacity\""));
     }
 
     #[test]

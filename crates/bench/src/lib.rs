@@ -14,8 +14,3 @@
 
 pub mod adapters;
 pub mod experiments;
-// Kept as a re-export so `pnbbst_bench::json::JsonLog` paths stay valid:
-// the emitter itself moved to `workload::json` so the `pnb-load` network
-// driver can write the same trajectory schema without depending on the
-// bench crate.
-pub use workload::json;

@@ -23,8 +23,8 @@
 //! adapter: arrivals on a fixed schedule, latency measured from each
 //! operation's *intended* start (coordinated-omission-free), per-class
 //! HDR histograms. Emits a human summary on stdout; `--json` writes
-//! rows in the same schema as experiments e11/e14 (`offered_rate`,
-//! `achieved_rate`, `p50_ns`, `p99_ns`, `p999_ns`, …); `--interval-log`
+//! one row per op class (`offered_rate`, `achieved_rate`, `p50_ns`,
+//! `p99_ns`, `p999_ns`, …); `--interval-log`
 //! appends per-interval `{"t_secs", "achieved_rate", "p50_ns",
 //! "p99_ns"}` JSONL rows so saturation collapses are visible in time,
 //! not averaged away.
@@ -269,7 +269,7 @@ fn main() -> ExitCode {
             usage();
         }
     };
-    // The same shapes e14 sweeps: point = 25i/25u(del)/50f, range adds
+    // Mix shapes: point = 25i/25u(del)/50f, range adds
     // 10% width-100 scans, update is insert/delete only; find is a
     // read-only mix (keeps map content fixed — checkpoint smoke uses it
     // to apply load across a kill -9 without changing the key set).

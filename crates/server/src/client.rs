@@ -368,7 +368,6 @@ pub struct NetMap {
     addr: SocketAddr,
     policy: crate::retry::RetryPolicy,
     pool: Mutex<Vec<crate::retry::ReconnectingClient>>,
-    count_only_scans: bool,
 }
 
 impl NetMap {
@@ -396,20 +395,7 @@ impl NetMap {
             addr,
             policy,
             pool: Mutex::new(vec![probe]),
-            count_only_scans: false,
         })
-    }
-
-    /// Make sessions issue COUNT_ONLY range scans (only the count
-    /// crosses the wire) instead of the default entry transfer.
-    ///
-    /// The default measures what the in-process adapters measure —
-    /// materialized entries, serialization and transfer included — so
-    /// E11↔E14 range latencies compare like for like. Flip this on only
-    /// to isolate traversal cost from result marshalling.
-    pub fn count_only_scans(mut self, enabled: bool) -> Self {
-        self.count_only_scans = enabled;
-        self
     }
 
     /// The resolved server address.
@@ -477,18 +463,11 @@ impl MapSession for NetSession<'_> {
     }
 
     fn range_scan(&mut self, lo: &u64, hi: &u64) -> usize {
-        if self.map.count_only_scans {
-            return self
-                .client()
-                .range_count(*lo, *hi)
-                .expect("range over the wire") as usize;
-        }
-        // Entry transfer is the measured default: the in-process
-        // adapters materialize entries, so the over-the-wire latency
-        // must pay serialization and transfer too or E11↔E14 range
-        // comparisons are apples-to-oranges. A truncated reply would
-        // under-count that cost — fail loudly per this adapter's
-        // contract instead of fabricating comparable-looking numbers.
+        // Entries cross the wire: the in-process adapters materialize
+        // entries, so the served range latency pays serialization and
+        // transfer too. A truncated reply would under-count that cost —
+        // fail loudly per this adapter's contract instead of fabricating
+        // comparable-looking numbers.
         let (lo, hi) = (*lo, *hi);
         let reply = self
             .client()
@@ -496,8 +475,7 @@ impl MapSession for NetSession<'_> {
             .expect("range over the wire");
         assert!(
             !reply.truncated,
-            "range [{lo}, {hi}] truncated at {} of {} entries: narrow the range \
-             or opt into NetMap::count_only_scans",
+            "range [{lo}, {hi}] truncated at {} of {} entries: narrow the range",
             reply.entries.len(),
             reply.count,
         );

@@ -29,8 +29,8 @@
 //! Two binaries ship with the crate: `pnb-server` (the daemon) and
 //! `pnb-load` (an open-loop, coordinated-omission-free load driver
 //! built on `workload::run_open_loop` over [`client::NetMap`]).
-//! Experiment e14 in the bench crate sweeps offered rates through this
-//! stack on loopback. DESIGN.md §8 documents the wire format.
+//! `benchmark/`'s `net-*` workloads measure this stack on loopback.
+//! DESIGN.md §8 documents the wire format.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -227,7 +227,7 @@ impl ShutdownHandle {
 
 /// A bound-but-not-yet-running server. [`run`](Server::run) blocks the
 /// calling thread; [`spawn`](Server::spawn) runs it on its own thread
-/// (tests, benchmarks, the e14 experiment).
+/// (tests, benchmarks).
 pub struct Server {
     listener: TcpListener,
     map: ShardedPnbBst<u64, u64>,
