@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Every local gate, in order, stopping at the first red one — what
-# `ci.yml`'s lint, docs, smoke, benchmark and all-features test steps run, for an
+# `ci.yml`'s lint, docs, test, smoke and benchmark steps run, for an
 # environment that never executes `ci.yml`.
 #
 #   ci/all.sh
@@ -21,9 +21,9 @@ step cargo fmt --check
 step cargo clippy --all-targets --all-features --offline -- -D warnings
 # ci.yml's "Docs" step: a broken intra-doc link fails here too.
 step env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
-# Tier-1 builds without `stats`: this runs the `stats`-gated assertions
-# and the server's failpoint tests.
-step cargo test --all-features -q --offline
+# The tier-1 tests (no feature adds a test: `--all-features` runs the
+# same suite).
+step cargo test -q --offline
 step ci/sanitize.sh
 step ci/check_seqcst.sh
 step ci/check_links.sh

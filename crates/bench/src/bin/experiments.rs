@@ -6,8 +6,7 @@
 //! cargo run --release -p pnbbst-bench --bin experiments            # full sweep
 //! cargo run --release -p pnbbst-bench --bin experiments -- --quick # CI-sized
 //! cargo run --release -p pnbbst-bench --bin experiments -- e1 e5   # subset
-//! cargo run --release -p pnbbst-bench --features stats --bin experiments -- e7
-//! cargo run --release -p pnbbst-bench --features stats --bin experiments -- e9
+//! cargo run --release -p pnbbst-bench --bin experiments -- e7 e9   # counters
 //! cargo run --release -p pnbbst-bench --bin experiments -- e10  # shard-count sweep
 //! cargo run --release -p pnbbst-bench --bin experiments -- --quick --json BENCH_quick.json
 //! ```

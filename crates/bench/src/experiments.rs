@@ -420,9 +420,7 @@ fn e6(opts: &ExpOpts, log: &mut JsonLog) -> String {
 }
 
 /// E7: ablation of the coordination mechanisms — handshake aborts and
-/// helping as the scan rate grows. Needs the `stats` build
-/// (`--features stats`); otherwise counters read zero and the table says
-/// so.
+/// helping as the scan rate grows, from the tree's counters.
 fn e7(opts: &ExpOpts, log: &mut JsonLog) -> String {
     let kr = 10_000u64;
     let threads = if opts.quick { 2 } else { 4 };
@@ -432,7 +430,6 @@ fn e7(opts: &ExpOpts, log: &mut JsonLog) -> String {
          | scan % | total ops | handshake aborts | freeze aborts | helps | validation fails |\n\
          |---|---|---|---|---|---|\n"
     );
-    let stats_enabled = cfg!(feature = "stats");
     for scan_pct in [0u32, 1, 10, 30] {
         let map = adapters::Pnb::new();
         let find = 40 - scan_pct;
@@ -447,7 +444,6 @@ fn e7(opts: &ExpOpts, log: &mut JsonLog) -> String {
                 ("scan_pct", Val::U(scan_pct as u64)),
                 ("threads", Val::U(threads as u64)),
                 ("key_range", Val::U(kr)),
-                ("stats_enabled", Val::B(stats_enabled)),
                 ("total_ops", Val::U(m.total_ops)),
                 ("handshake_aborts", Val::U(st.handshake_aborts)),
                 ("freeze_aborts", Val::U(st.freeze_aborts)),
@@ -459,13 +455,6 @@ fn e7(opts: &ExpOpts, log: &mut JsonLog) -> String {
             "| {scan_pct} | {} | {} | {} | {} | {} |\n",
             m.total_ops, st.handshake_aborts, st.freeze_aborts, st.helps, st.validation_failures
         ));
-    }
-    if !stats_enabled {
-        out.push_str(
-            "\n*(counters are all zero: rebuild with `--features stats` to \
-             populate this table — kept out of the default build so shared \
-             counters cannot perturb E1–E6)*\n",
-        );
     }
     out
 }
@@ -522,28 +511,20 @@ fn e8(opts: &ExpOpts, log: &mut JsonLog) -> String {
 }
 
 /// Collector counters bracketing a measured run: deltas of (bags
-/// sealed, bags freed, advance attempts, advance successes). All zeros
-/// without the `stats` build.
+/// sealed, bags freed, advance attempts, advance successes).
 fn collector_delta<T>(run: impl FnOnce() -> T) -> (T, [u64; 4]) {
-    #[cfg(feature = "stats")]
-    {
-        let b = pnb_bst::collector_stats();
-        let out = run();
-        let a = pnb_bst::collector_stats();
-        (
-            out,
-            [
-                a.bags_sealed - b.bags_sealed,
-                a.bags_freed - b.bags_freed,
-                a.advance_attempts - b.advance_attempts,
-                a.advance_successes - b.advance_successes,
-            ],
-        )
-    }
-    #[cfg(not(feature = "stats"))]
-    {
-        (run(), [0; 4])
-    }
+    let b = pnb_bst::collector_stats();
+    let out = run();
+    let a = pnb_bst::collector_stats();
+    (
+        out,
+        [
+            a.bags_sealed - b.bags_sealed,
+            a.bags_freed - b.bags_freed,
+            a.advance_attempts - b.advance_attempts,
+            a.advance_successes - b.advance_successes,
+        ],
+    )
 }
 
 /// E8r (extension) — collector reclamation scaling: a retire-heavy
@@ -551,10 +532,9 @@ fn collector_delta<T>(run: impl FnOnce() -> T) -> (T, [u64; 4]) {
 /// committed update pushes garbage through the epoch collector. This is
 /// the workload that used to measure the reclamation shim's two global
 /// mutexes rather than the tree; with the lock-free collector the curve
-/// tracks the structure. With `--features stats` the table also shows
-/// the collector at work (bags sealed/freed, epoch advances).
+/// tracks the structure. The table also shows the collector at work
+/// (bags sealed/freed, epoch advances).
 fn e8r(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    let stats_enabled = cfg!(feature = "stats");
     let mut out = format!(
         "\n### E8r — Collector reclamation scaling (50i/50d, key range {CHURN_KEYS})\n\n\
          | structure | threads | throughput | bags sealed | bags freed | advances (ok/try) |\n\
@@ -573,7 +553,6 @@ fn e8r(opts: &ExpOpts, log: &mut JsonLog) -> String {
                 ("structure", Val::s(&m.name)),
                 ("threads", Val::U(t as u64)),
                 ("key_range", Val::U(CHURN_KEYS)),
-                ("stats_enabled", Val::B(stats_enabled)),
                 ("total_ops", Val::U(m.total_ops)),
                 ("ops_per_sec", Val::F(m.ops_per_sec)),
                 ("bags_sealed", Val::U(d[0])),
@@ -592,12 +571,6 @@ fn e8r(opts: &ExpOpts, log: &mut JsonLog) -> String {
             d[2],
         )
     });
-    if !stats_enabled {
-        out.push_str(
-            "\n*(collector columns are all zero: rebuild with `--features \
-             stats` to watch the collector work)*\n",
-        );
-    }
     out
 }
 
@@ -633,43 +606,34 @@ fn churn(
 }
 
 /// Arena counters bracketing a measured run: deltas of (pool hits,
-/// pool misses, recycled bytes). All zeros without the `stats` build.
+/// pool misses, recycled bytes).
 fn arena_delta<T>(run: impl FnOnce() -> T) -> (T, [u64; 3]) {
-    #[cfg(feature = "stats")]
-    {
-        // Drain the collector around both snapshots: the counters are
-        // process-global, so a previous structure's still-ripening
-        // garbage must not recycle inside this bracket and be
-        // attributed to it.
-        pnb_bst::collector_drain(64);
-        let b = pnb_bst::arena_stats();
-        let out = run();
-        pnb_bst::collector_drain(64);
-        let a = pnb_bst::arena_stats();
-        (
-            out,
-            [
-                a.pool_hits - b.pool_hits,
-                a.pool_misses - b.pool_misses,
-                a.recycled_bytes - b.recycled_bytes,
-            ],
-        )
-    }
-    #[cfg(not(feature = "stats"))]
-    {
-        (run(), [0; 3])
-    }
+    // Drain the collector around both snapshots: the counters are
+    // process-global, so a previous structure's still-ripening garbage
+    // must not recycle inside this bracket and be attributed to it.
+    pnb_bst::collector_drain(64);
+    let b = pnb_bst::arena_stats();
+    let out = run();
+    pnb_bst::collector_drain(64);
+    let a = pnb_bst::arena_stats();
+    (
+        out,
+        [
+            a.pool_hits - b.pool_hits,
+            a.pool_misses - b.pool_misses,
+            a.recycled_bytes - b.recycled_bytes,
+        ],
+    )
 }
 
 /// E9 (extension) — allocator churn: the update-only mix over a tiny
 /// key range, the workload where per-attempt `Node`/`Info` allocation
 /// dominates. Tracks the per-thread arena pools at work (hits, misses,
-/// recycled bytes — `stats` build) next to throughput; `nb-bst` rides
+/// recycled bytes) next to throughput; `nb-bst` rides
 /// along as the non-pooled epoch baseline. The committed
 /// `BENCH_baseline.json` E1 rows are the pre-arena reference this
 /// experiment's gains are measured against.
 fn e9(opts: &ExpOpts, log: &mut JsonLog) -> String {
-    let stats_enabled = cfg!(feature = "stats");
     let mut out = format!(
         "\n### E9 — Arena/allocator churn (50i/50d, key range {CHURN_KEYS})\n\n\
          | structure | threads | throughput | pool hits | pool misses | hit rate | recycled |\n\
@@ -693,7 +657,6 @@ fn e9(opts: &ExpOpts, log: &mut JsonLog) -> String {
                 ("structure", Val::s(&m.name)),
                 ("threads", Val::U(t as u64)),
                 ("key_range", Val::U(CHURN_KEYS)),
-                ("stats_enabled", Val::B(stats_enabled)),
                 ("total_ops", Val::U(m.total_ops)),
                 ("ops_per_sec", Val::F(m.ops_per_sec)),
                 ("pool_hits", Val::U(d[0])),
@@ -710,12 +673,6 @@ fn e9(opts: &ExpOpts, log: &mut JsonLog) -> String {
             fmt_bytes(d[2]),
         )
     });
-    if !stats_enabled {
-        out.push_str(
-            "\n*(arena columns are all zero: rebuild with `--features \
-             stats` to watch the pools work)*\n",
-        );
-    }
     out
 }
 
@@ -1073,10 +1030,9 @@ mod tests {
         let rendered = log.render("quick", 1);
         assert!(rendered.contains("\"experiment\": \"e9\""));
         assert!(rendered.contains("\"pool_hits\""));
-        #[cfg(feature = "stats")]
-        {
-            // The pnb rows must show the pools actually working.
-            assert!(rendered.contains("\"stats_enabled\": true"));
+        // The pnb rows must show the pools actually working: a hit rate.
+        for row in s.lines().filter(|l| l.starts_with("| pnb-bst |")) {
+            assert!(row.contains('%'), "no pool hits: {row}");
         }
     }
 

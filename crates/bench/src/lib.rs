@@ -5,9 +5,8 @@
 //! [-- e1 e3 ...]` — the timed setbench-style sweeps that regenerate
 //! the EXPERIMENTS.md tables (ops/sec at fixed wall-clock duration).
 //!
-//! The `stats` feature forwards to `pnb-bst/stats` and populates the E7
-//! ablation counters; it is off by default so shared counters cannot
-//! perturb the scalability numbers.
+//! The E7, E8r and E9 counters come from the trees', the collector's and
+//! the arena's always-on counters: every build counts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

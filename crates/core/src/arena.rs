@@ -61,8 +61,8 @@
 //! Local lists spill past [`LOCAL_CAP`] blocks; exiting threads hand
 //! their pools to the spillover so survivors inherit the warm memory.
 //! The pools retain their peak working set by design — [`trim`] unmaps
-//! every wholly unused slab at workload boundaries. The `stats` feature
-//! adds process-global hit/miss/recycle counters ([`ArenaStats`]).
+//! every wholly unused slab at workload boundaries. Process-global
+//! hit/miss/recycle counters ([`ArenaStats`]) are always on.
 
 use std::alloc::{alloc as global_alloc, dealloc as global_dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
@@ -529,11 +529,10 @@ fn retype<A, B>(v: Vec<*const A>) -> Vec<*const B> {
 }
 
 // ---------------------------------------------------------------------------
-// Counters (stats feature)
+// Counters
 // ---------------------------------------------------------------------------
 
-/// Process-global arena counters, exposed through `arena_stats` (a
-/// `pnb_bst` re-export that exists with the `stats` feature).
+/// Process-global arena counters, read by [`arena_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Allocations served from a thread-local free list.
@@ -686,36 +685,24 @@ mod asan {
     pub(super) fn unpoison(_raw: *mut u8, _layout: Layout) {}
 }
 
-#[cfg(feature = "stats")]
+/// Process-global hit/miss/recycle counters, read by [`arena_stats`].
 mod counters {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use crate::stats::Striped;
 
-    pub(super) static HITS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static MISSES: AtomicU64 = AtomicU64::new(0);
-    pub(super) static RECYCLED: AtomicU64 = AtomicU64::new(0);
+    pub(super) static COUNTS: Striped<3> = Striped::new();
 
     #[inline]
     pub(super) fn hit() {
-        HITS.fetch_add(1, Relaxed);
+        COUNTS.add(0, 1);
     }
     #[inline]
     pub(super) fn miss() {
-        MISSES.fetch_add(1, Relaxed);
+        COUNTS.add(1, 1);
     }
     #[inline]
     pub(super) fn recycled(bytes: u64) {
-        RECYCLED.fetch_add(bytes, Relaxed);
+        COUNTS.add(2, bytes);
     }
-}
-
-#[cfg(not(feature = "stats"))]
-mod counters {
-    #[inline(always)]
-    pub(super) fn hit() {}
-    #[inline(always)]
-    pub(super) fn miss() {}
-    #[inline(always)]
-    pub(super) fn recycled(_bytes: u64) {}
 }
 
 /// Return to the kernel every slab whose blocks are *all*
@@ -796,13 +783,12 @@ fn trim_class(local: &mut Class, g: &GlobalClass) {
 }
 
 /// Read the process-global arena counters (monotone; assert on deltas).
-#[cfg(feature = "stats")]
 pub fn arena_stats() -> ArenaStats {
-    use std::sync::atomic::Ordering::Relaxed;
+    let [pool_hits, pool_misses, recycled_bytes] = counters::COUNTS.read();
     ArenaStats {
-        pool_hits: counters::HITS.load(Relaxed),
-        pool_misses: counters::MISSES.load(Relaxed),
-        recycled_bytes: counters::RECYCLED.load(Relaxed),
+        pool_hits,
+        pool_misses,
+        recycled_bytes,
     }
 }
 

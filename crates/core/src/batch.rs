@@ -175,6 +175,10 @@ struct Lane<'a, K, V> {
     gp: Shared<'a, Node<K, V>>,
     p: Shared<'a, Node<K, V>>,
     l: Shared<'a, Node<K, V>>,
+    /// Nodes read (a node per step, the leaf included) and `prev` hops
+    /// taken, for the tree's counters.
+    nodes: u64,
+    hops: u64,
 }
 
 impl<'a, K, V> Lane<'a, K, V>
@@ -191,6 +195,8 @@ where
             gp: Shared::null(),
             p: Shared::null(),
             l: Shared::from(h.tree.root),
+            nodes: 0,
+            hops: 0,
         }
     }
 }
@@ -204,7 +210,9 @@ where
 /// a lane prefetches, without dereferencing, the `Info` lines its
 /// `p`/`gp` update words name, which the attempt's validation reads
 /// next. Each lane ends on exactly the triple `search(k, seq)` returns.
-fn search_lanes<K, V>(lanes: &mut [Lane<'_, K, V>])
+/// The lanes' reads go to their trees' counters, once per tree; returns
+/// the rounds taken.
+fn search_lanes<K, V>(lanes: &mut [Lane<'_, K, V>]) -> u64
 where
     K: Ord + Clone + 'static,
     V: Clone + 'static,
@@ -213,9 +221,9 @@ where
     // Unfinished lanes; a finished one gives its slot to the last.
     let mut live: [u8; LANES] = std::array::from_fn(|i| i as u8);
     let mut n = lanes.len();
+    let mut rounds = 0;
     while n > 0 {
-        #[cfg(test)]
-        LANE_READS.with(|c| c.set((c.get().0 + 1, c.get().1)));
+        rounds += 1;
         let mut i = 0;
         while i < n {
             let lane = &mut lanes[live[i] as usize];
@@ -225,13 +233,12 @@ where
             // batch holds until it returns.
             let mut node = unsafe { lane.l.deref() };
             if node.seq > lane.seq {
-                lane.l = PnbBst::read_child_slow(node, lane.seq);
+                lane.l = PnbBst::read_child_slow(node, lane.seq, &mut lane.hops);
                 // SAFETY: as above; the `prev` chain ends at a non-null
                 // node (Invariant 4.10).
                 node = unsafe { lane.l.deref() };
             }
-            #[cfg(test)]
-            LANE_READS.with(|c| c.set((c.get().0, c.get().1 + 1)));
+            lane.nodes += 1;
             if node.is_leaf() {
                 // SAFETY: as above; p is non-null at a leaf (the root is
                 // internal), and gp is null only when p is the root.
@@ -250,13 +257,13 @@ where
             i += 1;
         }
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// `(rounds, nodes)` of [`search_lanes`] on this thread: a node per
-    /// step, the leaf included (`prev` hops count in `search::PREV_HOPS`).
-    static LANE_READS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    // The window's lanes are sorted by tree: one add per tree.
+    for run in lanes.chunk_by(|a, b| std::ptr::eq(a.h.tree, b.h.tree)) {
+        let stats = &run[0].h.tree.stats;
+        stats.search_nodes(run.iter().map(|l| l.nodes).sum());
+        stats.search_prev_hops(run.iter().map(|l| l.hops).sum());
+    }
+    rounds
 }
 
 /// Retained descent prefix: frames of `(node, hi)` pairs flattened into
@@ -423,7 +430,8 @@ where
         // SAFETY: frames hold internal nodes read under this guard.
         let p_ref = unsafe { &*p_raw };
         let mut left = p_ref.key.fin_lt(k);
-        let mut l = self.read_child(p_ref, left, seq, guard);
+        let mut hops = 0;
+        let mut l = self.read_child(p_ref, left, seq, guard, &mut hops);
         loop {
             // SAFETY: read_child returns non-null reachable nodes.
             let l_ref = unsafe { l.deref() };
@@ -437,8 +445,9 @@ where
             hi = child_hi;
             stack.push(p.as_raw(), child_hi);
             left = l_ref.key.fin_lt(k);
-            l = self.read_child(l_ref, left, seq, guard);
+            l = self.read_child(l_ref, left, seq, guard, &mut hops);
         }
+        self.stats.search_prev_hops(hops);
         (gp, p, l)
     }
 }
@@ -659,7 +668,8 @@ mod tests {
         let mut node = unsafe { &*t.root };
         let mut len = 0;
         while !node.is_leaf() {
-            node = unsafe { t.read_child(node, node.key.fin_lt(&k), seq, guard).deref() };
+            let left = node.key.fin_lt(&k);
+            node = unsafe { t.read_child(node, left, seq, guard, &mut 0).deref() };
             len += 1;
         }
         len
@@ -677,14 +687,14 @@ mod tests {
         for lane in &mut lanes {
             lane.seq = seq;
         }
-        let (r0, n0) = LANE_READS.with(|c| c.get());
-        let hops = crate::search::PREV_HOPS.with(|c| c.get());
-        search_lanes(&mut lanes);
-        let (r1, n1) = LANE_READS.with(|c| c.get());
-        let hops = crate::search::PREV_HOPS.with(|c| c.get()) - hops;
+        let before = h.tree.stats();
+        let rounds = search_lanes(&mut lanes);
+        let after = h.tree.stats();
+        let nodes = after.search_nodes - before.search_nodes;
+        let hops = after.search_prev_hops - before.search_prev_hops;
         let triples = (lanes.iter()).map(|l| [l.gp.as_raw(), l.p.as_raw(), l.l.as_raw()]);
         let triples = triples.collect();
-        (triples, (r1 - r0, n1 - n0, hops))
+        (triples, (rounds, nodes, hops))
     }
 
     /// Zero-spread counter for the lock-step search: every lane returns
@@ -713,12 +723,12 @@ mod tests {
         let mut old_hops = 0;
         for seq in [old, t.phase()] {
             let (triples, (rounds, nodes, hops)) = lanes_at(&h, &keys, seq);
-            let before = crate::search::PREV_HOPS.with(|c| c.get());
+            let before = t.stats().search_prev_hops;
             for (k, got) in keys.iter().zip(&triples) {
                 let (gp, p, l) = t.search(k, seq, guard);
                 assert_eq!(*got, [gp.as_raw(), p.as_raw(), l.as_raw()], "{k} @ {seq}");
             }
-            let search_hops = crate::search::PREV_HOPS.with(|c| c.get()) - before;
+            let search_hops = t.stats().search_prev_hops - before;
             assert_eq!(
                 hops, search_hops,
                 "@ {seq}: the lanes hop where Search does"
@@ -758,9 +768,9 @@ mod tests {
             .iter()
             .map(|op| path_len(&t, *op.key(), seq, &h.guard) + 1)
             .sum();
-        let (_, n0) = LANE_READS.with(|c| c.get());
+        let n0 = t.stats().search_nodes;
         let (outs, report) = h.apply_batch_reported(&ops);
-        let (_, n1) = LANE_READS.with(|c| c.get());
+        let n1 = t.stats().search_nodes;
         assert_eq!(n1 - n0, want);
         assert_eq!(
             report,

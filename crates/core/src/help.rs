@@ -472,15 +472,14 @@ mod tests {
         // first attempt on every path (a duplicate insert or an absent
         // delete decides in one), and nothing aborts; only a batch's lanes
         // that its own earlier ops made stale fail validation, once each.
-        // A read makes no attempt. Without `stats` every count reads 0.
+        // A read makes no attempt.
         use crate::batch::{BatchOp, BatchOutcome};
-        let per_update = if cfg!(feature = "stats") { 1 } else { 0 };
         let t: PnbBst<u32, u32> = PnbBst::new();
         let h = t.pin();
         let attempts = |updates: u64, f: &dyn Fn()| {
             let before = t.stats().update_attempts;
             f();
-            assert_eq!(t.stats().update_attempts - before, updates * per_update);
+            assert_eq!(t.stats().update_attempts - before, updates);
         };
         for k in 0..50 {
             attempts(1, &|| assert!(h.insert(k, k)));
@@ -520,11 +519,7 @@ mod tests {
             s.validation_failures - before.validation_failures,
             s.helps - before.helps,
         );
-        assert_eq!(
-            stale,
-            (54 * per_update, 21 * per_update),
-            "34 updates, 20 gets"
-        );
+        assert_eq!(stale, (54, 21), "34 updates, 20 gets");
         #[cfg(feature = "testing-internals")]
         {
             use crate::testing::PauseOutcome;
@@ -541,7 +536,7 @@ mod tests {
         let s = t.stats();
         assert_eq!(
             (s.validation_failures, s.helps, s.freeze_cas_failures),
-            (54 * per_update, 21 * per_update, 0)
+            (54, 21, 0)
         );
         assert_eq!((s.handshake_aborts, s.freeze_aborts), (0, 0));
         t.check_invariants();

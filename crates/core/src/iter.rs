@@ -85,20 +85,22 @@ pub(crate) struct Walk<'a, K, V, const DESC: bool> {
     /// allocates nothing.
     stack: ScanStack<Node<K, V>>,
     /// Nodes visited: internal nodes expanded plus leaves consumed.
-    #[cfg(test)]
+    /// Added to the tree's counters when the walk ends, with `prev_hops`.
     nodes_read: u64,
     /// `prev` hops taken inside `ReadChild`.
-    #[cfg(test)]
     prev_hops: u64,
-    /// In-progress updates helped.
-    #[cfg(test)]
-    helps: u64,
 }
 
 impl<K, V, const DESC: bool> Walk<'_, K, V, DESC> {
     /// Subtrees still to visit.
     fn pending(&self) -> usize {
         self.stack.len() / 2
+    }
+}
+
+impl<K, V, const DESC: bool> Drop for Walk<'_, K, V, DESC> {
+    fn drop(&mut self) {
+        self.tree.stats.walk(self.nodes_read, self.prev_hops);
     }
 }
 
@@ -119,12 +121,8 @@ where
             guard,
             seq,
             stack,
-            #[cfg(test)]
             nodes_read: 0,
-            #[cfg(test)]
             prev_hops: 0,
-            #[cfg(test)]
-            helps: 0,
         }
     }
 
@@ -141,10 +139,7 @@ where
             }
             let n = self.stack.len();
             self.stack.truncate(n - 2);
-            #[cfg(test)]
-            {
-                self.nodes_read += 1;
-            }
+            self.nodes_read += 1;
             // SAFETY: every stacked node is the root or came from
             // `read_child` under `self.guard`, which outlives `'a`.
             let leaf: &'a Node<K, V> = unsafe { &*node };
@@ -239,15 +234,8 @@ where
             if st == state::UNDECIDED || st == state::TRY {
                 self.tree.stats.scan_helps();
                 self.tree.help(info, guard);
-                #[cfg(test)]
-                {
-                    self.helps += 1;
-                }
             }
-            #[cfg(test)]
-            {
-                self.nodes_read += 1;
-            }
+            self.nodes_read += 1;
             // Lines 141–144: the version-seq children, the one that pops
             // first on top: left when ascending, right when descending.
             // The lane's words were read above, and `at <= w`.
@@ -269,13 +257,9 @@ where
     /// `ReadChild(node, left, seq)`, as the child's two stack words.
     #[inline]
     fn read_child(&mut self, node: &Node<K, V>, left: bool) -> [*const Node<K, V>; 2] {
-        #[cfg(test)]
-        let hops = crate::search::PREV_HOPS.with(|h| h.get());
-        let child = self.tree.read_child(node, left, self.seq, self.guard);
-        #[cfg(test)]
-        {
-            self.prev_hops += crate::search::PREV_HOPS.with(|h| h.get()) - hops;
-        }
+        let child = self
+            .tree
+            .read_child(node, left, self.seq, self.guard, &mut self.prev_hops);
         // SAFETY: read_child returns a non-null node reachable under the
         // guard, whose `seq` it has just read.
         [child.as_raw(), leaf_flag(unsafe { child.deref() })]
@@ -528,8 +512,11 @@ mod tests {
             } else {
                 (Bound::Included(&lo), Bound::Included(&hi))
             };
+            let before = t.stats();
             let mut walk = Walk::<_, _, false>::new(&t, guard, seq);
             let (keys, _) = drain(&mut walk, lo_b, hi_b);
+            drop(walk);
+            let read = t.stats();
             let want: Vec<i64> = expected
                 .iter()
                 .map(|&(k, _)| k)
@@ -542,9 +529,12 @@ mod tests {
                 (lo.into(), hi.into())
             };
             let (nodes, hops, _) = reference(root, seq, all, bounds, guard);
-            assert_eq!(walk.nodes_read, nodes, "{lo}..={hi}: nodes read");
-            assert_eq!(walk.prev_hops, hops, "{lo}..={hi}: prev hops");
-            assert_eq!(walk.helps, 0, "{lo}..={hi}: nothing was in flight");
+            let nodes_read = read.walk_nodes - before.walk_nodes;
+            let prev_hops = read.walk_prev_hops - before.walk_prev_hops;
+            let helps = read.scan_helps - before.scan_helps;
+            assert_eq!(nodes_read, nodes, "{lo}..={hi}: nodes read");
+            assert_eq!(prev_hops, hops, "{lo}..={hi}: prev hops");
+            assert_eq!(helps, 0, "{lo}..={hi}: nothing was in flight");
             total_hops += hops;
         }
         assert!(total_hops > 0, "the updates must have grown prev chains");

@@ -109,15 +109,21 @@
 //! line, and read-only operations never allocate at all (`DESIGN.md`
 //! §3.5).
 //!
+//! ## Counters
+//!
+//! Counting is always on. [`PnbBst::stats`] reads the tree's counter
+//! block: helping, aborts and CAS failures, the operations it served,
+//! and the nodes and `prev` hops its reads took. [`arena_stats`] and
+//! [`collector_stats`] read the process-global allocator and collector
+//! counters. A tree's block is striped by thread, so up to 16 threads
+//! updating different parts of the tree never write one counter line.
+//!
 //! ## Feature flags
 //!
-//! * `stats` — cheap atomic counters for helping/abort/CAS-failure
-//!   events, for ablation studies, plus the epoch collector's
-//!   process-global counters (`collector_stats`, re-exported from the
-//!   reclamation layer). Off by default.
 //! * `testing-internals` — deterministic fault injection
 //!   (`testing::PausedUpdate`): suspend an update right after it
 //!   becomes visible, to exercise helping and crash tolerance.
+//! * `stats` — empty; kept so that packages that name it still resolve.
 //!
 //! ## Batched operations
 //!
@@ -164,12 +170,9 @@ pub use tree::PnbBst;
 /// Epoch-collector statistics (bags sealed/freed, advance
 /// attempts/successes), re-exported from the reclamation layer. The
 /// counters are process-global and monotone: assert on deltas.
-#[cfg(feature = "stats")]
 pub use crossbeam_epoch::{collector_stats, CollectorStats};
 
-#[cfg(feature = "stats")]
-pub use arena::arena_stats;
-pub use arena::{trim as arena_trim, ArenaStats};
+pub use arena::{arena_stats, trim as arena_trim, ArenaStats};
 
 /// Run `passes` seal-and-collect passes of the epoch collector on the
 /// current thread. With no other thread pinned this drains every ripe

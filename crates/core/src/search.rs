@@ -44,6 +44,7 @@ where
         let mut gp: Shared<'g, Node<K, V>> = Shared::null();
         let mut p: Shared<'g, Node<K, V>> = Shared::null();
         let mut l: Shared<'g, Node<K, V>> = Shared::from(self.root);
+        let mut hops = 0;
         loop {
             // SAFETY: l starts at the root and every subsequent value
             // comes from `read_child`, which returns nodes reachable
@@ -55,8 +56,9 @@ where
             gp = p; // line 37
             p = l; // line 38
                    // line 39: descend to the version-seq child.
-            l = self.read_child(l_ref, l_ref.key.fin_lt(k), seq, guard);
+            l = self.read_child(l_ref, l_ref.key.fin_lt(k), seq, guard, &mut hops);
         }
+        self.stats.search_prev_hops(hops);
         (gp, p, l)
     }
 
@@ -70,7 +72,8 @@ where
     /// walk: whenever the *current* child already satisfies
     /// `child.seq <= seq` — every read in the scan-free regime, and the
     /// overwhelmingly common case otherwise — no `prev` pointer is ever
-    /// touched and the whole call inlines into the search loop.
+    /// touched and the whole call inlines into the search loop. The
+    /// `prev` hops taken are added to `hops`.
     #[inline]
     pub(crate) fn read_child<'g>(
         &self,
@@ -78,6 +81,7 @@ where
         left: bool,
         seq: u64,
         guard: &'g Guard,
+        hops: &mut u64,
     ) -> Shared<'g, Node<K, V>> {
         debug_assert!(p.seq <= seq, "ReadChild precondition: p.seq <= seq");
         debug_assert!(!p.is_leaf(), "ReadChild on a leaf");
@@ -87,21 +91,21 @@ where
         if l_ref.seq <= seq {
             return l; // fast path: current child is already version-visible
         }
-        Self::read_child_slow(l_ref, seq)
+        Self::read_child_slow(l_ref, seq, hops)
     }
 
     /// The `prev`-chain walk of `ReadChild` (line 46), out of line: only
     /// reached when a concurrent (or past) scan closed a phase below a
     /// newer child — keeping it `#[cold]` keeps the fast path's code
-    /// size inside the inlined search loop.
+    /// size inside the inlined search loop. Adds its hops to `hops`.
     #[cold]
     pub(crate) fn read_child_slow<'g>(
         mut l_ref: &'g Node<K, V>,
         seq: u64,
+        hops: &mut u64,
     ) -> Shared<'g, Node<K, V>> {
         loop {
-            #[cfg(test)]
-            PREV_HOPS.with(|h| h.set(h.get() + 1));
+            *hops += 1;
             debug_assert!(!l_ref.prev.is_null(), "prev chain must reach seq <= seq");
             // SAFETY: each prev-target was unlinked no earlier than our
             // pin (see DESIGN.md §3: any unlink with seq' <= seq
@@ -115,13 +119,6 @@ where
             l_ref = prev;
         }
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// `prev` hops `read_child` has taken on this thread, for the walk's
-    /// read-set counters (`iter.rs`).
-    pub(crate) static PREV_HOPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

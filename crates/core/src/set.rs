@@ -86,7 +86,7 @@ where
         self.map.phase()
     }
 
-    /// Operation statistics (zeros unless the `stats` feature is on).
+    /// The set's counters (see [`PnbBst::stats`]).
     pub fn stats(&self) -> StatsSnapshot {
         self.map.stats()
     }

@@ -96,6 +96,7 @@ where
         // SAFETY: the root is never replaced (Observation 1) and lives as
         // long as the tree, which outlives the snapshot.
         let mut node = unsafe { &*self.tree.root };
+        let mut hops = 0;
         while !node.is_leaf() {
             // Scanner-side load (`load_update_scan`): this walk reads
             // the closed phase `seq`, same obligations as `ScanHelper`.
@@ -106,13 +107,13 @@ where
             if st == state::UNDECIDED || st == state::TRY {
                 self.tree.help(w.info(), guard);
             }
-            let child = self
-                .tree
-                .read_child(node, node.key.fin_lt(key), self.seq, guard);
+            let left = node.key.fin_lt(key);
+            let child = self.tree.read_child(node, left, self.seq, guard, &mut hops);
             // SAFETY: read_child returns a non-null node reachable under
             // the snapshot's pinned guard.
             node = unsafe { child.deref() };
         }
+        self.tree.stats.search_prev_hops(hops);
         node
     }
 
@@ -237,7 +238,6 @@ mod tests {
         t
     }
 
-    #[cfg(feature = "stats")]
     #[test]
     fn every_phase_close_counts_as_a_scan() {
         let t: PnbBst<u32, u32> = PnbBst::new();

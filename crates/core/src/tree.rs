@@ -161,8 +161,8 @@ where
         self.counter.load(Relaxed)
     }
 
-    /// Read the operation statistics counters (all zero unless the
-    /// `stats` feature is enabled).
+    /// Read the tree's counters (always on; monotone, so assert on
+    /// deltas).
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
     }
@@ -311,6 +311,7 @@ where
         mut locate: impl FnMut() -> Located<'g, K, V>,
         guard: &'g Guard,
     ) -> Option<&'g Node<K, V>> {
+        self.stats.finds();
         loop {
             let (_, (gp, p, l)) = locate();
             // SAFETY: a located p and l are non-null (Invariant 4.7).
@@ -353,6 +354,11 @@ where
         mut finish: impl FnMut(InfoPtr<K, V>) -> bool,
         guard: &'g Guard,
     ) -> AttemptOutcome<K, V> {
+        match op {
+            Update::Insert(..) => self.stats.inserts(),
+            Update::Upsert(..) => self.stats.upserts(),
+            Update::Delete(_) => self.stats.deletes(),
+        }
         loop {
             let (seq, triple) = locate(); // lines 155 and 177, then Search
             match self.attempt(op, triple, seq, guard) {
@@ -395,7 +401,9 @@ where
                 // Locate the sibling in T_seq (line 182): if l is the right
                 // child (l.key >= p.key) the sibling is the left child.
                 let sib_is_left = !p_ref.key.fin_lt(key); // l.key >= p.key ⟺ !(k < p.key)
-                let sibling = self.read_child(p_ref, sib_is_left, seq, guard);
+                let mut hops = 0;
+                let sibling = self.read_child(p_ref, sib_is_left, seq, guard, &mut hops);
+                self.stats.search_prev_hops(hops);
                 // Line 183: sibling must be the *current* child of p.
                 let Some(_) = self.validate_link(p_ref, sibling, sib_is_left, guard) else {
                     self.stats.validation_failures();

@@ -39,7 +39,6 @@ pub mod chaos;
 pub mod client;
 pub mod codec;
 pub mod conn;
-mod failpoint;
 pub mod handler;
 mod poll;
 pub mod proto;

@@ -448,8 +448,7 @@ pub enum RespBody {
 }
 
 /// The Stats opcode's payload: server totals plus per-shard operation
-/// totals (the latter all zero unless the server was built with the
-/// `stats` feature).
+/// totals, read from each shard tree's counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStatsWire {
     /// Connections accepted since startup.

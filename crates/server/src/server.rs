@@ -509,10 +509,6 @@ fn worker_loop(
             while !conn.write_paused() {
                 let bytes = match conn.next_frame() {
                     Ok(Some(frame)) => {
-                        crate::failpoint::hit("worker-frame", conn);
-                        if conn.is_closing() {
-                            break; // failpoint closed the connection
-                        }
                         let shed = serve_budget == 0 || queued_bytes >= admission.max_queued_bytes;
                         // Over the admission limit: answer (in order)
                         // with a typed Busy frame instead of executing.

@@ -1,11 +1,10 @@
 //! Server-level counters: always-on, served by the Stats opcode.
 //!
-//! Unlike the structure-level counters (feature-gated `stats` in
-//! `pnb-bst`/`pnb-shard`, compiled out of measurement builds), these
-//! count *server* events — connections, requests, protocol errors —
-//! which the socket already makes far more expensive than one relaxed
-//! `fetch_add`, so they are unconditionally compiled in and CI can
-//! always health-check a running server.
+//! The trees count their own operations (`pnb_bst::StatsSnapshot`,
+//! striped per thread); these count *server* events — connections,
+//! requests, protocol errors — which the socket already makes far more
+//! expensive than one relaxed `fetch_add`, so one shared atomic each is
+//! enough, and CI can always health-check a running server.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -6,7 +6,7 @@ use pnb_bst::PnbBst;
 use crate::partition::{Partitioner, RangePrefixPartitioner};
 use crate::session::ShardedSession;
 use crate::snapshot::ShardedSnapshot;
-use crate::stats::{ShardCounters, ShardOpStats};
+use crate::stats::ShardOpStats;
 
 /// A sharded front-end over `N` independent [`PnbBst`] instances.
 ///
@@ -36,9 +36,6 @@ use crate::stats::{ShardCounters, ShardOpStats};
 pub struct ShardedPnbBst<K, V, P = RangePrefixPartitioner> {
     pub(crate) shards: Box<[PnbBst<K, V>]>,
     pub(crate) partitioner: P,
-    /// Index-aligned with `shards`; zero-sized without the `stats`
-    /// feature (see [`crate::stats`]).
-    pub(crate) counters: Box<[ShardCounters]>,
 }
 
 impl<V> ShardedPnbBst<u64, V>
@@ -74,7 +71,6 @@ where
         ShardedPnbBst {
             shards: (0..shards).map(|_| PnbBst::new()).collect(),
             partitioner,
-            counters: (0..shards).map(|_| ShardCounters::default()).collect(),
         }
     }
 
@@ -107,13 +103,22 @@ where
         ShardedSession::new(self)
     }
 
-    /// Per-shard operation totals as counted at the routing layer, one
-    /// entry per shard in index order. All zeros unless built with the
-    /// `stats` feature (the counters are compiled out of measurement
-    /// builds so they cannot perturb E1–E6). Feed the result to
-    /// [`crate::load_imbalance`] for the max/mean balance ratio.
+    /// Per-shard operation totals, one entry per shard in index order,
+    /// read from each shard tree's counters ([`PnbBst::stats`]); a
+    /// shard's `scans` are the phases its tree closed. Feed the result
+    /// to [`crate::load_imbalance`] for the max/mean balance ratio.
     pub fn shard_stats(&self) -> Vec<ShardOpStats> {
-        self.counters.iter().map(ShardCounters::snapshot).collect()
+        let per_tree = |t: &PnbBst<K, V>| {
+            let s = t.stats();
+            ShardOpStats {
+                gets: s.finds,
+                inserts: s.inserts,
+                upserts: s.upserts,
+                deletes: s.deletes,
+                scans: s.scans,
+            }
+        };
+        self.shards.iter().map(per_tree).collect()
     }
 
     /// Take a cross-shard snapshot: per-shard [`pnb_bst::Snapshot`]s
@@ -261,15 +266,10 @@ mod tests {
         let st = m.shard_stats();
         assert_eq!(st.len(), 4);
         let total: u64 = st.iter().map(crate::ShardOpStats::total).sum();
-        #[cfg(feature = "stats")]
-        {
-            // 1 insert + 1 get + one scan participation per shard the
-            // partitioner visited (at least one).
-            assert!(total >= 3, "expected counted ops, got {st:?}");
-            assert!((1.0..=4.0).contains(&crate::load_imbalance(&st)));
-        }
-        #[cfg(not(feature = "stats"))]
-        assert_eq!(total, 0, "counters must compile out without `stats`");
+        // 1 insert + 1 get + one scan participation per shard the
+        // partitioner visited (at least one).
+        assert!(total >= 3, "expected counted ops, got {st:?}");
+        assert!((1.0..=4.0).contains(&crate::load_imbalance(&st)));
     }
 
     #[test]

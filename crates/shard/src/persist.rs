@@ -27,7 +27,6 @@ use pnb_bst::PnbBst;
 
 use crate::map::ShardedPnbBst;
 use crate::partition::{HashPartitioner, Partitioner, RangePrefixPartitioner};
-use crate::stats::ShardCounters;
 
 /// A partitioner whose configuration can be recorded in a checkpoint
 /// manifest and re-derived on restore.
@@ -134,7 +133,6 @@ where
         Ok(ShardedPnbBst {
             shards: shards.into_iter().map(PnbBst::from_sorted).collect(),
             partitioner,
-            counters: (0..shard_count).map(|_| ShardCounters::default()).collect(),
         })
     }
 }

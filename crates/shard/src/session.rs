@@ -66,14 +66,12 @@ where
     /// Look up `key` in its shard.
     pub fn get(&self, key: &K) -> Option<V> {
         let i = self.route(key);
-        self.map.counters[i].gets();
         self.handles[i].get(key)
     }
 
     /// Whether `key` is present in its shard.
     pub fn contains(&self, key: &K) -> bool {
         let i = self.route(key);
-        self.map.counters[i].gets();
         self.handles[i].contains(key)
     }
 
@@ -81,28 +79,24 @@ where
     /// absent.
     pub fn insert(&self, key: K, value: V) -> bool {
         let i = self.route(&key);
-        self.map.counters[i].inserts();
         self.handles[i].insert(key, value)
     }
 
     /// Atomically insert or replace, returning the displaced value.
     pub fn upsert(&self, key: K, value: V) -> Option<V> {
         let i = self.route(&key);
-        self.map.counters[i].upserts();
         self.handles[i].upsert(key, value)
     }
 
     /// Remove `key`; `true` iff it was present.
     pub fn delete(&self, key: &K) -> bool {
         let i = self.route(key);
-        self.map.counters[i].deletes();
         self.handles[i].delete(key)
     }
 
     /// Remove `key`, returning its value.
     pub fn remove(&self, key: &K) -> Option<V> {
         let i = self.route(key);
-        self.map.counters[i].deletes();
         self.handles[i].remove(key)
     }
 
@@ -145,17 +139,7 @@ where
         &self,
         ops: &[BatchOp<K, V>],
     ) -> (Vec<BatchOutcome<V>>, BatchReport) {
-        apply_batch_across(&self.handles, ops, |op| {
-            let i = self.route(op.key());
-            let counters = &self.map.counters[i];
-            match op {
-                BatchOp::Get(_) => counters.gets(),
-                BatchOp::Insert(..) => counters.inserts(),
-                BatchOp::Upsert(..) => counters.upserts(),
-                BatchOp::Delete(_) => counters.deletes(),
-            }
-            i
-        })
+        apply_batch_across(&self.handles, ops, |op| self.route(op.key()))
     }
 
     /// Cross-shard lazy range query over any [`RangeBounds`], ascending
@@ -180,8 +164,7 @@ where
             // order (creating a `Range` closes the phase; it traverses
             // nothing until polled).
             None => {
-                for (i, h) in self.handles.iter().enumerate().rev() {
-                    self.map.counters[i].scans();
+                for h in self.handles.iter().rev() {
                     ranges.push(h.range((lo.clone(), hi.clone())));
                 }
             }
@@ -189,7 +172,6 @@ where
                 idx.sort_unstable_by(|a, b| b.cmp(a)); // descending
                 idx.dedup();
                 for i in idx {
-                    self.map.counters[i].scans();
                     ranges.push(self.handles[i].range((lo.clone(), hi.clone())));
                 }
             }

@@ -57,16 +57,8 @@ where
     pub(crate) fn new(map: &'t ShardedPnbBst<K, V, P>) -> Self {
         // Capture order IS the consistency mechanism: highest shard
         // first, shard 0 last (see the type docs / crate docs §model).
-        let mut snaps: Vec<Snapshot<'t, K, V>> = map
-            .shards
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(i, t)| {
-                map.counters[i].scans();
-                t.snapshot()
-            })
-            .collect();
+        let mut snaps: Vec<Snapshot<'t, K, V>> =
+            map.shards.iter().rev().map(|t| t.snapshot()).collect();
         snaps.reverse(); // back to index order for routing
         ShardedSnapshot { map, snaps }
     }

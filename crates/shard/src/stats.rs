@@ -1,33 +1,28 @@
-//! Optional per-shard operation counters (compiled in with the `stats`
-//! feature).
+//! Per-shard operation totals.
 //!
 //! The sharded front-end's scaling argument rests on the partitioner
-//! spreading load evenly; these counters make the spread *observable*.
+//! spreading load evenly; these totals make the spread *observable*.
 //! [`ShardedPnbBst::shard_stats`](crate::ShardedPnbBst::shard_stats)
-//! returns one [`ShardOpStats`] per shard and [`load_imbalance`]
-//! reduces them to the max/mean ratio the reports print (1.0 = perfect
-//! balance). Counters are `Relaxed` atomics bumped on the session hot
-//! path, one cache line per shard so neighbouring shards never false
-//! share; without the feature every bump compiles to nothing and the
-//! snapshot reads zero.
+//! returns one [`ShardOpStats`] per shard, read from that shard tree's
+//! own always-on counters ([`pnb_bst::StatsSnapshot`]), and
+//! [`load_imbalance`] reduces them to the max/mean ratio the reports
+//! print (1.0 = perfect balance). The routing layer counts nothing of
+//! its own.
 
-#[cfg(feature = "stats")]
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One shard's operation totals, as counted at the routing layer (a
-/// retried CAS inside the tree still counts once). Zeros without the
-/// `stats` build.
+/// One shard's operation totals, as its tree counts them (a retried
+/// CAS inside the tree still counts once).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardOpStats {
-    /// Point reads routed here (`get` + `contains`).
+    /// Point reads served here (`get` + `contains`, batched too).
     pub gets: u64,
-    /// Set-semantics inserts routed here.
+    /// Set-semantics inserts served here.
     pub inserts: u64,
-    /// Upserts routed here.
+    /// Upserts served here.
     pub upserts: u64,
-    /// Deletes/removes routed here.
+    /// Deletes/removes served here.
     pub deletes: u64,
-    /// Range queries and snapshots this shard participated in.
+    /// Phases this shard closed: range queries and snapshots it took
+    /// part in.
     pub scans: u64,
 }
 
@@ -38,65 +33,10 @@ impl ShardOpStats {
     }
 }
 
-/// Internal per-shard counter block. One cache line per shard
-/// (`align(64)`) so bumps on neighbouring shards never false-share;
-/// zero-sized without the `stats` feature.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub(crate) struct ShardCounters {
-    #[cfg(feature = "stats")]
-    gets: AtomicU64,
-    #[cfg(feature = "stats")]
-    inserts: AtomicU64,
-    #[cfg(feature = "stats")]
-    upserts: AtomicU64,
-    #[cfg(feature = "stats")]
-    deletes: AtomicU64,
-    #[cfg(feature = "stats")]
-    scans: AtomicU64,
-}
-
-macro_rules! bump_impl {
-    ($($name:ident),* $(,)?) => {
-        $(
-            #[cfg(feature = "stats")]
-            #[inline]
-            pub(crate) fn $name(&self) {
-                self.$name.fetch_add(1, Ordering::Relaxed);
-            }
-            #[cfg(not(feature = "stats"))]
-            #[inline(always)]
-            pub(crate) fn $name(&self) {}
-        )*
-    };
-}
-
-impl ShardCounters {
-    bump_impl!(gets, inserts, upserts, deletes, scans);
-
-    /// Read this shard's totals (zeros without the `stats` feature).
-    pub(crate) fn snapshot(&self) -> ShardOpStats {
-        #[cfg(feature = "stats")]
-        {
-            ShardOpStats {
-                gets: self.gets.load(Ordering::Relaxed),
-                inserts: self.inserts.load(Ordering::Relaxed),
-                upserts: self.upserts.load(Ordering::Relaxed),
-                deletes: self.deletes.load(Ordering::Relaxed),
-                scans: self.scans.load(Ordering::Relaxed),
-            }
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            ShardOpStats::default()
-        }
-    }
-}
-
 /// Max/mean ratio of per-shard totals: 1.0 is a perfect spread, `N` is
 /// everything on one of `N` shards. Returns 0.0 when no shard has
-/// served any operation (e.g. without the `stats` build), so reports
-/// can distinguish "balanced" from "not measured".
+/// served any operation, so reports can distinguish "balanced" from
+/// "nothing served".
 pub fn load_imbalance(stats: &[ShardOpStats]) -> f64 {
     let totals: Vec<u64> = stats.iter().map(ShardOpStats::total).collect();
     let sum: u64 = totals.iter().sum();
@@ -111,12 +51,44 @@ pub fn load_imbalance(stats: &[ShardOpStats]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedPnbBst;
+    use pnb_bst::BatchOp;
 
     #[test]
     fn snapshot_defaults_to_zero() {
-        let c = ShardCounters::default();
-        assert_eq!(c.snapshot(), ShardOpStats::default());
-        assert_eq!(c.snapshot().total(), 0);
+        let m: ShardedPnbBst<u64, u64> = ShardedPnbBst::new(3);
+        assert_eq!(m.shard_stats(), vec![ShardOpStats::default(); 3]);
+        assert_eq!(load_imbalance(&m.shard_stats()), 0.0);
+    }
+
+    #[test]
+    fn counters_record() {
+        let m: ShardedPnbBst<u64, u64> = ShardedPnbBst::new(1);
+        let s = m.pin();
+        s.get(&1);
+        s.contains(&1);
+        s.insert(1, 1);
+        s.upsert(1, 2);
+        s.remove(&1);
+        s.delete(&1);
+        assert_eq!(s.range(..).count(), 0);
+        let ops = [
+            BatchOp::Get(2),
+            BatchOp::Insert(2, 2),
+            BatchOp::Upsert(2, 3),
+            BatchOp::Delete(2),
+        ];
+        s.apply_batch(&ops);
+        assert!(m.snapshot().is_empty());
+        let counted = ShardOpStats {
+            gets: 3,
+            inserts: 2,
+            upserts: 2,
+            deletes: 3,
+            scans: 2,
+        };
+        assert_eq!(m.shard_stats(), [counted]);
+        assert_eq!(counted.total(), 12);
     }
 
     #[test]
@@ -136,20 +108,5 @@ mod tests {
         // Everything on one of four shards: ratio = N.
         let skew = [mk(100), mk(0), mk(0), mk(0)];
         assert!((load_imbalance(&skew) - 4.0).abs() < 1e-12);
-    }
-
-    #[cfg(feature = "stats")]
-    #[test]
-    fn counters_record() {
-        let c = ShardCounters::default();
-        c.gets();
-        c.gets();
-        c.inserts();
-        c.scans();
-        let s = c.snapshot();
-        assert_eq!(s.gets, 2);
-        assert_eq!(s.inserts, 1);
-        assert_eq!(s.scans, 1);
-        assert_eq!(s.total(), 4);
     }
 }

@@ -1,5 +1,4 @@
-//! Key distributions: uniform, Zipfian (rank-ordered and scrambled) and
-//! sequential.
+//! Key distributions: uniform and Zipfian (rank-ordered and scrambled).
 //!
 //! The Zipfian generator uses the rejection-inversion method of
 //! Hörmann & Derflinger ("Rejection-inversion to generate variates from
@@ -16,13 +15,8 @@
 //! Zipfian frequency *curve* but decorrelates rank from key via a
 //! splitmix64 bijection (YCSB's `ScrambledZipfianGenerator` does the
 //! same with FNV), so hot keys disperse across the whole space.
-//! [`Sequential`] covers the other end: a globally ordered append
-//! pattern (timeseries ingest), the worst case for an unbalanced BST
-//! and the best case for a range partitioner.
 
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::seed::splitmix64;
 
@@ -41,9 +35,6 @@ pub enum KeyDist {
     /// splitmix64 bijection: same skew, hot keys dispersed over the
     /// whole key space.
     ScrambledZipfian(ScrambledZipf),
-    /// Sequential: `0, 1, 2, … (mod n)`, globally ordered across every
-    /// clone (all workers share one cursor).
-    Sequential(Sequential),
 }
 
 impl KeyDist {
@@ -66,20 +57,12 @@ impl KeyDist {
         KeyDist::ScrambledZipfian(ScrambledZipf::new(n, theta))
     }
 
-    /// Sequential distribution over `[0, n)`: one shared monotone
-    /// cursor, wrapping at `n`.
-    pub fn sequential(n: u64) -> Self {
-        assert!(n > 0);
-        KeyDist::Sequential(Sequential::new(n))
-    }
-
     /// Key-space size.
     pub fn key_space(&self) -> u64 {
         match self {
             KeyDist::Uniform { n } => *n,
             KeyDist::Zipfian(z) => z.n,
             KeyDist::ScrambledZipfian(z) => z.zipf.n,
-            KeyDist::Sequential(s) => s.n,
         }
     }
 
@@ -90,7 +73,6 @@ impl KeyDist {
             KeyDist::Uniform { n } => rng.gen_range(0..*n),
             KeyDist::Zipfian(z) => z.sample(rng),
             KeyDist::ScrambledZipfian(z) => z.sample(rng),
-            KeyDist::Sequential(s) => s.next(),
         }
     }
 }
@@ -127,34 +109,6 @@ impl ScrambledZipf {
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
         self.key_of_rank(self.zipf.sample(rng))
-    }
-}
-
-/// A shared monotone cursor over `[0, n)`: every [`KeyDist::sample`]
-/// returns the next key in order, wrapping at `n`. Clones share the
-/// cursor (one global sequence across all worker threads), which is the
-/// point: it models ordered ingest, not per-thread stripes.
-#[derive(Clone, Debug)]
-pub struct Sequential {
-    n: u64,
-    next: Arc<AtomicU64>,
-}
-
-impl Sequential {
-    /// New cursor starting at key 0.
-    pub fn new(n: u64) -> Self {
-        Sequential {
-            n,
-            next: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Claim the next key.
-    #[inline]
-    pub fn next(&self) -> u64 {
-        // Relaxed: the counter is its own synchronization domain; only
-        // uniqueness-mod-wrap matters, not ordering against the map ops.
-        self.next.fetch_add(1, Ordering::Relaxed) % self.n
     }
 }
 
@@ -353,25 +307,6 @@ mod tests {
         }
         // The rank→key map is deterministic.
         assert_eq!(d.key_of_rank(0), d.key_of_rank(0));
-    }
-
-    #[test]
-    fn sequential_is_ordered_and_wraps() {
-        let d = KeyDist::sequential(5);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let got: Vec<u64> = (0..12).map(|_| d.sample(&mut rng)).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]);
-    }
-
-    #[test]
-    fn sequential_clones_share_the_cursor() {
-        let d = KeyDist::sequential(1_000);
-        let d2 = d.clone();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let a = d.sample(&mut rng);
-        let b = d2.sample(&mut rng);
-        let c = d.sample(&mut rng);
-        assert_eq!(vec![a, b, c], vec![0, 1, 2], "one global sequence");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   configuration time instead of panicking mid-run.
 //! * [`Mix`] — an operation mix (insert/delete/find/range-query
 //!   percentages and range width).
-//! * [`KeyDist`] — uniform, Zipfian, scrambled-Zipfian, or sequential
-//!   key selection over a key space.
+//! * [`KeyDist`] — uniform, Zipfian or scrambled-Zipfian key selection
+//!   over a key space.
 //! * [`run_throughput`] — the timed closed-loop driver; returns
 //!   per-operation counts and aggregate throughput.
 //! * [`run_open_loop`] — the open-loop, target-rate driver: arrivals on
@@ -44,7 +44,7 @@ pub mod seed;
 pub use batch::{
     run_batched_throughput, BatchOp, BatchReport, BatchedMeasurement, BatchedRunConfig,
 };
-pub use dist::{KeyDist, ScrambledZipf, Sequential, Zipf};
+pub use dist::{KeyDist, ScrambledZipf, Zipf};
 pub use histogram::{HdrHistogram, ShardedHistogram};
 pub use latency::{run_latency, LatencyReport};
 pub use mix::{Mix, Op};

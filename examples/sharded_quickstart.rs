@@ -41,9 +41,9 @@ fn main() {
     // Cross-shard lazy range: one phase close per participating shard
     // (descending shard order — the consistency discipline), merged
     // ascending. Narrow ranges skip shards entirely.
-    let narrow = s.range(60_000u64..=62_000);
-    println!("narrow range touches {} of 8 shards", narrow.width());
-    assert!(narrow.width() <= 2); // spans at most two 4096-key blocks
+    let narrow = s.range(60_000u64..=62_000).width();
+    println!("narrow range touches {narrow} of 8 shards");
+    assert!(narrow <= 2); // spans at most two 4096-key blocks
     let keys: Vec<u64> = s.range(100_000u64..200_000).map(|(k, _)| k).collect();
     assert_eq!(keys, (10..20u64).map(|k| k * 10_000).collect::<Vec<_>>());
     assert_eq!(s.snapshot().len(), 49);

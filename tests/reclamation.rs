@@ -18,7 +18,7 @@
 //! insert/upsert/delete/range workload, a use-after-free poison
 //! sentinel, thread churn (bag + registry-slot hand-off on exit), and
 //! `Handle::refresh` unblocking epoch advancement — observable through
-//! `pnb_bst::collector_stats()` when built with `--features stats`.
+//! `pnb_bst::collector_stats()`.
 
 use pnb_bst::PnbBst;
 use std::ops::Bound::Included;
@@ -383,7 +383,6 @@ fn readers_never_observe_poisoned_values() {
 fn thread_churn_hands_off_bags_and_registry_slots() {
     let live = Arc::new(AtomicI64::new(0));
     let baseline = crossbeam_epoch::registered_participants();
-    #[cfg(feature = "stats")]
     let before = pnb_bst::collector_stats();
     const WAVES: u64 = 8;
     const PER_WAVE: u64 = 8;
@@ -427,17 +426,14 @@ fn thread_churn_hands_off_bags_and_registry_slots() {
         now <= baseline + 48,
         "registry grew from {baseline} to {now}: dead participant slots stranded"
     );
-    #[cfg(feature = "stats")]
-    {
-        let after = pnb_bst::collector_stats();
-        assert!(
-            after.participants_retired >= before.participants_retired + WAVES * PER_WAVE,
-            "expected all {} churned registry slots retired ({} -> {})",
-            WAVES * PER_WAVE,
-            before.participants_retired,
-            after.participants_retired,
-        );
-    }
+    let after = pnb_bst::collector_stats();
+    assert!(
+        after.participants_retired >= before.participants_retired + WAVES * PER_WAVE,
+        "expected all {} churned registry slots retired ({} -> {})",
+        WAVES * PER_WAVE,
+        before.participants_retired,
+        after.participants_retired,
+    );
 }
 
 /// A long-lived pinned session blocks reclamation of everything retired
@@ -456,7 +452,6 @@ fn session_refresh_unblocks_epoch_advancement() {
     drain_epochs_until(&live, 50);
     assert_eq!(live.load(Ordering::SeqCst), 50);
     let mut session = tree.pin(); // long-lived: pins now
-    #[cfg(feature = "stats")]
     let before = pnb_bst::collector_stats();
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -491,15 +486,12 @@ fn session_refresh_unblocks_epoch_advancement() {
         0,
         "refresh() failed to unblock reclamation"
     );
-    #[cfg(feature = "stats")]
-    {
-        let after = pnb_bst::collector_stats();
-        assert!(
-            after.advance_successes > before.advance_successes,
-            "draining past a refreshed session implies epoch advances"
-        );
-        assert!(after.bags_freed > before.bags_freed);
-    }
+    let after = pnb_bst::collector_stats();
+    assert!(
+        after.advance_successes > before.advance_successes,
+        "draining past a refreshed session implies epoch advances"
+    );
+    assert!(after.bags_freed > before.bags_freed);
     // The refreshed session is still a fully usable view of the tree.
     assert!(session.iter().next().is_none());
     assert!(session.insert(7, Counted::new(&live)));
