@@ -16,8 +16,12 @@
 //!
 //! * Whoever wins the child CAS retires the unlinked nodes (they are
 //!   precisely the permanently-marked ones).
-//! * Info objects are reference-counted by node-update-field references
+//! * Info headers are reference-counted by node-update-field references
 //!   plus one creation reference; `dec_ref` retires at zero, idempotently.
+//! * An attempt's body is retired once, at its decision, in the same
+//!   epoch bag entry as a node: the child-CAS winner pairs it with the
+//!   replaced child, an aborting creator with its never-linked
+//!   replacement. `help` reads it only after seeing the header undecided.
 //! * A replacement subtree that never became reachable (attempt failed or
 //!   aborted) is freed by its creator — immediately if the `Info` was
 //!   never published, deferred otherwise.
@@ -38,7 +42,7 @@ use crossbeam_epoch::{Guard, Shared};
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 
 use crate::arena;
-use crate::info::{state, FreezeTag, Info, InfoPtr, NodePtr, OpKind, UpdateWord};
+use crate::info::{state, Body, FreezeTag, Info, InfoPtr, NodePtr, OpKind, UpdateWord};
 use crate::node::{word_shared, Node};
 use crate::tree::PnbBst;
 
@@ -93,9 +97,12 @@ where
                 return None;
             }
         }
-        // Line 102: allocate the Info object (refs = 1: creation ref)
-        // from the thread-local arena.
-        let info: InfoPtr<K, V> = arena::alloc(Info::new(kind, nodes, old_update, new_child, seq));
+        // Line 102: allocate the Info record — body, then the header
+        // that names it (refs = 1: creation ref) — from the thread-local
+        // arena.
+        let body: *const Body<K, V> =
+            arena::alloc(Body::new(kind, nodes, old_update, new_child, seq));
+        let info: InfoPtr<K, V> = arena::alloc(Info::new(body));
         // Line 103: first freeze CAS — flag nodes[0]. Increment the
         // prospective field reference *before* the CAS so the count can
         // never dip below the number of live references.
@@ -129,9 +136,11 @@ where
             }
             Err(_) => {
                 self.stats.freeze_cas_failures();
-                // Never published: we are the only owner of both the Info
-                // and the replacement subtree — recycle immediately.
+                // Never published: we are the only owner of the Info
+                // record and the replacement subtree — recycle
+                // immediately.
                 arena::free_now(info as *mut Info<K, V>);
+                arena::free_now(body as *mut Body<K, V>);
                 self.free_unpublished_new_child(kind, new_child);
                 None
             }
@@ -147,11 +156,13 @@ where
         let committed = self.help(info, guard);
         if !committed {
             // The replacement subtree never became reachable (Lemma 10:
-            // aborted attempts perform no child CAS); defer-free it. Only
-            // the creator does this, exactly once.
-            // SAFETY: we hold the creation reference, so `info` is alive.
-            let (kind, new_child) = unsafe { ((*info).kind, (*info).new_child) };
-            self.defer_free_new_child(kind, new_child, guard);
+            // aborted attempts perform no child CAS); defer-free it with
+            // the body. Only the creator does this, exactly once, and
+            // only the creator retires an aborted attempt's body.
+            // SAFETY: we hold the creation reference, so `info` is alive,
+            // and we have been pinned since before the publish, so the
+            // body is too; it is ours to retire.
+            self.defer_free_new_child(unsafe { (*info).body() }, guard);
         }
         self.dec_ref(info, guard); // release the creation reference
         committed
@@ -160,11 +171,23 @@ where
     /// Paper `Help(infp)` (lines 107–128). Returns `true` iff the attempt
     /// committed. Callable by any thread; precondition: `infp` is
     /// published and is not the Dummy.
+    ///
+    /// A decided attempt returns at once: its body may already be
+    /// retired, so `help` reads it only after seeing `state` undecided.
     pub(crate) fn help(&self, infp: InfoPtr<K, V>, guard: &Guard) -> bool {
         debug_assert!(!std::ptr::eq(infp, self.dummy), "Help(Dummy) is forbidden");
-        // SAFETY: published Info objects are retired only through the
+        // SAFETY: published Info headers are retired only through the
         // epoch collector; the caller is pinned.
         let info = unsafe { &*infp };
+        // Acquire: pairs with the deciding AcqRel transition, so the
+        // decision read here is the one the body's retirement follows.
+        let st = info.state.load(Acquire);
+        if st == state::COMMIT || st == state::ABORT {
+            return st == state::COMMIT;
+        }
+        // SAFETY: undecided under our pin — the body is retired only
+        // after the decision, so it cannot be reclaimed before we unpin.
+        let body = unsafe { info.body() };
 
         // Lines 111–113: the handshake. If Counter moved past our phase a
         // range scan may already have traversed (and missed) the part of
@@ -178,7 +201,7 @@ where
         // the lost-update outcome — is exactly what SC on all four
         // accesses excludes.
         let counter_now = self.counter.load(SeqCst); // sc-ok: handshake re-read
-        if counter_now != info.seq {
+        if counter_now != body.seq {
             // AcqRel success: the Abort decision gates frees of the
             // replacement subtree; it must not advance before the
             // handshake read nor let later cleanup sink above it.
@@ -207,12 +230,12 @@ where
 
         // Lines 115–121: freeze the remaining nodes, in order.
         let mut i = 1;
-        while cont && i < info.len() {
+        while cont && i < body.len() {
             // SAFETY: nodes in a published Info stay reachable while the
             // attempt is undecided (they are frozen or about to be), and
             // we are pinned.
-            let node = unsafe { &*info.nodes[i] };
-            let tag = if info.is_mark(i) {
+            let node = unsafe { &*body.nodes[i] };
+            let tag = if body.is_mark(i) {
                 FreezeTag::Mark
             } else {
                 FreezeTag::Flag
@@ -223,7 +246,7 @@ where
             // *take* a reference, only to release one.
             info.refs.fetch_add(1, Relaxed);
             match node.update_word().compare_exchange(
-                word_shared(info.old_update(i)),
+                word_shared(body.old_update(i)),
                 Shared::from(infp).with_tag(tag.bit()),
                 // Release: publishes nothing new (the Info is already
                 // published) but must not sink below the `cont` re-read;
@@ -237,7 +260,7 @@ where
             ) {
                 Ok(_) => {
                     // Reference transferred from the displaced word.
-                    self.dec_ref(info.old_update(i).info(), guard);
+                    self.dec_ref(body.old_update(i).info(), guard);
                 }
                 Err(_) => {
                     self.stats.freeze_cas_failures();
@@ -255,7 +278,7 @@ where
 
         if cont {
             // Line 123: the child CAS — the update takes effect.
-            let won = self.cas_child(info.par(), info.old_child(), info.new_child, guard);
+            let won = self.cas_child(body.par(), body.old_child(), body.new_child, guard);
             // Line 124: commit write. A CAS from Try keeps the transition
             // single-shot; by Lemma 10 no abort can race with it.
             // AcqRel: a thread that reads Commit (Acquire) must also
@@ -266,8 +289,9 @@ where
                 .state
                 .compare_exchange(state::TRY, state::COMMIT, AcqRel, Relaxed);
             if won {
-                // Unique winner: retire what the CAS unlinked.
-                self.retire_replaced(info, guard);
+                // Unique winner: retire what the CAS unlinked, and the
+                // body with it — the attempt is decided.
+                self.retire_replaced(body, guard);
             }
         } else if info.state.load(Acquire) == state::TRY {
             // Lines 125–126: abort write (a freeze CAS lost the race).
@@ -323,30 +347,24 @@ where
     /// Retire the nodes a successful child CAS unlinked from the current
     /// tree: the old leaf for an insert or a replace; the parent and both
     /// its children for a delete. All of them are permanently marked for
-    /// `info`.
-    fn retire_replaced(&self, info: &Info<K, V>, guard: &Guard) {
-        match info.kind {
-            OpKind::Insert | OpKind::Replace => {
-                self.retire_node(info.old_child(), guard);
-            }
-            OpKind::Delete => {
-                // SAFETY: old_child is frozen for `info`; its children are
-                // immutable since the freeze (Lemma 24) and are exactly
-                // nodes[2] (the deleted leaf) and nodes[3] (the sibling).
-                let p = unsafe { &*info.old_child() };
-                let l = p.load_child(true, guard);
-                let r = p.load_child(false, guard);
-                self.retire_node(l.as_raw(), guard);
-                self.retire_node(r.as_raw(), guard);
-                self.retire_node(info.old_child(), guard);
-            }
+    /// the attempt. The attempt's `body` retires with `old_child`.
+    fn retire_replaced(&self, body: &Body<K, V>, guard: &Guard) {
+        if let OpKind::Delete = body.kind {
+            // SAFETY: old_child is frozen for the attempt; its children
+            // are immutable since the freeze (Lemma 24) and are exactly
+            // nodes[2] (the deleted leaf) and nodes[3] (the sibling).
+            let p = unsafe { &*body.old_child() };
+            self.retire_node(p.load_child(true, guard).as_raw(), None, guard);
+            self.retire_node(p.load_child(false, guard).as_raw(), None, guard);
         }
+        self.retire_node(body.old_child(), Some(body), guard);
     }
 
     /// Retire one unlinked node: release the Info reference its
     /// (permanently marked, hence immutable — Lemma 23) update field
-    /// holds, then defer reclamation *into the arena pools*.
-    fn retire_node(&self, node: NodePtr<K, V>, guard: &Guard) {
+    /// holds, then defer reclamation *into the arena pools*, together
+    /// with `body` if given.
+    fn retire_node(&self, node: NodePtr<K, V>, body: Option<&Body<K, V>>, guard: &Guard) {
         // SAFETY: `node` was just unlinked by us; it stays valid under our
         // guard.
         let n = unsafe { &*node };
@@ -356,7 +374,7 @@ where
         // SAFETY: `node` is unreachable to operations that pin after this
         // point (DESIGN.md §3); current pinners are protected by epochs.
         // Once ripe, the memory flows back to a thread-local pool.
-        unsafe { guard.defer_recycle(Shared::from(node), arena::recycle_raw::<Node<K, V>>) };
+        unsafe { defer_recycle_node(guard, node, body) };
     }
 
     /// Release one reference to `info`; the thread that drops the count
@@ -408,24 +426,54 @@ where
     }
 
     /// Defer-free a replacement subtree whose attempt was published but
-    /// aborted. Aborted attempts never perform a child CAS (Lemma 10), so
-    /// the subtree never became reachable; deferral covers helpers that
-    /// may still hold the pointer.
-    pub(crate) fn defer_free_new_child(
-        &self,
-        kind: OpKind,
-        new_child: NodePtr<K, V>,
-        guard: &Guard,
-    ) {
+    /// aborted, together with the attempt's `body`. Aborted attempts
+    /// never perform a child CAS (Lemma 10), so the subtree never became
+    /// reachable; deferral covers helpers that may still hold the
+    /// pointers.
+    pub(crate) fn defer_free_new_child(&self, body: &Body<K, V>, guard: &Guard) {
         unsafe {
-            if let OpKind::Insert = kind {
-                let n = &*new_child;
+            if let OpKind::Insert = body.kind {
+                let n = &*body.new_child;
                 let l = n.load_child(true, guard);
                 let r = n.load_child(false, guard);
                 guard.defer_recycle(l, arena::recycle_raw::<Node<K, V>>);
                 guard.defer_recycle(r, arena::recycle_raw::<Node<K, V>>);
             }
-            guard.defer_recycle(Shared::from(new_child), arena::recycle_raw::<Node<K, V>>);
+            defer_recycle_node(guard, body.new_child, Some(body));
+        }
+    }
+}
+
+/// Defer recycling `node` into the arena pools, and `body` with it in
+/// the same bag entry if given: a decided attempt's body ripens with a
+/// node its decision retires, at no extra entry.
+///
+/// # Safety
+///
+/// As [`Guard::defer_recycle`] for both: unreachable to threads pinning
+/// after this call, retired at most once. Only the decision retires a
+/// body: the child-CAS winner or an aborting creator.
+unsafe fn defer_recycle_node<K, V>(guard: &Guard, node: NodePtr<K, V>, body: Option<&Body<K, V>>) {
+    /// The paired entry's call: both blocks go back to the pools.
+    ///
+    /// # Safety
+    ///
+    /// `node` and `body` are a `Node<K, V>` and a `Body<K, V>` from
+    /// `arena::alloc`, both ripe and exclusively owned (the collector
+    /// runs each entry once).
+    unsafe fn recycle_pair<K, V>(node: *mut (), body: *const ()) {
+        unsafe {
+            arena::recycle_raw(node as *mut Node<K, V>);
+            arena::recycle_raw(body as *mut Body<K, V>);
+        }
+    }
+    unsafe {
+        match body {
+            None => guard.defer_recycle(Shared::from(node), arena::recycle_raw::<Node<K, V>>),
+            Some(b) => {
+                let b: *const Body<K, V> = b;
+                guard.defer_raw(node as *mut (), b as *const (), recycle_pair::<K, V>)
+            }
         }
     }
 }
@@ -540,6 +588,31 @@ mod tests {
         );
         assert_eq!((s.handshake_aborts, s.freeze_aborts), (0, 0));
         t.check_invariants();
+    }
+
+    #[test]
+    fn help_on_a_decided_record_returns_on_its_state() {
+        // A decided header may name a body that is already back in the
+        // pools, so `help` must answer from `state` alone. The body here
+        // is null — any read of it faults — and nothing may move: no
+        // tree counter, no reference count, no state.
+        use crate::info::Info;
+        use std::sync::atomic::Ordering::Relaxed;
+        let t: PnbBst<u32, u32> = PnbBst::new();
+        t.insert(1, 1);
+        let before = t.stats();
+        let guard = &epoch::pin();
+        for (st, committed) in [(state::COMMIT, true), (state::ABORT, false)] {
+            let decided = Info::<u32, u32>::dummy();
+            decided.state.store(st, Relaxed);
+            let refs = decided.refs.load(Relaxed);
+            assert_eq!(t.help(&decided, guard), committed);
+            assert_eq!(
+                (decided.state.load(Relaxed), decided.refs.load(Relaxed)),
+                (st, refs)
+            );
+        }
+        assert_eq!(t.stats(), before);
     }
 
     #[test]

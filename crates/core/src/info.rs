@@ -1,12 +1,12 @@
 //! `Info` objects and the update-word encoding (paper Figure 2, lines 1–14).
 //!
-//! Every update attempt allocates one `Info` object describing the whole
-//! multi-word transaction it wants to perform: which nodes to freeze (flag
-//! or mark), the expected old values of their `update` fields, and the
-//! child-pointer swing (`par`, `old_child` → `new_child`). The `Info`
-//! object is published by the first *freeze CAS* and from then on any
-//! thread can complete ("help") or abort the attempt by driving its state
-//! machine:
+//! Every update attempt allocates one `Info` record (a header and a
+//! body, see below) describing the whole multi-word transaction it
+//! wants to perform: which nodes to freeze (flag or mark), the expected
+//! old values of their `update` fields, and the child-pointer swing
+//! (`par`, `old_child` → `new_child`). The record is published by the
+//! first *freeze CAS* and from then on any thread can complete ("help")
+//! or abort the attempt by driving its state machine:
 //!
 //! ```text
 //!        handshake ok            all frozen + child CAS
@@ -24,33 +24,45 @@
 //!
 //! # What is stored and what is derived
 //!
-//! An `Info` stays alive as long as one node's `update` word points at it
-//! (see below), long after its attempt is decided, so it keeps only what
-//! `Help` reads. Of the paper's Figure 2 fields:
+//! An attempt's record is split in two. The **header** ([`Info`]) is
+//! what update words point at: `state` plus reclamation bookkeeping,
+//! 16 bytes. It stays alive as long as one node's `update` word points
+//! at it (see below), long after its attempt is decided — the word can
+//! never return to the Dummy, which is the paper's ABA guard — and
+//! after the decision nothing but `state` is read. The **body**
+//! ([`Body`]) holds what `Help` reads to drive the attempt: it is read
+//! only by a thread that has seen the header undecided while pinned, and
+//! it is retired as soon as the attempt is decided. Of the paper's
+//! Figure 2 fields:
 //!
-//! * `state`, `seq`, `nodes`, `newChild` are stored as they are;
+//! * `state` is the header's; `seq`, `nodes`, `newChild` are stored in
+//!   the body as they are;
 //! * `par` is `nodes[0]` and `oldChild` is `nodes[1]` — every update
 //!   shape swings a child of the first node it freezes, and that child
-//!   is the second ([`Info::par`], [`Info::old_child`]);
+//!   is the second ([`Body::par`], [`Body::old_child`]);
 //! * `mark[i]` is `i > 0` — every shape flags `nodes[0]` and marks the
-//!   rest ([`Info::is_mark`]);
-//! * the length is 4 for a `Delete` and 2 otherwise ([`Info::len`]);
+//!   rest ([`Body::is_mark`]);
+//! * the length is 4 for a `Delete` and 2 otherwise ([`Body::len`]);
 //! * `oldUpdate[0]` is not stored: only `Execute`'s first freeze CAS
 //!   reads it, and `Execute` has the caller's copy. `old_update` holds
-//!   indices `1..len` ([`Info::old_update`]).
+//!   indices `1..len` ([`Body::old_update`]).
 //!
-//! So every `Info` is one 80-byte `#[repr(C)]` record whatever `K`, `V`
-//! and the operation are.
+//! So every header is one 16-byte and every body one 80-byte
+//! `#[repr(C)]` record whatever `K`, `V` and the operation are, and a
+//! decided attempt keeps only its header.
 //!
 //! # Reclamation
 //!
-//! The paper assumes garbage collection. Here each `Info` carries a
+//! The paper assumes garbage collection. Here each header carries a
 //! reference count of *node-update-field references* plus one creation
 //! reference (see `DESIGN.md` §3): a successful freeze CAS transfers a
 //! reference from the displaced `Info` to the installed one, and retiring
 //! a node releases the reference held by its (permanently marked) update
 //! field. The count uses an increment-before-CAS discipline so it never
-//! goes negative, and a `retired` flag makes retirement idempotent.
+//! goes negative, and a `retired` flag makes retirement idempotent. The
+//! body is not counted: the decision has exactly one thread that retires
+//! it (the child-CAS winner on a commit, the creator on an abort), in
+//! the same epoch bag entry as a node the decision retires anyway.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8};
@@ -59,7 +71,7 @@ use crate::node::Node;
 
 /// Raw pointer to a tree node (owned by the tree / epoch collector).
 pub(crate) type NodePtr<K, V> = *const Node<K, V>;
-/// Raw pointer to an `Info` object.
+/// Raw pointer to an attempt's header, as update words hold it.
 pub(crate) type InfoPtr<K, V> = *const Info<K, V>;
 
 /// The paper's `{Flag, Mark}` discriminant, stored as the low tag bit of
@@ -160,7 +172,7 @@ pub(crate) mod state {
     pub const ABORT: u8 = 3;
 }
 
-/// Which operation created an `Info` object. Determines how many nodes
+/// Which operation created an attempt. Determines how many nodes
 /// it freezes and the shape of the replacement subtree (and therefore
 /// what gets retired on commit or freed on abort).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -195,18 +207,16 @@ impl OpKind {
 /// `[gp, p, l, sibling]`).
 pub(crate) const MAX_NODES: usize = 4;
 
-/// The paper's `Info` record (Figure 2, lines 5–14) plus reclamation
-/// bookkeeping, reduced to what `Help` reads (module docs list what is
-/// derived and from what).
+/// The header of the paper's `Info` record (Figure 2, lines 5–14): the
+/// part update words point at, which outlives the attempt. `state` plus
+/// reclamation bookkeeping and the pointer to the attempt's [`Body`].
 ///
-/// All fields except `state`, `refs` and `retired` are immutable after
-/// construction (paper Observation 1).
+/// `body` is immutable after construction (paper Observation 1), but it
+/// may be dangling once the attempt is decided: see [`Info::body`].
 #[repr(C)]
 pub(crate) struct Info<K, V> {
     /// State machine; see module docs.
     pub state: AtomicU8,
-    /// Creating operation kind.
-    pub kind: OpKind,
     /// Set exactly once by whoever observes `refs == 0`; the winner defers
     /// destruction through the epoch collector.
     pub retired: AtomicBool,
@@ -216,6 +226,18 @@ pub(crate) struct Info<K, V> {
     /// per helper inside a freeze CAS at that moment. The Dummy's count
     /// is never decremented.
     pub refs: AtomicU32,
+    /// The attempt's freeze list; null for the Dummy.
+    body: *const Body<K, V>,
+}
+
+/// The part of the paper's `Info` record that `Help` reads to drive an
+/// undecided attempt, reduced as the module docs describe. Immutable
+/// after construction (paper Observation 1); retired once the attempt
+/// is decided.
+#[repr(C)]
+pub(crate) struct Body<K, V> {
+    /// Creating operation kind.
+    pub kind: OpKind,
     /// Sequence number (phase) of the attempt — read from `Counter` at the
     /// start of the attempt and re-checked by the handshake.
     pub seq: u64,
@@ -230,10 +252,52 @@ pub(crate) struct Info<K, V> {
 }
 
 impl<K, V> Info<K, V> {
-    /// Build an `Info` for an attempt that freezes `nodes` (whose update
+    /// The header of a fresh attempt described by `body`. `refs` starts
+    /// at 1 — the creation reference held by the creating operation
+    /// until its `Execute` finishes.
+    pub(crate) fn new(body: *const Body<K, V>) -> Self {
+        Info {
+            state: AtomicU8::new(state::UNDECIDED),
+            retired: AtomicBool::new(false),
+            refs: AtomicU32::new(1),
+            body,
+        }
+    }
+
+    /// The per-tree Dummy `Info` (paper line 30): permanently `Abort`, so
+    /// `Frozen` on a word pointing at it is always false, and without a
+    /// body. `retired` is preset so the reference-counting machinery can
+    /// never try to free it (the tree owns and frees it on drop).
+    pub(crate) fn dummy() -> Self {
+        Info {
+            state: AtomicU8::new(state::ABORT),
+            retired: AtomicBool::new(true),
+            refs: AtomicU32::new(u32::MAX / 2),
+            body: std::ptr::null(),
+        }
+    }
+
+    /// The attempt's body.
+    ///
+    /// # Safety
+    ///
+    /// The body is retired, through the epoch collector, after the
+    /// attempt is decided. The caller must hold a pin taken before that
+    /// retirement: it has read `state` as `UNDECIDED` or `TRY` under the
+    /// pin it still holds, or it is the creator, pinned since before the
+    /// publish.
+    #[inline]
+    pub(crate) unsafe fn body(&self) -> &Body<K, V> {
+        debug_assert!(!self.body.is_null(), "the Dummy has no body");
+        // SAFETY: per the contract, the body is not yet reclaimed.
+        unsafe { &*self.body }
+    }
+}
+
+impl<K, V> Body<K, V> {
+    /// Build the body of an attempt that freezes `nodes` (whose update
     /// words read `old_update`) and swings `nodes[0]`'s child `nodes[1]`
-    /// to `new_child`. `refs` starts at 1 — the creation reference held
-    /// by the creating operation until its `Execute` finishes.
+    /// to `new_child`.
     pub(crate) fn new(
         kind: OpKind,
         nodes: &[NodePtr<K, V>],
@@ -247,32 +311,12 @@ impl<K, V> Info<K, V> {
         let mut u = [UpdateWord::new(FreezeTag::Flag, std::ptr::null()); MAX_NODES - 1];
         n[..len].copy_from_slice(nodes);
         u[..len - 1].copy_from_slice(&old_update[1..]);
-        Info {
-            state: AtomicU8::new(state::UNDECIDED),
+        Body {
             kind,
-            retired: AtomicBool::new(false),
-            refs: AtomicU32::new(1),
             seq,
             new_child,
             nodes: n,
             old_update: u,
-        }
-    }
-
-    /// The per-tree Dummy `Info` (paper line 30): permanently `Abort`, so
-    /// `Frozen` on a word pointing at it is always false. `retired` is
-    /// preset so the reference-counting machinery can never try to free it
-    /// (the tree owns and frees it on drop).
-    pub(crate) fn dummy() -> Self {
-        Info {
-            state: AtomicU8::new(state::ABORT),
-            kind: OpKind::Insert,
-            retired: AtomicBool::new(true),
-            refs: AtomicU32::new(u32::MAX / 2),
-            seq: 0,
-            new_child: std::ptr::null(),
-            nodes: [std::ptr::null(); MAX_NODES],
-            old_update: [UpdateWord::new(FreezeTag::Flag, std::ptr::null()); MAX_NODES - 1],
         }
     }
 
@@ -347,11 +391,14 @@ mod tests {
     }
 
     #[test]
-    fn layout_is_80_bytes_for_every_key_and_value() {
-        // The bytes each retained update record costs: one per flagged
-        // node, about two for every three keys of a churned tree.
-        assert_eq!(size_of::<Info<u64, u64>>(), 80);
-        assert_eq!(size_of::<Info<String, String>>(), 80);
+    fn header_is_16_bytes_and_body_80_for_every_key_and_value() {
+        // The header is what a decided attempt keeps: one per flagged
+        // node, about two for every three keys of a churned tree. The
+        // body lives only while its attempt is undecided.
+        assert_eq!(size_of::<Info<u64, u64>>(), 16);
+        assert_eq!(size_of::<Info<String, String>>(), 16);
+        assert_eq!(size_of::<Body<u64, u64>>(), 80);
+        assert_eq!(size_of::<Body<String, String>>(), 80);
         assert_eq!(size_of::<UpdateWord<u64, u64>>(), 8);
     }
 
@@ -360,8 +407,7 @@ mod tests {
         let d = Info::<u32, u32>::dummy();
         assert_eq!(d.state.load(Ordering::Relaxed), state::ABORT);
         assert!(d.retired.load(Ordering::Relaxed));
-        assert!(d.par().is_null() && d.old_child().is_null());
-        assert!(d.new_child.is_null());
+        assert!(d.body.is_null());
     }
 
     #[test]
@@ -370,17 +416,22 @@ mod tests {
         let pd: InfoPtr<u32, u32> = &d;
         let w0 = UpdateWord::new(FreezeTag::Flag, pd);
         let w1 = UpdateWord::new(FreezeTag::Mark, pd);
-        // Fake node pointers: `Info::new` never dereferences them.
+        // Fake node pointers: `Body::new` never dereferences them.
         let fake = [8usize as NodePtr<u32, u32>, 16 as NodePtr<u32, u32>];
-        let info = Info::new(OpKind::Insert, &fake, &[w0, w1], 24 as NodePtr<u32, u32>, 7);
+        let body = Body::new(OpKind::Insert, &fake, &[w0, w1], 24 as NodePtr<u32, u32>, 7);
+        let info = Info::new(&body);
         assert_eq!(info.state.load(Ordering::Relaxed), state::UNDECIDED);
         assert_eq!(info.refs.load(Ordering::Relaxed), 1);
         assert!(!info.retired.load(Ordering::Relaxed));
-        assert_eq!(info.len(), 2);
-        assert_eq!(info.seq, 7);
-        assert_eq!((info.par(), info.old_child()), (fake[0], fake[1]));
-        assert!(info.is_mark(1) && !info.is_mark(0));
-        assert_eq!(info.old_update(1), w1);
+        // SAFETY: `body` is alive for the whole test.
+        let b = unsafe { info.body() };
+        assert!(std::ptr::eq(b, &body));
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.seq, 7);
+        assert_eq!((b.par(), b.old_child()), (fake[0], fake[1]));
+        assert_eq!(b.new_child, 24 as NodePtr<u32, u32>);
+        assert!(b.is_mark(1) && !b.is_mark(0));
+        assert_eq!(b.old_update(1), w1);
     }
 
     #[test]
@@ -389,9 +440,9 @@ mod tests {
         let pd: InfoPtr<u32, u32> = &d;
         let words = [0, 1, 0, 1].map(|bit| UpdateWord::new(FreezeTag::from_bit(bit), pd));
         let fake = [8usize, 16, 24, 32].map(|a| a as NodePtr<u32, u32>);
-        let info = Info::new(OpKind::Delete, &fake, &words, 40 as NodePtr<u32, u32>, 3);
-        assert_eq!(info.len(), 4);
-        assert_eq!(info.nodes, fake);
-        assert!((1..4).all(|i| info.is_mark(i) && info.old_update(i) == words[i]));
+        let body = Body::new(OpKind::Delete, &fake, &words, 40 as NodePtr<u32, u32>, 3);
+        assert_eq!(body.len(), 4);
+        assert_eq!(body.nodes, fake);
+        assert!((1..4).all(|i| body.is_mark(i) && body.old_update(i) == words[i]));
     }
 }

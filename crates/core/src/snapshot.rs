@@ -105,6 +105,7 @@ where
             // Acquire: pairs with the AcqRel state transitions.
             let st = unsafe { (*w.info()).state.load(Acquire) };
             if st == state::UNDECIDED || st == state::TRY {
+                self.tree.stats.scan_helps();
                 self.tree.help(w.info(), guard);
             }
             let left = node.key.fin_lt(key);
@@ -453,6 +454,31 @@ mod tests {
         );
         assert_eq!(snap.len(), 20);
         assert!(!snap.is_empty());
+    }
+
+    #[cfg(feature = "testing-internals")]
+    #[test]
+    fn point_reads_count_their_helps_as_scan_helps() {
+        // A snapshot's point read helps an undecided update on its path,
+        // as the scan walk does, and counts it the same way: here it
+        // meets a parked insert, whose handshake then aborts.
+        use crate::testing::{PauseOutcome, PausedState};
+        let t: PnbBst<u32, u32> = PnbBst::new();
+        for k in [10, 20, 30] {
+            t.insert(k, k);
+        }
+        let PauseOutcome::Paused(parked) = t.insert_paused(25, 25) else {
+            panic!("an insert of an absent key publishes");
+        };
+        let snap = t.snapshot();
+        let before = t.stats();
+        assert_eq!(snap.get(&25), None);
+        let after = t.stats();
+        assert_eq!(after.scan_helps - before.scan_helps, 1);
+        assert_eq!(after.helps, before.helps);
+        assert_eq!(parked.state(), PausedState::Aborted);
+        assert!(!parked.resume());
+        assert_eq!(t.check_invariants(), 3);
     }
 
     #[test]

@@ -91,7 +91,8 @@ pub struct StatsSnapshot {
     pub validation_failures: u64,
     /// Phases closed: range scans and snapshots.
     pub scans: u64,
-    /// In-progress operations helped by scans specifically.
+    /// In-progress operations helped by readers of a closed phase: the
+    /// scan walk and a snapshot's point reads.
     pub scan_helps: u64,
     /// `Find`s: `get`, `contains` and a batch's `Get`s.
     pub finds: u64,

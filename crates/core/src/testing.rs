@@ -111,8 +111,10 @@ where
 {
     /// The attempt's sequence number (phase).
     pub fn seq(&self) -> u64 {
-        // SAFETY: we hold the creation reference; `info` is alive.
-        unsafe { (*self.info).seq }
+        // SAFETY: we hold the creation reference, so `info` is alive, and
+        // we have been pinned since before the publish, so its body is
+        // too even if a helper decided the attempt and retired it.
+        unsafe { (*self.info).body().seq }
     }
 
     /// Current protocol state (may be changed concurrently by helpers).

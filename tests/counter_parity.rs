@@ -92,9 +92,14 @@ fn one_sequence_reads_the_same_counts_as_before() {
         tree.stats(),
         stats([87, 3, 3, 3], [20, 68, 5, 12], [301, 15, 356, 7])
     );
+    // 395 blocks: 224 nodes (the root and two sentinels, three per
+    // insert, one per upsert and per delete: 3 + 68 * 3 + 5 + 12), 86
+    // `Info` headers (the Dummy and one per published attempt: all 85
+    // updates publish once) and 85 bodies. One miss per class — node,
+    // header, body — maps its first slab; the rest are hits.
     let tree_arena = ArenaStats {
-        pool_hits: 308,
-        pool_misses: 2,
+        pool_hits: 392,
+        pool_misses: 3,
         recycled_bytes: 0,
     };
     assert_eq!(arena_delta(before), tree_arena);
@@ -157,10 +162,16 @@ fn one_sequence_reads_the_same_counts_as_before() {
             [85, 6, 50, 0]
         ]
     );
+    // 407 blocks, all from the slabs the tree's sequence mapped: 233
+    // nodes (4 shards' three, then the same 221 as the tree), 89 headers
+    // (4 Dummies, 85 attempts) and 85 bodies. The recycled bytes are the
+    // tree sequence's first sealed bag, which ripens here: the leaves its
+    // 64 ascending inserts replaced, each retired in one entry with its
+    // attempt's body, 64 * (64 + 80) B.
     let map_arena = ArenaStats {
-        pool_hits: 322,
+        pool_hits: 407,
         pool_misses: 0,
-        recycled_bytes: 4_096,
+        recycled_bytes: 9_216,
     };
     assert_eq!(arena_delta(before), map_arena);
 }
