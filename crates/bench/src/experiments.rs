@@ -479,29 +479,31 @@ fn e8(opts: &ExpOpts, log: &mut JsonLog) -> String {
     ];
     for s in &structures {
         eprintln!("  {} latency ...", s.name());
-        let dist = KeyDist::uniform(kr);
-        let rep = adapters::dispatch!(s, m => workload::run_latency(m, threads, opts.duration(), &dist, mix, 42))
+        let cfg = RunConfig::new(threads, opts.duration(), KeyDist::uniform(kr), mix);
+        let rep = adapters::dispatch!(s, m => workload::run_latency(m, &cfg, None))
             .expect("range-capable roster");
-        for (label, count, p50, p99, p999) in &rep.classes {
+        for c in &rep.classes {
             log.push(
                 "e8",
                 &[
                     ("structure", Val::s(&rep.name)),
-                    ("op", Val::s(label)),
+                    ("op", Val::s(&c.class)),
                     ("threads", Val::U(threads as u64)),
                     ("key_range", Val::U(kr)),
-                    ("samples", Val::U(*count)),
-                    ("p50_ns", Val::U(*p50)),
-                    ("p99_ns", Val::U(*p99)),
-                    ("p999_ns", Val::U(*p999)),
+                    ("samples", Val::U(c.count)),
+                    ("p50_ns", Val::U(c.p50_ns)),
+                    ("p99_ns", Val::U(c.p99_ns)),
+                    ("p999_ns", Val::U(c.p999_ns)),
                 ],
             );
             out.push_str(&format!(
-                "| {} | {label} | {count} | {} | {} | {} |\n",
+                "| {} | {} | {} | {} | {} | {} |\n",
                 rep.name,
-                fmt_ns(*p50),
-                fmt_ns(*p99),
-                fmt_ns(*p999)
+                c.class,
+                c.count,
+                fmt_ns(c.p50_ns),
+                fmt_ns(c.p99_ns),
+                fmt_ns(c.p999_ns)
             ));
         }
         pnb_bst::collector_drain(64);

@@ -43,10 +43,16 @@ where
         guard: &Guard,
     ) -> Option<UpdateWord<K, V>> {
         let up = parent.load_update(guard); // line 52
-        if self.frozen(up) {
+        let st = Self::update_state(up);
+        if Self::frozen_in(up, st) {
             // lines 53–55: help the operation in progress, then fail.
             // `frozen` ⇒ the info is not the Dummy (its state is Abort).
-            self.stats.helps();
+            // A committed mark stays frozen but has nothing left to
+            // help: `help` returns on its state, and only an undecided
+            // or trying record counts as a help.
+            if st != state::COMMIT {
+                self.stats.helps();
+            }
             self.help(up.info(), guard);
             return None;
         }
@@ -101,6 +107,23 @@ where
     /// frozen forever once the operation commits (marking is permanent,
     /// Lemma 23).
     pub(crate) fn frozen(&self, up: UpdateWord<K, V>) -> bool {
+        Self::frozen_in(up, Self::update_state(up))
+    }
+
+    /// `Frozen(up)` given the state of `up`'s record, as read by
+    /// [`update_state`](Self::update_state).
+    #[inline]
+    fn frozen_in(up: UpdateWord<K, V>, st: u8) -> bool {
+        match up.tag() {
+            crate::info::FreezeTag::Flag => st == state::UNDECIDED || st == state::TRY,
+            crate::info::FreezeTag::Mark => st != state::ABORT,
+        }
+    }
+
+    /// The state of the record `up` names: the one atomic load
+    /// `Frozen` makes.
+    #[inline]
+    fn update_state(up: UpdateWord<K, V>) -> u8 {
         // SAFETY: `up.info()` was read from a reachable node's update field
         // under the caller's guard; Info objects are retired only via the
         // epoch collector, so the reference is valid while pinned.
@@ -110,14 +133,10 @@ where
         // benign: a conservatively-frozen verdict only causes a retry,
         // and a stale not-frozen verdict is caught by the freeze CAS's
         // expected-value check.
-        let st = unsafe {
+        unsafe {
             (*up.info())
                 .state
                 .load(std::sync::atomic::Ordering::Acquire)
-        };
-        match up.tag() {
-            crate::info::FreezeTag::Flag => st == state::UNDECIDED || st == state::TRY,
-            crate::info::FreezeTag::Mark => st != state::ABORT,
         }
     }
 }

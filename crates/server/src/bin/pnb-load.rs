@@ -5,7 +5,7 @@
 //!          [--duration-ms 2000] [--keys 65536]
 //!          [--dist scrambled-zipf|zipf|uniform] [--theta 0.99]
 //!          [--mix point|range|update|find] [--prefill 0.5] [--seed 42]
-//!          [--json PATH] [--interval-log PATH]
+//!          [--json PATH]
 //! pnb-load --addr HOST:PORT --checkpoint-now
 //! pnb-load --addr HOST:PORT --count
 //! pnb-load --addr HOST:PORT --fill N
@@ -19,36 +19,35 @@
 //! hook turns even a worker-thread failure into one line, not a
 //! backtrace.
 //!
-//! Reuses `workload::run_open_loop` over the [`pnb_server::NetMap`]
-//! adapter: arrivals on a fixed schedule, latency measured from each
-//! operation's *intended* start (coordinated-omission-free), per-class
-//! HDR histograms. Emits a human summary on stdout; `--json` writes
-//! one row per op class (`offered_rate`, `achieved_rate`, `p50_ns`,
-//! `p99_ns`, `p999_ns`, …); `--interval-log`
-//! appends per-interval `{"t_secs", "achieved_rate", "p50_ns",
-//! "p99_ns"}` JSONL rows so saturation collapses are visible in time,
-//! not averaged away.
+//! Runs `workload::run_latency` paced at `--rate` over the
+//! [`pnb_server::NetMap`] adapter: arrivals on a fixed schedule,
+//! latency measured from each operation's *intended* start
+//! (coordinated-omission-free), per-class HDR histograms. Emits a human
+//! summary on stdout; `--json` writes one row per op class
+//! (`offered_rate`, `achieved_rate`, `p50_ns`, `p99_ns`, `p999_ns`,
+//! `max_ns`, …). Out-of-range numbers (`--rate`, `--threads`,
+//! `--prefill`, `--keys`) exit 2 before anything connects.
 //!
 //! Two one-shot modes support the checkpoint smoke test (CI): with
 //! `--checkpoint-now` the driver connects, triggers one durable
 //! checkpoint on a server started with `--checkpoint-dir`, prints
 //! `pnb-load: checkpoint generation=N entries=M`, and exits; with
 //! `--count` it prints `pnb-load: count=N` (a full-range count) and
-//! exits. Both skip the open-loop engine entirely.
+//! exits. Both skip the load phase entirely.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use pnb_server::{NetMap, ReconnectingClient, RetryPolicy};
 use workload::json::{JsonLog, Val};
-use workload::{run_open_loop, IntervalLogConfig, KeyDist, Mix, OpenLoopConfig};
+use workload::{run_latency, KeyDist, Mix, RunConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: pnb-load --addr HOST:PORT [--threads N] [--rate OPS_PER_SEC] \
          [--duration-ms MS] [--keys N] [--dist scrambled-zipf|zipf|uniform] \
          [--theta F] [--mix point|range|update|find] [--prefill F] [--seed N] \
-         [--json PATH] [--interval-log PATH] \
+         [--json PATH] \
          [--retry-deadline-ms MS] [--retry-mutations]\n\
          \x20      pnb-load --addr HOST:PORT --checkpoint-now | --count | --fill N"
     );
@@ -84,7 +83,6 @@ struct Opts {
     prefill: f64,
     seed: u64,
     json: Option<String>,
-    interval_log: Option<String>,
     checkpoint_now: bool,
     count: bool,
     fill: Option<u64>,
@@ -106,7 +104,6 @@ impl Default for Opts {
             prefill: 0.5,
             seed: 42,
             json: None,
-            interval_log: None,
             checkpoint_now: false,
             count: false,
             fill: None,
@@ -140,7 +137,6 @@ fn parse_args() -> Opts {
             "--prefill" => o.prefill = parse(&take("--prefill"), "--prefill"),
             "--seed" => o.seed = parse(&take("--seed"), "--seed"),
             "--json" => o.json = Some(take("--json")),
-            "--interval-log" => o.interval_log = Some(take("--interval-log")),
             "--checkpoint-now" => o.checkpoint_now = true,
             "--count" => o.count = true,
             "--fill" => o.fill = Some(parse(&take("--fill"), "--fill")),
@@ -162,7 +158,35 @@ fn parse_args() -> Opts {
         eprintln!("--addr is required");
         usage();
     }
+    if let Err(e) = validate(&o) {
+        eprintln!("{e}");
+        usage();
+    }
     o
+}
+
+/// Reject the numbers no load phase can run with, before anything
+/// connects: a rate that is not a positive finite number (it divides
+/// the metronome's interval), a thread count outside 1..=256 (each is
+/// an OS thread), a prefill fraction outside [0, 1] and an empty key
+/// space.
+fn validate(o: &Opts) -> Result<(), String> {
+    if !(o.rate.is_finite() && o.rate > 0.0) {
+        return Err(format!(
+            "--rate must be positive and finite, got {}",
+            o.rate
+        ));
+    }
+    if !(1..=256).contains(&o.threads) {
+        return Err(format!("--threads must be in 1..=256, got {}", o.threads));
+    }
+    if !(0.0..=1.0).contains(&o.prefill) {
+        return Err(format!("--prefill must be in [0, 1], got {}", o.prefill));
+    }
+    if o.keys == 0 {
+        return Err("--keys must be at least 1".to_string());
+    }
+    Ok(())
 }
 
 fn parse<T: std::str::FromStr>(s: &str, name: &str) -> T {
@@ -292,21 +316,19 @@ fn main() -> ExitCode {
         }
     };
 
-    let cfg = OpenLoopConfig {
+    let cfg = RunConfig {
         threads: o.threads,
-        target_rate: o.rate,
         duration: o.duration,
         key_dist,
         mix,
         prefill_fraction: o.prefill,
         seed: o.seed,
-        interval_log: o.interval_log.as_ref().map(IntervalLogConfig::new),
     };
     eprintln!(
         "pnb-load: {} threads offering {:.0} ops/s of `{}` at {} for {:?}",
         o.threads, o.rate, o.mix, o.addr, o.duration
     );
-    let m = match run_open_loop(&map, &cfg) {
+    let m = match run_latency(&map, &cfg, Some(o.rate)) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("pnb-load: {e}");
@@ -314,9 +336,10 @@ fn main() -> ExitCode {
         }
     };
 
+    let total_ops: u64 = m.classes.iter().map(|c| c.count).sum();
     println!(
-        "{}: offered {:.0} ops/s, achieved {:.0} ops/s over {:.2}s ({} ops)",
-        m.name, m.offered_rate, m.achieved_rate, m.elapsed_secs, m.total_ops
+        "{}: offered {:.0} ops/s, achieved {:.0} ops/s over {:.2}s ({total_ops} ops)",
+        m.name, o.rate, m.achieved_rate, m.elapsed_secs
     );
     println!("| op | samples | p50_ns | p99_ns | p999_ns | max_ns |");
     println!("|---|---|---|---|---|---|");
@@ -333,7 +356,7 @@ fn main() -> ExitCode {
                 ("threads", Val::U(m.threads as u64)),
                 ("key_range", Val::U(o.keys)),
                 ("mix", Val::s(&o.mix)),
-                ("offered_rate", Val::F(m.offered_rate)),
+                ("offered_rate", Val::F(o.rate)),
                 ("achieved_rate", Val::F(m.achieved_rate)),
                 ("elapsed_secs", Val::F(m.elapsed_secs)),
                 ("op", Val::s(&c.class)),
@@ -353,8 +376,33 @@ fn main() -> ExitCode {
         }
         eprintln!("pnb-load: wrote {} rows to {path}", log.len());
     }
-    if let Some(path) = &o.interval_log {
-        eprintln!("pnb-load: interval rows appended to {path}");
-    }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_rejects_numbers_no_load_phase_can_run_with() {
+        // Rejected values only: nothing here may reach a driver (the
+        // smokes run the accepted defaults end to end).
+        let bad: [fn(&mut Opts); 10] = [
+            |o| o.rate = 0.0,
+            |o| o.rate = -5.0,
+            |o| o.rate = f64::NAN,
+            |o| o.rate = f64::INFINITY,
+            |o| o.threads = 0,
+            |o| o.threads = 257,
+            |o| o.threads = usize::MAX,
+            |o| o.prefill = -0.1,
+            |o| o.prefill = 1.5,
+            |o| o.keys = 0,
+        ];
+        for (i, set) in bad.iter().enumerate() {
+            let mut o = Opts::default();
+            set(&mut o);
+            assert!(validate(&o).is_err(), "case {i} accepted");
+        }
+    }
 }

@@ -27,8 +27,8 @@
 //!   requests included), flush, release their epoch pins, and exit.
 //!
 //! Two binaries ship with the crate: `pnb-server` (the daemon) and
-//! `pnb-load` (an open-loop, coordinated-omission-free load driver
-//! built on `workload::run_open_loop` over [`client::NetMap`]).
+//! `pnb-load` (an open-loop, coordinated-omission-free load driver:
+//! `workload::run_latency` paced at `--rate` over [`client::NetMap`]).
 //! `benchmark/`'s `net-*` workloads measure this stack on loopback.
 //! DESIGN.md §8 documents the wire format.
 

@@ -4,9 +4,7 @@
 use std::time::Duration;
 
 use pnb_server::{Client, NetMap, ReqBody, RespBody, Server, ServerConfig};
-use workload::{
-    run_open_loop, ConcurrentMap, IntervalLogConfig, KeyDist, MapSession, Mix, OpenLoopConfig,
-};
+use workload::{run_latency, ConcurrentMap, KeyDist, MapSession, Mix, RunConfig};
 
 fn spawn(
     shards: usize,
@@ -150,37 +148,23 @@ fn netmap_drives_the_open_loop_engine() {
     let map = NetMap::connect(addr).expect("netmap connect");
     assert_eq!(map.name(), "pnb-sharded-net");
 
-    let log_path =
-        std::env::temp_dir().join(format!("pnb_netmap_interval_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&log_path);
-    let cfg = OpenLoopConfig {
-        threads: 2,
-        target_rate: 2_000.0,
-        duration: Duration::from_millis(400),
-        key_dist: KeyDist::scrambled_zipfian(1_024, 0.99),
-        mix: Mix::new(20, 20, 50, 10, 100),
-        prefill_fraction: 0.5,
-        seed: 42,
-        interval_log: Some(IntervalLogConfig::with_interval(
-            &log_path,
-            Duration::from_millis(100),
-        )),
-    };
-    let m = run_open_loop(&map, &cfg).expect("open loop over the wire");
+    let cfg = RunConfig::new(
+        2,
+        Duration::from_millis(400),
+        KeyDist::scrambled_zipfian(1_024, 0.99),
+        Mix::new(20, 20, 50, 10, 100),
+    );
+    let offered = 2_000.0;
+    let m = run_latency(&map, &cfg, Some(offered)).expect("paced loop over the wire");
     assert_eq!(m.name, "pnb-sharded-net");
-    assert!(m.total_ops > 0);
+    assert!(m.classes.iter().map(|c| c.count).sum::<u64>() > 0);
     // Loopback at 2k ops/s should keep up to within a wide margin.
     assert!(
-        m.achieved_rate > 0.5 * m.offered_rate,
-        "achieved {:.0} of offered {:.0}",
+        m.achieved_rate > 0.5 * offered,
+        "achieved {:.0} of offered {offered:.0}",
         m.achieved_rate,
-        m.offered_rate
     );
     assert!(!m.classes.is_empty());
-    let rows = std::fs::read_to_string(&log_path).expect("interval log");
-    let _ = std::fs::remove_file(&log_path);
-    assert!(rows.lines().count() >= 2, "interval rows: {rows:?}");
-    assert!(rows.lines().all(|l| l.contains("\"achieved_rate\"")));
 
     shutdown.signal();
     join.join().unwrap().unwrap();

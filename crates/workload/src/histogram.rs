@@ -1,4 +1,4 @@
-//! HDR-style log-linear latency histogram with per-thread sharding.
+//! HDR-style log-linear latency histogram.
 //!
 //! One-octave (power-of-two) buckets would be cheaper, but their
 //! resolution is a factor of two, so p99 and p999 frequently collapse
@@ -11,13 +11,9 @@
 //! beyond 2⁶³ ns, in a fixed 3 776-slot table (~30 KiB).
 //!
 //! Recording is an index computation plus one increment, cheap enough
-//! for per-operation use on the open-loop hot path. Each worker thread
-//! records into its own histogram (no shared cache lines on the hot
-//! path); [`ShardedHistogram`] owns one shard per thread and merges them
-//! at reporting points — mid-run interval reports and the final summary
-//! both read a merge, never a live shard.
-
-use std::sync::Mutex;
+//! for per-operation use on a measured hot path. Each worker thread
+//! records into its own histograms (no shared cache lines on the hot
+//! path), and the driver merges them once the workers have joined.
 
 /// log₂ of the linear sub-bucket half count (64 sub-buckets of
 /// distinct resolution per bucket).
@@ -46,7 +42,6 @@ const COUNTS_LEN: usize = (BUCKET_COUNT + 2) * SUB_HALF_COUNT; // 3776
 pub struct HdrHistogram {
     counts: Vec<u64>,
     total: u64,
-    min: u64,
     max: u64,
 }
 
@@ -62,7 +57,6 @@ impl HdrHistogram {
         HdrHistogram {
             counts: vec![0; COUNTS_LEN],
             total: 0,
-            min: u64::MAX,
             max: 0,
         }
     }
@@ -101,19 +95,10 @@ impl HdrHistogram {
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Record `n` occurrences of `v`.
-    #[inline]
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        self.counts[Self::index_for(v)] += n;
-        self.total += n;
+        self.counts[Self::index_for(v)] += 1;
+        self.total += 1;
         if v > self.max {
             self.max = v;
-        }
-        if v < self.min {
-            self.min = v;
         }
     }
 
@@ -138,11 +123,6 @@ impl HdrHistogram {
         self.max
     }
 
-    /// Smallest recorded value (`u64::MAX` when empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
     /// Merge `other` into `self`.
     pub fn merge(&mut self, other: &HdrHistogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -150,45 +130,6 @@ impl HdrHistogram {
         }
         self.total += other.total;
         self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-    }
-
-    /// The samples recorded in `self` but not in `earlier` — the
-    /// per-interval histogram between two cumulative snapshots of the
-    /// same recording stream (the interval-log reporter's primitive).
-    ///
-    /// `earlier` must be a previous snapshot of `self`'s stream (its
-    /// per-slot counts never exceed `self`'s); counts are subtracted
-    /// slot-wise with saturation so a violated precondition degrades to
-    /// an undercount instead of wrapping. `min`/`max` of the interval
-    /// are not recoverable from two cumulative snapshots, so the result
-    /// inherits `self`'s — percentiles stay correct to bucket
-    /// resolution, but the interval's `max()` may overestimate.
-    pub fn diff(&self, earlier: &HdrHistogram) -> HdrHistogram {
-        let mut out = HdrHistogram::new();
-        let mut total = 0u64;
-        for (o, (a, b)) in out
-            .counts
-            .iter_mut()
-            .zip(self.counts.iter().zip(earlier.counts.iter()))
-        {
-            *o = a.saturating_sub(*b);
-            total += *o;
-        }
-        out.total = total;
-        if total > 0 {
-            out.min = self.min;
-            out.max = self.max;
-        }
-        out
-    }
-
-    /// Reset to empty, keeping the allocation (the sharded flush path).
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
-        self.min = u64::MAX;
-        self.max = 0;
     }
 
     /// Value at quantile `q ∈ [0, 1]`, or `None` if empty.
@@ -220,67 +161,6 @@ impl HdrHistogram {
             self.value_at_percentile(0.99).unwrap_or(0),
             self.value_at_percentile(0.999).unwrap_or(0),
         )
-    }
-}
-
-/// Per-thread sharded recording: one shard (a vector of per-class
-/// [`HdrHistogram`]s) per worker thread, each behind its own mutex.
-///
-/// The contract that keeps the hot path clean: a worker records into
-/// *thread-local* histograms and [`flush`](ShardedHistogram::flush)es
-/// them into its own shard at batch boundaries (the lock is touched a
-/// few times per thousand operations, and only ever contended by a
-/// concurrent reporter). [`merged`](ShardedHistogram::merged) can then
-/// assemble a consistent cross-thread view at any reporting interval —
-/// mid-run or final — without stopping the workers.
-pub struct ShardedHistogram {
-    shards: Vec<Mutex<Vec<HdrHistogram>>>,
-    classes: usize,
-}
-
-impl ShardedHistogram {
-    /// One shard per worker thread, `classes` histograms per shard.
-    pub fn new(threads: usize, classes: usize) -> Self {
-        ShardedHistogram {
-            shards: (0..threads)
-                .map(|_| Mutex::new((0..classes).map(|_| HdrHistogram::new()).collect()))
-                .collect(),
-            classes,
-        }
-    }
-
-    /// Number of per-shard classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Merge thread `tid`'s local per-class histograms into its shard
-    /// and clear the locals (called by the owning worker at batch
-    /// boundaries).
-    pub fn flush(&self, tid: usize, local: &mut [HdrHistogram]) {
-        debug_assert_eq!(local.len(), self.classes);
-        let mut shard = self.shards[tid].lock().unwrap();
-        for (dst, src) in shard.iter_mut().zip(local.iter_mut()) {
-            if !src.is_empty() {
-                dst.merge(src);
-                src.clear();
-            }
-        }
-    }
-
-    /// Merge every shard into one histogram per class — the reporting
-    /// view. Safe to call while workers are still recording: each shard
-    /// is read under its lock, so the result is a consistent snapshot of
-    /// everything flushed so far.
-    pub fn merged(&self) -> Vec<HdrHistogram> {
-        let mut out: Vec<HdrHistogram> = (0..self.classes).map(|_| HdrHistogram::new()).collect();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            for (dst, src) in out.iter_mut().zip(shard.iter()) {
-                dst.merge(src);
-            }
-        }
-        out
     }
 }
 
@@ -322,7 +202,6 @@ mod tests {
         }
         assert_eq!(h.value_at_percentile(0.0), Some(0));
         assert_eq!(h.value_at_percentile(1.0), Some(127));
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 127);
     }
 
@@ -343,39 +222,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_clear_round_trip() {
+    fn merge_round_trip() {
         let mut a = HdrHistogram::new();
         let mut b = HdrHistogram::new();
-        a.record_n(100, 5);
-        b.record_n(1_000_000, 3);
+        assert_eq!(a.value_at_percentile(0.5), None);
+        for _ in 0..5 {
+            a.record(100);
+        }
+        for _ in 0..3 {
+            b.record(1_000_000);
+        }
         a.merge(&b);
         assert_eq!(a.len(), 8);
         assert_eq!(a.max(), 1_000_000);
-        assert_eq!(a.min(), 100);
-        a.clear();
-        assert!(a.is_empty());
-        assert_eq!(a.value_at_percentile(0.5), None);
-        assert_eq!(a.max(), 0);
-    }
-
-    #[test]
-    fn diff_recovers_the_interval_between_snapshots() {
-        // Simulate two reporting intervals over one cumulative stream.
-        let mut cum = HdrHistogram::new();
-        cum.record_n(100, 10);
-        cum.record_n(5_000, 2);
-        let snap1 = cum.clone();
-        cum.record_n(100, 3);
-        cum.record_n(9_000_000, 4);
-        let interval = cum.diff(&snap1);
-        assert_eq!(interval.len(), 7);
-        // The new samples dominate the interval's upper percentiles.
-        let p99 = interval.value_at_percentile(0.99).unwrap();
-        assert!(p99 >= 9_000_000, "interval p99 {p99} missed the new tail");
-        // Diff against itself is empty.
-        assert!(cum.diff(&cum).is_empty());
-        // Diff from an empty snapshot is the whole stream.
-        assert_eq!(cum.diff(&HdrHistogram::new()).len(), cum.len());
+        assert_eq!(a.value_at_percentile(0.5), Some(100));
     }
 
     #[test]
@@ -389,30 +249,6 @@ mod tests {
         // the promised 1/64.
         let got = h.value_at_percentile(0.25).unwrap();
         assert!((500..=500 + 500 / 64 + 1).contains(&got), "got {got}");
-    }
-
-    #[test]
-    fn sharded_flush_and_merge_mid_run() {
-        let sh = ShardedHistogram::new(2, 3);
-        let mut local0: Vec<HdrHistogram> = (0..3).map(|_| HdrHistogram::new()).collect();
-        let mut local1: Vec<HdrHistogram> = (0..3).map(|_| HdrHistogram::new()).collect();
-        local0[0].record(10);
-        local0[2].record(30);
-        local1[0].record(1_000);
-        sh.flush(0, &mut local0);
-        assert!(local0.iter().all(|h| h.is_empty()), "flush clears locals");
-        sh.flush(1, &mut local1);
-        // First reporting interval.
-        let m = sh.merged();
-        assert_eq!(m[0].len(), 2);
-        assert_eq!(m[1].len(), 0);
-        assert_eq!(m[2].len(), 1);
-        // Workers keep recording; a later interval sees the union.
-        local1[1].record(7);
-        sh.flush(1, &mut local1);
-        let m = sh.merged();
-        assert_eq!(m[1].len(), 1);
-        assert_eq!(m[0].len(), 2, "earlier flushes retained");
     }
 
     /// Exact quantile oracle on a sorted vector: value of the
@@ -450,7 +286,6 @@ mod tests {
             }
             prop_assert_eq!(h.len(), values.len() as u64);
             prop_assert_eq!(h.max(), *values.last().unwrap());
-            prop_assert_eq!(h.min(), values[0]);
         }
 
         // Merging two histograms must agree with recording everything

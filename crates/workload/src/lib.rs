@@ -20,11 +20,11 @@
 //!   over a key space.
 //! * [`run_throughput`] — the timed closed-loop driver; returns
 //!   per-operation counts and aggregate throughput.
-//! * [`run_open_loop`] — the open-loop, target-rate driver: arrivals on
-//!   a fixed schedule, latency recorded from each op's *intended* start
-//!   into an [`HdrHistogram`], so queueing delay is charged to the
-//!   structure instead of silently omitted (see the
-//!   [`schedule`] module docs on coordinated omission).
+//! * [`run_latency`] — the latency driver: per-class percentiles in
+//!   [`HdrHistogram`]s, closed-loop, or paced at a target rate with
+//!   latency recorded from each op's *intended* start, so queueing
+//!   delay is charged to the structure instead of silently omitted
+//!   (see the [`latency`] module docs on coordinated omission).
 //! * [`seed`] — the one splitmix64-based seed spawner every driver
 //!   derives per-thread RNG streams from.
 
@@ -38,23 +38,18 @@ pub mod json;
 pub mod latency;
 pub mod mix;
 pub mod runner;
-pub mod schedule;
 pub mod seed;
 
 pub use batch::{
     run_batched_throughput, BatchOp, BatchReport, BatchedMeasurement, BatchedRunConfig,
 };
 pub use dist::{KeyDist, ScrambledZipf, Zipf};
-pub use histogram::{HdrHistogram, ShardedHistogram};
-pub use latency::{run_latency, LatencyReport};
+pub use histogram::HdrHistogram;
+pub use latency::{run_latency, LatencyClass, LatencyReport};
 pub use mix::{Mix, Op};
 pub use runner::{
     disjoint_slices, prefill, run_scan_updater, run_throughput, Measurement, RunConfig,
     ScanUpdaterConfig, ScanUpdaterMeasurement,
-};
-pub use schedule::{
-    run_open_loop, IntervalLogConfig, OpSchedule, OpenLoopClass, OpenLoopConfig,
-    OpenLoopMeasurement,
 };
 
 /// The uniform map interface driven by the harness: a *guard-aware*
