@@ -23,6 +23,7 @@
 //!   leaked, mirroring the paper's crash-failure model.
 
 use crossbeam_epoch::{self as epoch, Guard};
+use std::cell::Cell;
 use std::sync::atomic::Ordering::Acquire;
 
 use crate::info::{state, InfoPtr};
@@ -159,13 +160,14 @@ pub fn arena_slab_bytes() -> usize {
 /// install it with `#[global_allocator]` in a test binary and diff
 /// [`allocations`](CountingAllocator::allocations) around the region
 /// under test. Read paths must show a delta of zero; update loops
-/// only the collector's own allocations. [`live_bytes`] counts what the
+/// only the collector's own allocations. That count is the calling
+/// thread's, so what the test harness's own threads allocate meanwhile
+/// does not land in the region. [`live_bytes`] counts what the
 /// arena's free lists and the collector hold, not its slabs
 /// ([`arena_slab_bytes`]).
 ///
 /// [`live_bytes`]: CountingAllocator::live_bytes
 pub struct CountingAllocator {
-    allocs: std::sync::atomic::AtomicU64,
     bytes: std::sync::atomic::AtomicU64,
     live: std::sync::atomic::AtomicI64,
 }
@@ -175,15 +177,15 @@ impl CountingAllocator {
     #[allow(clippy::new_without_default)] // const-init for statics
     pub const fn new() -> Self {
         CountingAllocator {
-            allocs: std::sync::atomic::AtomicU64::new(0),
             bytes: std::sync::atomic::AtomicU64::new(0),
             live: std::sync::atomic::AtomicI64::new(0),
         }
     }
 
-    /// Number of allocation calls (alloc + realloc) served so far.
+    /// Number of allocation calls (alloc + realloc) the calling thread
+    /// has made so far.
     pub fn allocations(&self) -> u64 {
-        self.allocs.load(std::sync::atomic::Ordering::Relaxed)
+        THREAD_ALLOCS.with(Cell::get)
     }
 
     /// Total bytes requested from the global allocator so far.
@@ -197,12 +199,23 @@ impl CountingAllocator {
     }
 }
 
+thread_local! {
+    // Const-initialised and without a destructor, so reading or bumping
+    // it never allocates: safe to touch from inside the allocator.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
 // SAFETY: delegates verbatim to `std::alloc::System`; the counters are
-// plain relaxed atomics with no effect on the returned memory.
+// plain relaxed atomics and a thread-local cell, with no effect on the
+// returned memory.
 unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
         use std::sync::atomic::Ordering::Relaxed;
-        self.allocs.fetch_add(1, Relaxed);
+        count_allocation();
         self.bytes.fetch_add(layout.size() as u64, Relaxed);
         self.live.fetch_add(layout.size() as i64, Relaxed);
         unsafe { std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout) }
@@ -217,7 +230,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
         use std::sync::atomic::Ordering::Relaxed;
-        self.allocs.fetch_add(1, Relaxed);
+        count_allocation();
         self.bytes.fetch_add(new_size as u64, Relaxed);
         self.live
             .fetch_add(new_size as i64 - layout.size() as i64, Relaxed);

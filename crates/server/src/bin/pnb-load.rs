@@ -405,4 +405,24 @@ mod tests {
             assert!(validate(&o).is_err(), "case {i} accepted");
         }
     }
+
+    #[test]
+    fn validate_accepts_the_edges_of_each_range() {
+        // `validate` alone: no driver runs, so the 256-thread edge
+        // starts no thread.
+        let good: [fn(&mut Opts); 6] = [
+            |o| o.rate = f64::MIN_POSITIVE,
+            |o| o.threads = 1,
+            |o| o.threads = 256,
+            |o| o.prefill = 0.0,
+            |o| o.prefill = 1.0,
+            |o| o.keys = 1,
+        ];
+        assert_eq!(validate(&Opts::default()), Ok(()));
+        for (i, set) in good.iter().enumerate() {
+            let mut o = Opts::default();
+            set(&mut o);
+            assert_eq!(validate(&o), Ok(()), "case {i} rejected");
+        }
+    }
 }

@@ -554,6 +554,99 @@ mod tests {
         }
     }
 
+    /// Each worker paces at `rate / threads`, so the offered rate is the
+    /// total over all workers, not per worker.
+    #[test]
+    fn paced_rate_is_split_across_workers() {
+        let _serial = open_loop_serial();
+        let cfg = RunConfig {
+            threads: 2,
+            ..cfg(300, 128, Mix::new(25, 25, 50, 0, 0), 5)
+        };
+        let m = run_latency(&NoopMap, &cfg, Some(4_000.0)).unwrap();
+        assert_eq!(m.threads, 2);
+        // ~1200 arrivals in total (600 a worker); an unsplit rate would
+        // schedule twice that.
+        let total = total_ops(&m);
+        assert!(
+            (1_000..=1_300).contains(&total),
+            "op count off the schedule: {total}"
+        );
+        let ratio = m.achieved_rate / 4_000.0;
+        assert!(
+            (0.8..=1.2).contains(&ratio),
+            "achieved/offered = {ratio} (achieved {})",
+            m.achieved_rate
+        );
+    }
+
+    /// Past saturation the backlog outgrows the window, and issuing
+    /// still stops at the deadline: a 100 ms run at 6× the capacity of a
+    /// 300 µs map schedules 2000 arrivals, 0.6 s of service, and must
+    /// end one service time past its window, not drain them.
+    #[test]
+    fn paced_run_stops_issuing_at_the_deadline() {
+        let _serial = open_loop_serial();
+        let map = StalledMap {
+            service: Duration::from_micros(300),
+        };
+        let m = run_latency(
+            &map,
+            &cfg(100, 64, Mix::new(0, 0, 100, 0, 0), 11),
+            Some(20_000.0),
+        )
+        .unwrap();
+        assert!(
+            (0.1..0.3).contains(&m.elapsed_secs),
+            "a saturated run must stop at its deadline: {} s",
+            m.elapsed_secs
+        );
+        // At most one op a service time fits in the window.
+        let total = total_ops(&m);
+        assert!(total <= 100_000 / 300 + 1, "{total} ops in 100 ms");
+    }
+
+    /// Closed-loop, a worker runs until the deadline and the report's
+    /// rate and elapsed time account for every op it recorded.
+    #[test]
+    fn closed_loop_reports_its_own_rate_and_elapsed_time() {
+        let _serial = open_loop_serial();
+        let cfg = cfg(50, 128, Mix::new(25, 25, 50, 0, 0), 13);
+        let m = run_latency(&NoopMap, &cfg, None).unwrap();
+        // The loop only leaves once the deadline has passed.
+        assert!(
+            (0.05..1.0).contains(&m.elapsed_secs),
+            "elapsed {} s for a 50 ms run",
+            m.elapsed_secs
+        );
+        let total = total_ops(&m);
+        assert!(total > 0);
+        assert_eq!(
+            (m.achieved_rate * m.elapsed_secs).round() as u64,
+            total,
+            "every op lands in exactly one class histogram"
+        );
+    }
+
+    /// The metronome never issues early, and a due time already past
+    /// (the backlogged case) returns at once.
+    #[test]
+    fn wait_until_never_returns_early() {
+        let now = Instant::now();
+        wait_until(now);
+        if let Some(past) = now.checked_sub(Duration::from_millis(5)) {
+            wait_until(past);
+        }
+        for gap_us in [50, 250, 1_000, 3_000] {
+            let due = Instant::now() + Duration::from_micros(gap_us);
+            wait_until(due);
+            assert!(
+                Instant::now() >= due,
+                "returned before a {gap_us} µs due time"
+            );
+        }
+    }
+
     #[test]
     fn open_loop_checks_capabilities_up_front() {
         struct NoUpsert;

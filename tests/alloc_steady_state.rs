@@ -15,8 +15,10 @@
 //!    same cold as warm.
 //!
 //! The whole battery runs in one `#[test]` because `#[global_allocator]`
-//! counters are process-global: Rust's parallel test harness would
-//! otherwise interleave counts from unrelated tests.
+//! is process-global: Rust's parallel test harness would otherwise run
+//! unrelated tests beside it. The count is the test thread's own, so
+//! what the harness's main thread allocates while it starts the test (a
+//! few allocations, racing the cold round) is not counted.
 
 use pnb_bst::testing::CountingAllocator;
 use pnb_bst::{Handle, PnbBst};
