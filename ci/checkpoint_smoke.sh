@@ -9,7 +9,10 @@
 #   3. restart with --restore and require the full-range count to equal
 #      C1 exactly: the newest *committed* generation loads, a torn
 #      in-flight generation is invisible, and nothing is partially
-#      applied (DESIGN §9).
+#      applied (DESIGN §9);
+#   4. take two more checkpoints over the wire and require exactly two
+#      `gen-*/CHECKPOINT` files, at most one generation without one (the
+#      killed life's debris), and no other file in a committed one.
 #
 # The find-only phase means map content cannot change after C1 was
 # recorded, so any committed checkpoint the restart picks — the first
@@ -86,6 +89,23 @@ echo "   count after restore: $c2"
 if [[ "$c1" != "$c2" ]]; then
     echo "restore mismatch: checkpointed $c1 keys, restored $c2" >&2
     cat "$workdir/server.log" >&2
+    exit 1
+fi
+
+echo "== two more checkpoints: retention and the one-file layout =="
+./target/release/pnb-load --addr "$addr" --checkpoint-now
+./target/release/pnb-load --addr "$addr" --checkpoint-now
+# Retention keeps two committed generations, each exactly one file; the
+# killed life leaves at most one generation without CHECKPOINT.
+gens=("$workdir"/ckpt/gen-*)
+committed=$(find "${gens[@]}" -maxdepth 1 -name CHECKPOINT | wc -l)
+uncommitted=$((${#gens[@]} - committed))
+strays=$(for g in "${gens[@]}"; do
+    if [[ -f "$g/CHECKPOINT" ]]; then find "$g" -mindepth 1 ! -name CHECKPOINT; fi
+done | wc -l)
+echo "   $committed committed, $uncommitted uncommitted, $strays stray file(s)"
+if [[ "$committed" != 2 || "$uncommitted" -gt 1 || "$strays" != 0 ]]; then
+    ls -laR "$workdir/ckpt" >&2
     exit 1
 fi
 

@@ -1066,7 +1066,21 @@ mod tests {
         assert!(rendered.contains("\"batch_size\": 64"));
         assert!(rendered.contains("\"ops_per_descent\""));
         assert!(rendered.contains("\"speedup_vs_singleton\""));
-        assert!(rendered.contains("\"p99_ns\""));
+        // Each row's batch percentiles are ordered, and the median batch
+        // is not always the slowest one.
+        let field = |row: &str, key: &str| -> u64 {
+            let at = row.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+            let digits = row[at..].split(|c: char| !c.is_ascii_digit()).next();
+            digits.and_then(|d| d.parse().ok()).expect("an integer")
+        };
+        let rows: Vec<(u64, u64)> = rendered
+            .lines()
+            .filter(|l| l.contains("\"experiment\": \"e13\""))
+            .map(|row| (field(row, "p50_ns"), field(row, "p99_ns")))
+            .collect();
+        assert_eq!(rows.len(), 18);
+        assert!(rows.iter().all(|(p50, p99)| p50 <= p99), "{rows:?}");
+        assert!(rows.iter().any(|(p50, p99)| p50 < p99), "{rows:?}");
     }
 
     #[test]

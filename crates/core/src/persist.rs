@@ -1,46 +1,29 @@
 //! Durable checkpoints: serialize a wait-free snapshot to disk and
 //! rebuild a tree from it in O(n), without per-key CAS descents.
 //!
-//! ## On-disk layout
-//!
-//! A checkpoint *directory* holds numbered **generations**, each a
-//! self-contained, immutable checkpoint:
-//!
-//! ```text
-//! <dir>/
-//!   gen-000001/
-//!     shard-0000.seg    one sorted run per shard (a single tree is
-//!     shard-0001.seg    shard count 1)
-//!     MANIFEST          shard count, partitioner config, per-segment
-//!                       entry counts + CRCs; itself CRC'd
-//!     COMMIT            written (and fsync'd) last: the manifest CRC
-//!   gen-000002/
-//!     ...
-//! ```
-//!
-//! Every segment is a length-prefixed sorted run of little-endian
-//! `(u64 key, u64 value)` pairs with a magic/version header and a
-//! trailing CRC-32 over everything before it. The `COMMIT` marker is
-//! written *after* the segments and manifest are durable, mirroring the
-//! "write the commit record last" idiom the sharded snapshot's
-//! descending capture order enables (DESIGN §6): a generation without a
-//! valid `COMMIT` never existed as far as [`restore`] is concerned, so
-//! a crash mid-checkpoint leaves the previous complete checkpoint
+//! A checkpoint *directory* holds numbered **generations**
+//! (`gen-000001/`, `gen-000002/`, …), each holding one immutable file,
+//! `CHECKPOINT`: a header (magic, version, shard count, partitioner tag
+//! and parameter), each shard's entry count and sorted run of
+//! little-endian `(u64 key, u64 value)` pairs (a single tree is one
+//! shard), and a CRC-32 of everything before it (DESIGN §9.1). It is
+//! written as `CHECKPOINT.tmp`, fsynced and renamed into place: the
+//! rename is the commit, as the child CAS is in the tree. A generation
+//! without `CHECKPOINT` never existed as far as [`restore`] is
+//! concerned, so a crash mid-checkpoint leaves the previous checkpoint
 //! loadable.
 //!
-//! ## Failure discipline
-//!
-//! Readers validate *everything* (magic, version, declared lengths,
-//! CRC, sortedness, shard count) before any entry reaches a tree — a
-//! torn or truncated segment produces a typed [`CheckpointError`],
-//! never a partially-loaded map. [`restore`](PnbBst::restore) walks
-//! generations newest-first and loads the newest one that validates
-//! end-to-end; the typed error surfaces only when no generation loads.
+//! The reader validates *everything* (magic, version, every count
+//! against the file's length, strict order within each shard, the CRC,
+//! no bytes after it) before any entry reaches a tree: a torn or
+//! corrupt file is a typed [`CheckpointError`], never a partially
+//! loaded map. [`restore`] loads the newest generation that validates;
+//! the typed error surfaces only when none does.
 //!
 //! [`restore`]: PnbBst::restore
 
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 
@@ -50,30 +33,35 @@ use crate::key::SKey;
 use crate::stats::Stats;
 use crate::tree::PnbBst;
 
-/// Segment file magic (`PNBS`).
-const SEG_MAGIC: [u8; 4] = *b"PNBS";
-/// Manifest file magic (`PNBM`).
-const MANIFEST_MAGIC: [u8; 4] = *b"PNBM";
-/// Commit-marker magic (`PNBC`).
-const COMMIT_MAGIC: [u8; 4] = *b"PNBC";
-/// Format version stamped into every segment and manifest.
-const FORMAT_VERSION: u32 = 1;
-/// Committed generations kept by [`prune_generations`]; older ones are
-/// deleted after each successful checkpoint.
+/// Checkpoint file magic (`PNBK`).
+const MAGIC: [u8; 4] = *b"PNBK";
+/// Format version stamped into every checkpoint file.
+const FORMAT_VERSION: u32 = 2;
+/// Bytes before the first shard: magic, version, shard count,
+/// partitioner tag, partitioner parameter.
+const HEADER_LEN: u64 = 4 + 4 + 4 + 4 + 8;
+/// The committed file of a generation, and the name it is written under.
+const FILE_NAME: &str = "CHECKPOINT";
+const TMP_NAME: &str = "CHECKPOINT.tmp";
+/// Buffer size of the writer and the reader: one `write`/`read` call
+/// per 64 KiB, never one per entry.
+const IO_BUF: usize = 1 << 16;
+/// Committed generations kept after each checkpoint.
 const RETAINED_GENERATIONS: usize = 2;
-
 /// Partitioner tag recorded for single-tree (unsharded) checkpoints.
-pub const PARTITIONER_NONE: u32 = 0;
+const PARTITIONER_NONE: u32 = 0;
 
 /// What loading or writing a checkpoint can fail with.
 ///
 /// Every variant names the file or directory it refers to, so a
-/// corrupt-checkpoint report is actionable without a debugger.
+/// corrupt-checkpoint report is actionable without a debugger. A
+/// generation without a `CHECKPOINT` file is not an error: it is an
+/// uncommitted one, and restore skips it.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem error (create, read, write, fsync, rename).
     Io(io::Error),
-    /// A segment, manifest or commit file does not start with its magic.
+    /// The file does not start with the checkpoint magic.
     BadMagic {
         /// The offending file.
         path: PathBuf,
@@ -85,7 +73,7 @@ pub enum CheckpointError {
         /// The version found in its header.
         found: u32,
     },
-    /// The file ends before its header-declared length (torn write).
+    /// The file ends before its declared counts do (torn write).
     Truncated {
         /// The offending file.
         path: PathBuf,
@@ -95,41 +83,39 @@ pub enum CheckpointError {
         /// The offending file.
         path: PathBuf,
     },
-    /// A segment's entries are not strictly ascending by key.
+    /// Bytes follow the CRC: the declared counts do not consume the
+    /// file exactly.
+    TrailingBytes {
+        /// The offending file.
+        path: PathBuf,
+    },
+    /// A shard's entries are not strictly ascending by key.
     UnsortedRun {
-        /// The offending segment.
+        /// The offending file.
         path: PathBuf,
     },
-    /// The generation has no `COMMIT` marker (or a stale one): the
-    /// checkpoint never completed.
-    MissingCommitMarker {
-        /// The uncommitted generation directory.
-        dir: PathBuf,
-    },
-    /// The manifest's shard count disagrees with the segment files
-    /// actually present in the generation.
+    /// [`PnbBst::restore`] found a checkpoint of a sharded map: a
+    /// single tree restores from exactly one shard.
     ShardCountMismatch {
-        /// The generation directory.
-        dir: PathBuf,
-        /// Shard count declared by the manifest.
-        manifest: u32,
-        /// Segment files found on disk.
-        found: u32,
-    },
-    /// The manifest records a partitioner configuration the caller's
-    /// map type cannot adopt.
-    PartitionerMismatch {
-        /// The generation directory.
-        dir: PathBuf,
-        /// Partitioner tag found in the manifest.
-        found: u32,
-    },
-    /// A key in a shard's segment does not route to that shard under
-    /// the manifest's partitioner configuration.
-    MisroutedKey {
-        /// The offending segment.
+        /// The checkpoint file.
         path: PathBuf,
-        /// The shard index the segment belongs to.
+        /// Shards the file holds.
+        found: u32,
+    },
+    /// The file records a partitioner configuration the caller's map
+    /// type cannot adopt.
+    PartitionerMismatch {
+        /// The checkpoint file.
+        path: PathBuf,
+        /// Partitioner tag found in the file.
+        found: u32,
+    },
+    /// A key in a shard's run does not route to that shard under the
+    /// file's partitioner configuration.
+    MisroutedKey {
+        /// The checkpoint file.
+        path: PathBuf,
+        /// The shard whose run holds the key.
         shard: u32,
         /// The key that routes elsewhere.
         key: u64,
@@ -144,55 +130,35 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            CheckpointError::BadMagic { path } => {
-                write!(f, "bad magic in {}", path.display())
+            Self::Io(e) => write!(f, "checkpoint I/O error: {e}"),
+            Self::BadMagic { path } => write!(f, "bad magic in {}", path.display()),
+            Self::BadVersion { path, found } => write!(
+                f,
+                "unsupported format version {found} in {} (this build reads {FORMAT_VERSION})",
+                path.display()
+            ),
+            Self::Truncated { path } => write!(f, "truncated file {}", path.display()),
+            Self::CrcMismatch { path } => write!(f, "CRC mismatch in {}", path.display()),
+            Self::TrailingBytes { path } => write!(f, "bytes after the CRC in {}", path.display()),
+            Self::UnsortedRun { path } => {
+                write!(f, "a shard in {} is not strictly ascending", path.display())
             }
-            CheckpointError::BadVersion { path, found } => {
-                write!(
-                    f,
-                    "unsupported format version {found} in {} (this build reads {FORMAT_VERSION})",
-                    path.display()
-                )
-            }
-            CheckpointError::Truncated { path } => {
-                write!(f, "truncated file {}", path.display())
-            }
-            CheckpointError::CrcMismatch { path } => {
-                write!(f, "CRC mismatch in {}", path.display())
-            }
-            CheckpointError::UnsortedRun { path } => {
-                write!(f, "segment {} is not strictly ascending", path.display())
-            }
-            CheckpointError::MissingCommitMarker { dir } => {
-                write!(f, "no valid COMMIT marker in {}", dir.display())
-            }
-            CheckpointError::ShardCountMismatch {
-                dir,
-                manifest,
-                found,
-            } => {
-                write!(
-                    f,
-                    "manifest in {} declares {manifest} shard(s) but {found} segment file(s) exist",
-                    dir.display()
-                )
-            }
-            CheckpointError::PartitionerMismatch { dir, found } => {
-                write!(
-                    f,
-                    "manifest in {} records partitioner tag {found}, which this map type cannot adopt",
-                    dir.display()
-                )
-            }
-            CheckpointError::MisroutedKey { path, shard, key } => {
-                write!(
-                    f,
-                    "key {key} in {} does not route to shard {shard} under the manifest's partitioner",
-                    path.display()
-                )
-            }
-            CheckpointError::NoCheckpoint { dir } => {
+            Self::ShardCountMismatch { path, found } => write!(
+                f,
+                "{} holds {found} shard(s); a single tree restores from exactly one",
+                path.display()
+            ),
+            Self::PartitionerMismatch { path, found } => write!(
+                f,
+                "{} records partitioner tag {found}, which this map type cannot adopt",
+                path.display()
+            ),
+            Self::MisroutedKey { path, shard, key } => write!(
+                f,
+                "key {key} of shard {shard} in {} routes to another shard under its partitioner",
+                path.display()
+            ),
+            Self::NoCheckpoint { dir } => {
                 write!(f, "no loadable committed checkpoint in {}", dir.display())
             }
         }
@@ -219,7 +185,7 @@ impl From<io::Error> for CheckpointError {
 pub struct CheckpointReport {
     /// The generation number the checkpoint committed as.
     pub generation: u64,
-    /// Total entries written across all segments.
+    /// Total entries written across all shards.
     pub entries: u64,
 }
 
@@ -235,11 +201,7 @@ const fn crc_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
             bit += 1;
         }
         table[i] = c;
@@ -250,245 +212,163 @@ const fn crc_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc_table();
 
-/// CRC-32 (IEEE 802.3, reflected) of `bytes` — the checksum every
+/// A running CRC-32: the writer and the reader feed it every byte they
+/// pass, so neither holds the whole file to checksum it.
+struct Crc(u32);
+
+impl Crc {
+    fn new() -> Self {
+        Crc(!0)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = CRC_TABLE[((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
+        }
+    }
+
+    fn finish(&self) -> u32 {
+        !self.0
+    }
+}
+
+/// CRC-32 (IEEE 802.3, reflected) of `bytes` — the checksum a
 /// checkpoint file trails with.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    let mut crc = Crc::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 // ---------------------------------------------------------------------------
-// Segment files
+// The checkpoint file
 // ---------------------------------------------------------------------------
 
-/// The segment file name for shard `index` inside a generation.
-pub fn segment_path(gen_dir: &Path, index: u32) -> PathBuf {
-    gen_dir.join(format!("shard-{index:04}.seg"))
-}
-
-/// Serialize one sorted run to `path` and fsync it. Returns the CRC-32
-/// of the whole file (recorded in the manifest so a reader can verify
-/// segments against the manifest as well as against themselves).
-///
-/// `entries` must be strictly ascending by key — the writer asserts it,
-/// because a silently unsorted segment would poison the O(n) bulk load.
-pub fn write_segment(path: &Path, entries: &[(u64, u64)]) -> Result<u32, CheckpointError> {
-    assert!(
-        entries.windows(2).all(|w| w[0].0 < w[1].0),
-        "write_segment requires strictly ascending keys"
-    );
-    let mut buf = Vec::with_capacity(16 + entries.len() * 16 + 4);
-    buf.extend_from_slice(&SEG_MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (k, v) in entries {
-        buf.extend_from_slice(&k.to_le_bytes());
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    let mut f = File::create(path)?;
-    f.write_all(&buf)?;
-    f.sync_all()?;
-    Ok(crc)
-}
-
-/// Read and fully validate one segment: magic, version, declared
-/// length, CRC, strict sortedness. Nothing is returned unless the whole
-/// file checks out — a torn segment is a typed error, never a partial
-/// run.
-pub fn read_segment(path: &Path) -> Result<Vec<(u64, u64)>, CheckpointError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 20 {
-        return Err(CheckpointError::Truncated { path: path.into() });
-    }
-    if bytes[..4] != SEG_MAGIC {
-        return Err(CheckpointError::BadMagic { path: path.into() });
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(CheckpointError::BadVersion {
-            path: path.into(),
-            found: version,
-        });
-    }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-    let body_end = 16usize
-        .checked_add(count.checked_mul(16).ok_or(CheckpointError::Truncated {
-            path: path.to_path_buf(),
-        })?)
-        .ok_or(CheckpointError::Truncated {
-            path: path.to_path_buf(),
-        })?;
-    if bytes.len() < body_end + 4 {
-        return Err(CheckpointError::Truncated { path: path.into() });
-    }
-    let stored = u32::from_le_bytes(bytes[body_end..body_end + 4].try_into().expect("4 bytes"));
-    if crc32(&bytes[..body_end]) != stored {
-        return Err(CheckpointError::CrcMismatch { path: path.into() });
-    }
-    let mut entries = Vec::with_capacity(count);
-    let mut prev: Option<u64> = None;
-    for i in 0..count {
-        let off = 16 + i * 16;
-        let k = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-        let v = u64::from_le_bytes(bytes[off + 8..off + 16].try_into().expect("8 bytes"));
-        if prev.is_some_and(|p| p >= k) {
-            return Err(CheckpointError::UnsortedRun { path: path.into() });
+/// Write one checkpoint file to `path` through a buffered, checksumming
+/// writer, then fsync it.
+fn write_file(path: &Path, tag: u32, param: u64, shards: &[Vec<(u64, u64)>]) -> io::Result<()> {
+    let mut out = BufWriter::with_capacity(IO_BUF, File::create(path)?);
+    let mut crc = Crc::new();
+    let mut put = |bytes: &[u8]| {
+        crc.update(bytes);
+        out.write_all(bytes)
+    };
+    put(&MAGIC)?;
+    put(&FORMAT_VERSION.to_le_bytes())?;
+    put(&(shards.len() as u32).to_le_bytes())?;
+    put(&tag.to_le_bytes())?;
+    put(&param.to_le_bytes())?;
+    for run in shards {
+        put(&(run.len() as u64).to_le_bytes())?;
+        for &(k, v) in run {
+            let mut entry = [0u8; 16];
+            entry[..8].copy_from_slice(&k.to_le_bytes());
+            entry[8..].copy_from_slice(&v.to_le_bytes());
+            put(&entry)?;
         }
-        prev = Some(k);
-        entries.push((k, v));
     }
-    Ok(entries)
+    out.write_all(&crc.finish().to_le_bytes())?;
+    out.into_inner()?.sync_all()
 }
 
-// ---------------------------------------------------------------------------
-// Manifest + commit marker
-// ---------------------------------------------------------------------------
-
-/// Per-segment record in a [`Manifest`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentMeta {
-    /// Entries in the segment.
-    pub entries: u64,
-    /// CRC-32 of the whole segment file.
-    pub crc: u32,
-}
-
-/// The generation's table of contents: shard count, the (opaque at this
-/// layer) partitioner configuration, and one [`SegmentMeta`] per shard.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Manifest {
-    /// Shards in the checkpointed map (1 for a single tree).
-    pub shard_count: u32,
-    /// Partitioner tag ([`PARTITIONER_NONE`] for a single tree; the
-    /// sharded front-end defines its own tags).
+/// A fully validated checkpoint: the file it came from, its partitioner
+/// configuration and every shard's entries (each strictly ascending by
+/// key), all in memory.
+#[derive(Debug)]
+pub struct LoadedGeneration {
+    /// The `CHECKPOINT` file that was loaded.
+    pub path: PathBuf,
+    /// Partitioner tag (0 for a single tree; the sharded front-end
+    /// defines its own tags).
     pub partitioner_tag: u32,
     /// Partitioner parameter (meaning depends on the tag).
     pub partitioner_param: u64,
-    /// One record per shard, index-aligned with the segment files.
-    pub segments: Vec<SegmentMeta>,
+    /// One sorted run per shard.
+    pub shards: Vec<Vec<(u64, u64)>>,
 }
 
-/// Write the generation's `MANIFEST` (fsync'd). Returns the manifest
-/// file's CRC-32 — the value [`write_commit`] seals the generation with.
-pub fn write_manifest(gen_dir: &Path, m: &Manifest) -> Result<u32, CheckpointError> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&MANIFEST_MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&m.shard_count.to_le_bytes());
-    buf.extend_from_slice(&m.partitioner_tag.to_le_bytes());
-    buf.extend_from_slice(&m.partitioner_param.to_le_bytes());
-    for s in &m.segments {
-        buf.extend_from_slice(&s.entries.to_le_bytes());
-        buf.extend_from_slice(&s.crc.to_le_bytes());
+/// Read and validate one checkpoint file in a single buffered pass:
+/// magic, version, every count against the file's length (checked
+/// arithmetic, so no count can make the reader allocate more than the
+/// file holds), the CRC, no trailing bytes, then strict order. Nothing
+/// is returned unless the whole file checks out.
+fn read_file(path: &Path, file: File) -> Result<LoadedGeneration, CheckpointError> {
+    let len = file.metadata()?.len();
+    let mut input = BufReader::with_capacity(IO_BUF, file);
+    let mut crc = Crc::new();
+    let mut take = |buf: &mut [u8]| -> io::Result<()> {
+        input.read_exact(buf)?;
+        crc.update(buf);
+        Ok(())
+    };
+    // Every read is checked against `len` first (`pos` is the offset
+    // the next one starts at), so `read_exact` never meets the end of
+    // the file and no count can allocate more than the file holds.
+    let need = |pos: u64, n: u64| match pos.checked_add(n) {
+        Some(end) if end <= len => Ok(()),
+        _ => Err(CheckpointError::Truncated { path: path.into() }),
+    };
+    need(0, HEADER_LEN + 4)?;
+    let mut header = [0u8; HEADER_LEN as usize];
+    take(&mut header)?;
+    let u32_at = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    if header[..4] != MAGIC {
+        return Err(CheckpointError::BadMagic { path: path.into() });
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    let path = gen_dir.join("MANIFEST");
-    let mut f = File::create(&path)?;
-    f.write_all(&buf)?;
-    f.sync_all()?;
-    Ok(crc)
-}
-
-/// Read and validate the generation's `MANIFEST`; returns the manifest
-/// and its file CRC (to check the commit marker against).
-pub fn read_manifest(gen_dir: &Path) -> Result<(Manifest, u32), CheckpointError> {
-    let path = gen_dir.join("MANIFEST");
-    let mut bytes = Vec::new();
-    File::open(&path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 24 {
-        return Err(CheckpointError::Truncated { path });
-    }
-    if bytes[..4] != MANIFEST_MAGIC {
-        return Err(CheckpointError::BadMagic { path });
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
+    let found = u32_at(4);
+    if found != FORMAT_VERSION {
         return Err(CheckpointError::BadVersion {
-            path,
-            found: version,
+            path: path.into(),
+            found,
         });
     }
-    let shard_count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let partitioner_tag = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    let partitioner_param = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let body_end = 24 + shard_count as usize * 12;
-    if bytes.len() < body_end + 4 {
-        return Err(CheckpointError::Truncated { path });
-    }
-    let stored = u32::from_le_bytes(bytes[body_end..body_end + 4].try_into().expect("4 bytes"));
-    if crc32(&bytes[..body_end]) != stored {
-        return Err(CheckpointError::CrcMismatch { path });
-    }
-    let mut segments = Vec::with_capacity(shard_count as usize);
-    for i in 0..shard_count as usize {
-        let off = 24 + i * 12;
-        segments.push(SegmentMeta {
-            entries: u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes")),
-            crc: u32::from_le_bytes(bytes[off + 8..off + 12].try_into().expect("4 bytes")),
-        });
-    }
-    Ok((
-        Manifest {
-            shard_count,
-            partitioner_tag,
-            partitioner_param,
-            segments,
-        },
-        stored,
-    ))
-}
-
-/// Seal a generation: write `COMMIT` carrying the manifest CRC, fsync
-/// it, then fsync the generation directory so the marker's existence is
-/// durable. Called strictly after every segment and the manifest are on
-/// disk — the marker's presence implies the whole generation.
-pub fn write_commit(gen_dir: &Path, manifest_crc: u32) -> Result<(), CheckpointError> {
-    let mut buf = Vec::with_capacity(8);
-    buf.extend_from_slice(&COMMIT_MAGIC);
-    buf.extend_from_slice(&manifest_crc.to_le_bytes());
-    let mut f = File::create(gen_dir.join("COMMIT"))?;
-    f.write_all(&buf)?;
-    f.sync_all()?;
-    // Make the directory entry itself durable (on platforms where
-    // opening a directory for sync is not supported this is best-effort).
-    if let Ok(d) = File::open(gen_dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
-/// Whether `gen_dir` holds a valid `COMMIT` marker matching
-/// `manifest_crc`.
-fn commit_matches(gen_dir: &Path, manifest_crc: u32) -> bool {
-    let mut bytes = Vec::new();
-    match File::open(gen_dir.join("COMMIT")).and_then(|mut f| f.read_to_end(&mut bytes)) {
-        Ok(_) => {
-            bytes.len() >= 8
-                && bytes[..4] == COMMIT_MAGIC
-                && u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) == manifest_crc
+    let (shard_count, partitioner_tag) = (u32_at(8), u32_at(12));
+    let partitioner_param = u64::from_le_bytes(header[16..].try_into().expect("8 bytes"));
+    let mut pos = HEADER_LEN;
+    let mut shards = Vec::new();
+    let mut sorted = true;
+    let (mut word, mut entry) = ([0u8; 8], [0u8; 16]);
+    for _ in 0..shard_count {
+        need(pos, 8 + 4)?;
+        take(&mut word)?;
+        let count = u64::from_le_bytes(word);
+        pos += 8;
+        need(pos, count.saturating_mul(16).saturating_add(4))?;
+        let mut run: Vec<(u64, u64)> = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            take(&mut entry)?;
+            let k = u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"));
+            let v = u64::from_le_bytes(entry[8..].try_into().expect("8 bytes"));
+            sorted &= run.last().is_none_or(|&(prev, _)| prev < k);
+            run.push((k, v));
         }
-        Err(_) => false,
+        pos += count * 16;
+        shards.push(run);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Generation directories
-// ---------------------------------------------------------------------------
-
-fn gen_number(name: &str) -> Option<u64> {
-    name.strip_prefix("gen-")?.parse().ok()
+    let expected = crc.finish();
+    input.read_exact(&mut word[..4])?;
+    if u32::from_le_bytes(word[..4].try_into().expect("4 bytes")) != expected {
+        return Err(CheckpointError::CrcMismatch { path: path.into() });
+    }
+    if pos + 4 != len {
+        return Err(CheckpointError::TrailingBytes { path: path.into() });
+    }
+    // Order is judged only after the CRC, so a flipped bit reads as
+    // `CrcMismatch` wherever it lands in an entry.
+    if !sorted {
+        return Err(CheckpointError::UnsortedRun { path: path.into() });
+    }
+    Ok(LoadedGeneration {
+        path: path.into(),
+        partitioner_tag,
+        partitioner_param,
+        shards,
+    })
 }
 
 /// Every `gen-NNNNNN` subdirectory of `dir`, sorted **descending** by
-/// generation number (the order [`restore`](PnbBst::restore) probes).
-pub fn generations(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
+/// generation number (the order [`load_latest`] probes).
+fn generations(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
     let mut out = Vec::new();
     let rd = match fs::read_dir(dir) {
         Ok(rd) => rd,
@@ -497,7 +377,11 @@ pub fn generations(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
     };
     for entry in rd {
         let entry = entry?;
-        if let Some(n) = entry.file_name().to_str().and_then(gen_number) {
+        let number = entry
+            .file_name()
+            .to_str()
+            .and_then(|name| name.strip_prefix("gen-")?.parse().ok());
+        if let Some(n) = number {
             if entry.file_type()?.is_dir() {
                 out.push((n, entry.path()));
             }
@@ -510,7 +394,7 @@ pub fn generations(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
 /// Create the next generation directory under `dir` and return it with
 /// its number. The `create_dir` is the atomic claim: two concurrent
 /// checkpointers cannot both own one generation number.
-pub fn begin_generation(dir: &Path) -> Result<(u64, PathBuf), CheckpointError> {
+fn begin_generation(dir: &Path) -> Result<(u64, PathBuf), CheckpointError> {
     fs::create_dir_all(dir)?;
     let mut next = generations(dir)?.first().map_or(1, |(n, _)| n + 1);
     loop {
@@ -523,132 +407,71 @@ pub fn begin_generation(dir: &Path) -> Result<(u64, PathBuf), CheckpointError> {
     }
 }
 
-/// Delete committed generations older than the newest
-/// `RETAINED_GENERATIONS` (2) ones. Uncommitted directories are left
-/// alone — one may belong to a checkpoint still in flight, and crash
-/// debris is bounded (at most one per crash). Removal is best-effort:
-/// errors are ignored — a straggler directory costs disk, not
-/// correctness.
-pub fn prune_generations(dir: &Path) -> Result<(), CheckpointError> {
-    let mut committed_seen = 0usize;
-    for (_, path) in &generations(dir)? {
-        let committed = read_manifest(path)
-            .map(|(_, crc)| commit_matches(path, crc))
-            .unwrap_or(false);
-        if committed {
-            committed_seen += 1;
-            if committed_seen > RETAINED_GENERATIONS {
-                let _ = fs::remove_dir_all(path);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A fully validated generation: its manifest plus every shard's
-/// entries (each strictly ascending by key), all in memory.
-pub type LoadedGeneration = (Manifest, Vec<Vec<(u64, u64)>>);
-
-/// Fully load and validate one generation: commit marker, manifest,
-/// shard-count vs files present, per-segment CRCs (against both the
-/// file and the manifest), sortedness. Returns the manifest and every
-/// shard's entries — all in memory before anything touches a tree.
-pub fn load_generation(gen_dir: &Path) -> Result<LoadedGeneration, CheckpointError> {
-    let (manifest, manifest_crc) = read_manifest(gen_dir)?;
-    if !commit_matches(gen_dir, manifest_crc) {
-        return Err(CheckpointError::MissingCommitMarker {
-            dir: gen_dir.into(),
-        });
-    }
-    // The manifest's shard count must agree with the files on disk.
-    let mut present = 0u32;
-    for entry in fs::read_dir(gen_dir)? {
-        let name = entry?.file_name();
-        if name
-            .to_str()
-            .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".seg"))
-        {
-            present += 1;
-        }
-    }
-    if present != manifest.shard_count {
-        return Err(CheckpointError::ShardCountMismatch {
-            dir: gen_dir.into(),
-            manifest: manifest.shard_count,
-            found: present,
-        });
-    }
-    let mut shards = Vec::with_capacity(manifest.shard_count as usize);
-    for (i, meta) in manifest.segments.iter().enumerate() {
-        let path = segment_path(gen_dir, i as u32);
-        let entries = read_segment(&path)?;
-        if entries.len() as u64 != meta.entries {
-            return Err(CheckpointError::Truncated { path });
-        }
-        // Cross-check the segment against the manifest's recorded CRC
-        // (a swapped-in file with a self-consistent CRC still fails).
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        let file_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if file_crc != meta.crc {
-            return Err(CheckpointError::CrcMismatch { path });
-        }
-        shards.push(entries);
-    }
-    Ok((manifest, shards))
+/// fsync a directory, making the entries created or renamed in it
+/// durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Walk `dir`'s generations newest-first and return the first one that
-/// validates end-to-end. Generations that fail (uncommitted, torn,
-/// corrupt) are skipped; the *first* failure is surfaced as the typed
-/// error when nothing loads at all.
+/// validates. A generation without a `CHECKPOINT` file is uncommitted
+/// and skipped; one whose file fails validation is skipped too, and the
+/// *first* such failure is the typed error when nothing loads at all.
 pub fn load_latest(dir: &Path) -> Result<LoadedGeneration, CheckpointError> {
     let mut first_err: Option<CheckpointError> = None;
     for (_, gen_dir) in generations(dir)? {
-        match load_generation(&gen_dir) {
+        let path = gen_dir.join(FILE_NAME);
+        let loaded = match File::open(&path) {
+            Ok(file) => read_file(&path, file),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => Err(e.into()),
+        };
+        match loaded {
             Ok(loaded) => return Ok(loaded),
             Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+                first_err.get_or_insert(e);
             }
         }
     }
     Err(first_err.unwrap_or(CheckpointError::NoCheckpoint { dir: dir.into() }))
 }
 
-/// Write one complete generation under `dir`: segments, manifest,
-/// commit marker (in that order, each durable before the next), then
-/// prune old generations. `shards[i]` must be strictly ascending.
+/// Write one complete generation under `dir` and commit it: claim
+/// `gen-N`, write and fsync `CHECKPOINT.tmp`, rename it to
+/// `CHECKPOINT`, fsync the generation directory and then `dir`, and
+/// delete committed generations beyond the newest two. Uncommitted
+/// directories are never deleted: one may belong to a checkpoint still
+/// in flight, and crash debris is bounded at one per crash.
+/// `shards[i]` must be strictly ascending.
 pub fn write_generation(
     dir: &Path,
     partitioner_tag: u32,
     partitioner_param: u64,
     shards: &[Vec<(u64, u64)>],
 ) -> Result<CheckpointReport, CheckpointError> {
+    // A silently unsorted run would poison the O(n) bulk load.
+    assert!(
+        shards
+            .iter()
+            .all(|run| run.windows(2).all(|w| w[0].0 < w[1].0)),
+        "write_generation requires strictly ascending keys in every shard"
+    );
     let (generation, gen_dir) = begin_generation(dir)?;
-    let mut segments = Vec::with_capacity(shards.len());
-    let mut total = 0u64;
-    for (i, entries) in shards.iter().enumerate() {
-        let crc = write_segment(&segment_path(&gen_dir, i as u32), entries)?;
-        segments.push(SegmentMeta {
-            entries: entries.len() as u64,
-            crc,
-        });
-        total += entries.len() as u64;
+    let tmp = gen_dir.join(TMP_NAME);
+    write_file(&tmp, partitioner_tag, partitioner_param, shards)?;
+    fs::rename(&tmp, gen_dir.join(FILE_NAME))?;
+    sync_dir(&gen_dir)?;
+    sync_dir(dir)?;
+    let committed = generations(dir)?
+        .into_iter()
+        .filter(|(_, g)| g.join(FILE_NAME).exists());
+    for (_, stale) in committed.skip(RETAINED_GENERATIONS) {
+        // Best-effort: a straggler directory costs disk, not correctness.
+        let _ = fs::remove_dir_all(stale);
     }
-    let manifest = Manifest {
-        shard_count: shards.len() as u32,
-        partitioner_tag,
-        partitioner_param,
-        segments,
-    };
-    let manifest_crc = write_manifest(&gen_dir, &manifest)?;
-    write_commit(&gen_dir, manifest_crc)?;
-    prune_generations(dir)?;
     Ok(CheckpointReport {
         generation,
-        entries: total,
+        entries: shards.iter().map(|run| run.len() as u64).sum(),
     })
 }
 
@@ -683,30 +506,29 @@ where
             "from_sorted requires strictly ascending keys"
         );
         let dummy: InfoPtr<K, V> = arena::alloc(Info::dummy());
-        // One leaf per entry, in key order. `arena::alloc`, exactly
-        // like `PnbBst::new`, so a restored tree's nodes are line-
-        // aligned slab blocks too and `Drop`'s `free_now` teardown and
-        // the update-time retire rules hold for them.
+        // `arena::alloc`, exactly like `PnbBst::new`, so a restored
+        // tree's nodes are line-aligned slab blocks too and `Drop`'s
+        // `free_now` teardown and the update-time retire rules hold for
+        // them.
+        let leaf = |key: SKey<K>, value: Option<V>| -> NodePtr<K, V> {
+            arena::alloc(Node::leaf(key, value, 0, std::ptr::null(), dummy))
+        };
+        let internal = |key: SKey<K>, left: NodePtr<K, V>, right: NodePtr<K, V>| -> NodePtr<K, V> {
+            arena::alloc(Node::internal(key, 0, std::ptr::null(), left, right, dummy))
+        };
+        // One leaf per entry, in key order.
         let leaves: Vec<NodePtr<K, V>> = entries
             .into_iter()
-            .map(|(k, v)| {
-                arena::alloc(Node::leaf(
-                    SKey::Fin(k),
-                    Some(v),
-                    0,
-                    std::ptr::null(),
-                    dummy,
-                )) as NodePtr<K, V>
-            })
+            .map(|(k, v)| leaf(SKey::Fin(k), Some(v)))
             .collect();
 
         // Balanced recursion: split the run in half; the internal key
         // is the right half's leftmost (= smallest) key, so left-subtree
         // keys are < key and right-subtree keys are >= key — the
         // leaf-oriented BST invariant `check_invariants` asserts.
-        fn build<K: Ord + Clone + 'static, V: Clone + 'static>(
+        fn build<K: Clone, V>(
             leaves: &[NodePtr<K, V>],
-            dummy: InfoPtr<K, V>,
+            internal: &impl Fn(SKey<K>, NodePtr<K, V>, NodePtr<K, V>) -> NodePtr<K, V>,
         ) -> NodePtr<K, V> {
             if leaves.len() == 1 {
                 return leaves[0];
@@ -715,40 +537,24 @@ where
             // SAFETY: just allocated above, exclusively owned until the
             // tree is assembled.
             let key = unsafe { (*leaves[mid]).key.clone() };
-            let left = build(&leaves[..mid], dummy);
-            let right = build(&leaves[mid..], dummy);
-            arena::alloc(Node::internal(key, 0, std::ptr::null(), left, right, dummy))
+            internal(
+                key,
+                build(&leaves[..mid], internal),
+                build(&leaves[mid..], internal),
+            )
         }
 
-        let inf1_leaf: NodePtr<K, V> =
-            arena::alloc(Node::leaf(SKey::Inf1, None, 0, std::ptr::null(), dummy));
-        let inf2_leaf: NodePtr<K, V> =
-            arena::alloc(Node::leaf(SKey::Inf2, None, 0, std::ptr::null(), dummy));
         // Finite keys all compare below ∞₁: they live in the left
         // subtree of an ∞₁ internal whose right child is the ∞₁
         // sentinel leaf — the same shape a sequence of inserts into a
         // fresh tree converges to.
-        let below_root: NodePtr<K, V> = if leaves.is_empty() {
+        let inf1_leaf = leaf(SKey::Inf1, None);
+        let below_root = if leaves.is_empty() {
             inf1_leaf
         } else {
-            let finite = build(&leaves, dummy);
-            arena::alloc(Node::internal(
-                SKey::Inf1,
-                0,
-                std::ptr::null(),
-                finite,
-                inf1_leaf,
-                dummy,
-            ))
+            internal(SKey::Inf1, build(&leaves, &internal), inf1_leaf)
         };
-        let root: NodePtr<K, V> = arena::alloc(Node::internal(
-            SKey::Inf2,
-            0,
-            std::ptr::null(),
-            below_root,
-            inf2_leaf,
-            dummy,
-        ));
+        let root = internal(SKey::Inf2, below_root, leaf(SKey::Inf2, None));
         PnbBst {
             root,
             counter: CachePadded::new(AtomicU64::new(0)),
@@ -760,8 +566,8 @@ where
 
 impl PnbBst<u64, u64> {
     /// Checkpoint the tree to `dir`: take a wait-free [`snapshot`]
-    /// (updates keep running), serialize the frozen cut as one sorted
-    /// segment, and commit it as a new generation. Returns the
+    /// (updates keep running), serialize the frozen cut as a one-shard
+    /// checkpoint file, and commit it as a new generation. Returns the
     /// generation number and entry count.
     ///
     /// [`snapshot`]: PnbBst::snapshot
@@ -771,17 +577,18 @@ impl PnbBst<u64, u64> {
     }
 
     /// Rebuild a tree from the newest loadable checkpoint generation in
-    /// `dir` (single-tree checkpoints only: a sharded checkpoint is
-    /// rejected with [`CheckpointError::ShardCountMismatch`] — restore
-    /// it with the sharded front-end instead). The tree is bulk-loaded
-    /// in O(n) via [`PnbBst::from_sorted`].
+    /// `dir`, bulk-loaded in O(n) via [`PnbBst::from_sorted`]. A
+    /// checkpoint of more than one shard is rejected with
+    /// [`CheckpointError::ShardCountMismatch`]: restore it with the
+    /// sharded front-end instead.
     pub fn restore(dir: &Path) -> Result<Self, CheckpointError> {
-        let (manifest, mut shards) = load_latest(dir)?;
-        if manifest.shard_count != 1 {
+        let LoadedGeneration {
+            path, mut shards, ..
+        } = load_latest(dir)?;
+        if shards.len() != 1 {
             return Err(CheckpointError::ShardCountMismatch {
-                dir: dir.into(),
-                manifest: manifest.shard_count,
-                found: 1,
+                path,
+                found: shards.len() as u32,
             });
         }
         Ok(PnbBst::from_sorted(shards.remove(0)))
@@ -847,41 +654,69 @@ mod tests {
         let _ = PnbBst::from_sorted(vec![(5u64, 0u64), (3, 0)]);
     }
 
+    /// Load the one generation under `dir` straight through `read_file`.
+    fn read_gen1(dir: &Path) -> Result<LoadedGeneration, CheckpointError> {
+        let path = dir.join("gen-000001").join(FILE_NAME);
+        read_file(&path, File::open(&path)?)
+    }
+
     #[test]
-    fn segment_roundtrip_and_validation() {
-        let d = tmpdir("seg");
-        let path = d.join("shard-0000.seg");
+    fn checkpoint_file_roundtrip_and_validation() {
+        let d = tmpdir("file");
         let entries: Vec<(u64, u64)> = (0..100).map(|k| (k * 7, k + 1)).collect();
-        let crc = write_segment(&path, &entries).expect("write");
-        assert_eq!(read_segment(&path).expect("read"), entries);
+        write_generation(&d, 3, 12, &[entries.clone(), vec![(5, 5)]]).expect("write");
+        let path = d.join("gen-000001").join(FILE_NAME);
+        let loaded = read_gen1(&d).expect("read");
+        assert_eq!(loaded.path, path);
+        assert_eq!((loaded.partitioner_tag, loaded.partitioner_param), (3, 12));
+        assert_eq!(loaded.shards, vec![entries, vec![(5, 5)]]);
+        let good = fs::read(&path).unwrap();
+        // Nothing else is left in the generation: no temporary file.
+        assert_eq!(fs::read_dir(d.join("gen-000001")).unwrap().count(), 1);
 
+        let check = |bytes: &[u8], want: fn(&CheckpointError) -> bool| {
+            fs::write(&path, bytes).unwrap();
+            let err = read_gen1(&d).expect_err("damaged file must not load");
+            assert!(want(&err), "got {err}");
+        };
         // Flip one payload byte: CRC mismatch, typed.
-        let mut bytes = fs::read(&path).unwrap();
+        let mut bytes = good.clone();
         bytes[40] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_segment(&path),
-            Err(CheckpointError::CrcMismatch { .. })
-        ));
-
+        check(&bytes, |e| matches!(e, CheckpointError::CrcMismatch { .. }));
         // Truncate the tail: typed, not a short read.
-        write_segment(&path, &entries).expect("rewrite");
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(matches!(
-            read_segment(&path),
-            Err(CheckpointError::Truncated { .. })
-        ));
-
-        // Wrong magic.
-        let mut bytes = Vec::from(*b"XXXX");
-        bytes.extend_from_slice(&[0u8; 32]);
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_segment(&path),
-            Err(CheckpointError::BadMagic { .. })
-        ));
-        let _ = (crc, fs::remove_dir_all(&d));
+        check(&good[..good.len() - 5], |e| {
+            matches!(e, CheckpointError::Truncated { .. })
+        });
+        check(&good[..10], |e| {
+            matches!(e, CheckpointError::Truncated { .. })
+        });
+        // A count far beyond the file: typed, and no allocation of it.
+        let mut bytes = good.clone();
+        bytes[HEADER_LEN as usize + 7] = 0xFF;
+        check(&bytes, |e| matches!(e, CheckpointError::Truncated { .. }));
+        // One byte past the CRC.
+        let mut bytes = good.clone();
+        bytes.push(0);
+        check(&bytes, |e| {
+            matches!(e, CheckpointError::TrailingBytes { .. })
+        });
+        // Wrong magic, wrong version.
+        let mut bytes = good.clone();
+        bytes[..4].copy_from_slice(b"XXXX");
+        check(&bytes, |e| matches!(e, CheckpointError::BadMagic { .. }));
+        let mut bytes = good.clone();
+        bytes[4] = 1;
+        check(&bytes, |e| {
+            matches!(e, CheckpointError::BadVersion { found: 1, .. })
+        });
+        // Two entries swapped, CRC recomputed: only the order is wrong.
+        let mut bytes = good[..good.len() - 4].to_vec();
+        let first = HEADER_LEN as usize + 8;
+        let swapped = [&bytes[first + 16..first + 32], &bytes[first..first + 16]].concat();
+        bytes[first..first + 32].copy_from_slice(&swapped);
+        bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
+        check(&bytes, |e| matches!(e, CheckpointError::UnsortedRun { .. }));
+        let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
@@ -917,36 +752,40 @@ mod tests {
         let t: PnbBst<u64, u64> = PnbBst::new();
         t.insert(1, 10);
         t.checkpoint(&d).expect("gen 1");
-        // Simulate a crash mid-checkpoint: a newer generation with a
-        // segment but no COMMIT marker.
+        // Simulate a crash mid-checkpoint: a newer generation whose
+        // complete file was never renamed into place.
         let torn = d.join("gen-000002");
         fs::create_dir(&torn).unwrap();
-        write_segment(&segment_path(&torn, 0), &[(9, 9)]).unwrap();
+        fs::copy(d.join("gen-000001").join(FILE_NAME), torn.join(TMP_NAME)).unwrap();
+        t.insert(2, 20);
         let r = PnbBst::restore(&d).expect("prior checkpoint loads");
         assert_eq!(r.snapshot().to_vec(), vec![(1, 10)]);
         let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
-    fn missing_commit_with_no_prior_is_typed() {
+    fn uncommitted_generation_with_no_prior_is_no_checkpoint() {
         let d = tmpdir("nocommit");
         let gen = d.join("gen-000001");
         fs::create_dir(&gen).unwrap();
-        let crc = write_segment(&segment_path(&gen, 0), &[(1, 1)]).unwrap();
-        write_manifest(
-            &gen,
-            &Manifest {
-                shard_count: 1,
-                partitioner_tag: PARTITIONER_NONE,
-                partitioner_param: 0,
-                segments: vec![SegmentMeta { entries: 1, crc }],
-            },
-        )
-        .unwrap();
+        write_file(&gen.join(TMP_NAME), PARTITIONER_NONE, 0, &[vec![(1, 1)]]).unwrap();
         assert!(matches!(
             PnbBst::restore(&d),
-            Err(CheckpointError::MissingCommitMarker { .. })
+            Err(CheckpointError::NoCheckpoint { .. })
         ));
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn sharded_checkpoint_does_not_restore_as_one_tree() {
+        let d = tmpdir("shards");
+        write_generation(&d, 1, 12, &[vec![(1, 1)], vec![(1 << 12, 2)]]).expect("write");
+        match PnbBst::restore(&d) {
+            Err(CheckpointError::ShardCountMismatch { path, found: 2 }) => {
+                assert_eq!(path, d.join("gen-000001").join(FILE_NAME));
+            }
+            other => panic!("expected ShardCountMismatch, got {:?}", other.err()),
+        }
         let _ = fs::remove_dir_all(&d);
     }
 

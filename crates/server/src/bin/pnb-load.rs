@@ -35,6 +35,7 @@
 //! `--count` it prints `pnb-load: count=N` (a full-range count) and
 //! exits. Both skip the load phase entirely.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -42,8 +43,17 @@ use pnb_server::{NetMap, ReconnectingClient, RetryPolicy};
 use workload::json::{JsonLog, Val};
 use workload::{run_latency, KeyDist, Mix, RunConfig};
 
+/// `eprintln!` that ignores a failed write. With stderr a closed pipe,
+/// `eprintln!` panics, and a second panic inside the panic hook aborts
+/// the process (exit 134) instead of exiting with the intended code.
+macro_rules! to_stderr {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn usage() -> ! {
-    eprintln!(
+    to_stderr!(
         "usage: pnb-load --addr HOST:PORT [--threads N] [--rate OPS_PER_SEC] \
          [--duration-ms MS] [--keys N] [--dist scrambled-zipf|zipf|uniform] \
          [--theta F] [--mix point|range|update|find] [--prefill F] [--seed N] \
@@ -66,7 +76,7 @@ fn install_panic_hook() {
             .or_else(|| info.payload().downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "unknown failure".to_string());
         // One line, no location, no backtrace: scripts grep this.
-        eprintln!("pnb-load: fatal: {msg}");
+        to_stderr!("pnb-load: fatal: {msg}");
         std::process::exit(1);
     }));
 }
@@ -119,7 +129,7 @@ fn parse_args() -> Opts {
     while let Some(arg) = args.next() {
         let mut take = |name: &str| {
             args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
+                to_stderr!("{name} needs a value");
                 usage();
             })
         };
@@ -149,17 +159,17 @@ fn parse_args() -> Opts {
             "--retry-mutations" => o.retry_mutations = true,
             "--help" | "-h" => usage(),
             other => {
-                eprintln!("unknown argument: {other}");
+                to_stderr!("unknown argument: {other}");
                 usage();
             }
         }
     }
     if o.addr.is_empty() {
-        eprintln!("--addr is required");
+        to_stderr!("--addr is required");
         usage();
     }
     if let Err(e) = validate(&o) {
-        eprintln!("{e}");
+        to_stderr!("{e}");
         usage();
     }
     o
@@ -191,7 +201,7 @@ fn validate(o: &Opts) -> Result<(), String> {
 
 fn parse<T: std::str::FromStr>(s: &str, name: &str) -> T {
     s.parse().unwrap_or_else(|_| {
-        eprintln!("cannot parse {name} value: {s}");
+        to_stderr!("cannot parse {name} value: {s}");
         usage();
     })
 }
@@ -216,7 +226,7 @@ fn run_fill(o: &Opts, n: u64) -> ExitCode {
     let addr = match o.addr.parse() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("pnb-load: bad --addr {}: {e}", o.addr);
+            to_stderr!("pnb-load: bad --addr {}: {e}", o.addr);
             return ExitCode::FAILURE;
         }
     };
@@ -232,7 +242,7 @@ fn run_fill(o: &Opts, n: u64) -> ExitCode {
         match c.insert(k, k) {
             Ok(_) => acked += 1,
             Err(e) => {
-                eprintln!("pnb-load: fill stopped at key {k}: {e}");
+                to_stderr!("pnb-load: fill stopped at key {k}: {e}");
                 println!("pnb-load: fill acked={acked} of {n}");
                 return ExitCode::FAILURE;
             }
@@ -248,7 +258,7 @@ fn run_one_shot(o: &Opts) -> ExitCode {
     let mut c = match pnb_server::Client::connect(o.addr.as_str()) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("pnb-load: cannot reach {}: {e}", o.addr);
+            to_stderr!("pnb-load: cannot reach {}: {e}", o.addr);
             return ExitCode::FAILURE;
         }
     };
@@ -258,7 +268,7 @@ fn run_one_shot(o: &Opts) -> ExitCode {
                 println!("pnb-load: checkpoint generation={generation} entries={entries}");
             }
             Err(e) => {
-                eprintln!("pnb-load: checkpoint failed: {e}");
+                to_stderr!("pnb-load: checkpoint failed: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -267,7 +277,7 @@ fn run_one_shot(o: &Opts) -> ExitCode {
         match c.range_count(0, u64::MAX) {
             Ok(n) => println!("pnb-load: count={n}"),
             Err(e) => {
-                eprintln!("pnb-load: count failed: {e}");
+                to_stderr!("pnb-load: count failed: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -289,7 +299,7 @@ fn main() -> ExitCode {
         "zipf" => KeyDist::zipfian(o.keys, o.theta),
         "scrambled-zipf" => KeyDist::scrambled_zipfian(o.keys, o.theta),
         other => {
-            eprintln!("unknown --dist {other} (uniform|zipf|scrambled-zipf)");
+            to_stderr!("unknown --dist {other} (uniform|zipf|scrambled-zipf)");
             usage();
         }
     };
@@ -303,7 +313,7 @@ fn main() -> ExitCode {
         "update" => Mix::new(50, 50, 0, 0, 0),
         "find" => Mix::new(0, 0, 100, 0, 0),
         other => {
-            eprintln!("unknown --mix {other} (point|range|update|find)");
+            to_stderr!("unknown --mix {other} (point|range|update|find)");
             usage();
         }
     };
@@ -311,7 +321,7 @@ fn main() -> ExitCode {
     let map = match NetMap::connect_with_policy(o.addr.as_str(), o.policy()) {
         Ok(m) => m,
         Err(e) => {
-            eprintln!("pnb-load: cannot reach {}: {e}", o.addr);
+            to_stderr!("pnb-load: cannot reach {}: {e}", o.addr);
             return ExitCode::FAILURE;
         }
     };
@@ -324,14 +334,18 @@ fn main() -> ExitCode {
         prefill_fraction: o.prefill,
         seed: o.seed,
     };
-    eprintln!(
+    to_stderr!(
         "pnb-load: {} threads offering {:.0} ops/s of `{}` at {} for {:?}",
-        o.threads, o.rate, o.mix, o.addr, o.duration
+        o.threads,
+        o.rate,
+        o.mix,
+        o.addr,
+        o.duration
     );
     let m = match run_latency(&map, &cfg, Some(o.rate)) {
         Ok(m) => m,
         Err(e) => {
-            eprintln!("pnb-load: {e}");
+            to_stderr!("pnb-load: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -371,10 +385,10 @@ fn main() -> ExitCode {
     if let Some(path) = &o.json {
         let threads = std::thread::available_parallelism().map_or(0, |n| n.get());
         if let Err(e) = std::fs::write(path, log.render("pnb-load", threads)) {
-            eprintln!("pnb-load: cannot write --json {path}: {e}");
+            to_stderr!("pnb-load: cannot write --json {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("pnb-load: wrote {} rows to {path}", log.len());
+        to_stderr!("pnb-load: wrote {} rows to {path}", log.len());
     }
     ExitCode::SUCCESS
 }

@@ -420,7 +420,7 @@ pub enum RespBody {
     CheckpointDone {
         /// The generation number the checkpoint committed as.
         generation: u64,
-        /// Total entries written across all shard segments.
+        /// Total entries written across all shards.
         entries: u64,
     },
     /// Admission-control shed: the worker refused to execute the

@@ -1,27 +1,28 @@
 //! Durable sharded checkpoints: one consistent cross-shard cut on disk,
 //! restored shard-by-shard with O(n) bulk loads.
 //!
-//! The on-disk format is `pnb_bst::persist`'s (one segment per shard, a
-//! manifest, a commit marker written last); this module adds the two
-//! things only the sharded layer knows:
+//! The on-disk format is `pnb_bst::persist`'s and only that module
+//! knows it: this module hands it the partitioner's `(tag, param)` and
+//! one sorted run per shard, and gets the same values back. It adds
+//! the two things only the sharded layer knows:
 //!
 //! * **the cut**: [`checkpoint`](ShardedPnbBst::checkpoint) serializes
 //!   a [`ShardedSnapshot`](crate::ShardedSnapshot) — per-shard
 //!   snapshots captured in descending shard order, so the on-disk image
 //!   is exactly one prefix-consistent view (crate docs, "Consistency
 //!   model"), frozen while writers proceed;
-//! * **the routing config**: the manifest records the partitioner's
+//! * **the routing config**: the checkpoint records the partitioner's
 //!   identity and parameter via [`PersistentPartitioner`], and
 //!   [`restore`](ShardedPnbBst::restore) re-derives the partitioner
-//!   from the manifest — then *verifies* it, rejecting any key that
-//!   does not route to the shard whose segment holds it
+//!   from it — then *verifies* it, rejecting any key that does not
+//!   route to the shard whose run holds it
 //!   ([`CheckpointError::MisroutedKey`]). A checkpoint taken under one
 //!   routing config can never be silently reinterpreted under another.
 
 use std::path::Path;
 
 use pnb_bst::persist::{
-    load_latest, write_generation, CheckpointError, CheckpointReport, Manifest,
+    load_latest, write_generation, CheckpointError, CheckpointReport, LoadedGeneration,
 };
 use pnb_bst::PnbBst;
 
@@ -29,7 +30,7 @@ use crate::map::ShardedPnbBst;
 use crate::partition::{HashPartitioner, Partitioner, RangePrefixPartitioner};
 
 /// A partitioner whose configuration can be recorded in a checkpoint
-/// manifest and re-derived on restore.
+/// and re-derived on restore.
 ///
 /// The pair `(TAG, persist_param())` must identify the routing function
 /// completely: [`from_persist`](Self::from_persist) of that pair must
@@ -38,7 +39,7 @@ use crate::partition::{HashPartitioner, Partitioner, RangePrefixPartitioner};
 /// cross-checks every loaded key against the re-derived route, so a
 /// broken implementation fails loudly rather than losing keys.)
 pub trait PersistentPartitioner: Partitioner<u64> + Sized {
-    /// The tag written to the manifest (tag 0 is reserved for
+    /// The tag written to the checkpoint (tag 0 is reserved for
     /// unsharded single-tree checkpoints).
     const TAG: u32;
 
@@ -81,10 +82,10 @@ where
     /// Checkpoint the map to `dir`: take one cross-shard
     /// [`snapshot`](ShardedPnbBst::snapshot) (the descending-capture
     /// prefix-consistent cut; updates keep running), serialize each
-    /// shard's frozen view as a sorted segment, and commit the set as a
-    /// new generation — segments and manifest first, `COMMIT` marker
-    /// last, so a crash anywhere in between leaves the previous
-    /// complete checkpoint loadable.
+    /// shard's frozen view as a sorted run of one checkpoint file, and
+    /// commit it as a new generation by renaming the file into place,
+    /// so a crash anywhere before the rename leaves the previous
+    /// checkpoint loadable.
     pub fn checkpoint(&self, dir: &Path) -> Result<CheckpointReport, CheckpointError> {
         let snap = self.snapshot();
         let shards: Vec<Vec<(u64, u64)>> = (0..self.shard_count())
@@ -95,39 +96,38 @@ where
 
     /// Rebuild a sharded map from the newest loadable checkpoint
     /// generation in `dir`. The shard count and partitioner
-    /// configuration come from the manifest (the caller only fixes the
-    /// partitioner *type*; a manifest recording a different type is
+    /// configuration come from the checkpoint (the caller only fixes the
+    /// partitioner *type*; a checkpoint recording a different type is
     /// rejected with [`CheckpointError::PartitionerMismatch`]). Each
     /// shard is bulk-loaded in O(n) via [`PnbBst::from_sorted`], and
-    /// every key is verified to route to the shard whose segment held
-    /// it — a failure anywhere yields a typed error and no map.
+    /// every key is verified to route to the shard whose run held it —
+    /// a failure anywhere yields a typed error, naming the loaded file,
+    /// and no map.
     pub fn restore(dir: &Path) -> Result<Self, CheckpointError> {
-        let (manifest, shards) = load_latest(dir)?;
-        Self::from_loaded(dir, manifest, shards)
-    }
-
-    fn from_loaded(
-        dir: &Path,
-        manifest: Manifest,
-        shards: Vec<Vec<(u64, u64)>>,
-    ) -> Result<Self, CheckpointError> {
-        if manifest.partitioner_tag != P::TAG {
+        let LoadedGeneration {
+            path,
+            partitioner_tag,
+            partitioner_param,
+            shards,
+        } = load_latest(dir)?;
+        if partitioner_tag != P::TAG {
             return Err(CheckpointError::PartitionerMismatch {
-                dir: dir.into(),
-                found: manifest.partitioner_tag,
+                path,
+                found: partitioner_tag,
             });
         }
-        let partitioner = P::from_persist(manifest.partitioner_param);
+        let partitioner = P::from_persist(partitioner_param);
         let shard_count = shards.len();
         for (i, entries) in shards.iter().enumerate() {
-            for (k, _) in entries {
-                if partitioner.shard_of(k, shard_count) != i {
-                    return Err(CheckpointError::MisroutedKey {
-                        path: pnb_bst::persist::segment_path(dir, i as u32),
-                        shard: i as u32,
-                        key: *k,
-                    });
-                }
+            if let Some(&(key, _)) = entries
+                .iter()
+                .find(|(k, _)| partitioner.shard_of(k, shard_count) != i)
+            {
+                return Err(CheckpointError::MisroutedKey {
+                    path,
+                    shard: i as u32,
+                    key,
+                });
             }
         }
         Ok(ShardedPnbBst {
@@ -245,39 +245,28 @@ mod tests {
 
     #[test]
     fn misrouted_key_is_rejected() {
-        use pnb_bst::persist::{
-            segment_path, write_commit, write_manifest, write_segment, Manifest, SegmentMeta,
-        };
         let d = tmpdir("misroute");
-        // Hand-craft a committed generation whose shard 0 holds every
-        // key — under any 2-shard partitioner some key must misroute.
-        let gen = d.join("gen-000001");
-        fs::create_dir(&gen).unwrap();
+        // A committed generation whose shard 0 holds every key — under
+        // any 2-shard partitioner some key must misroute.
         let entries: Vec<(u64, u64)> = (0..64u64).map(|k| (k << 12, k)).collect();
-        let crc0 = write_segment(&segment_path(&gen, 0), &entries).unwrap();
-        let crc1 = write_segment(&segment_path(&gen, 1), &[]).unwrap();
-        let manifest = Manifest {
-            shard_count: 2,
-            partitioner_tag: RangePrefixPartitioner::TAG,
-            partitioner_param: 12,
-            segments: vec![
-                SegmentMeta {
-                    entries: entries.len() as u64,
-                    crc: crc0,
-                },
-                SegmentMeta {
-                    entries: 0,
-                    crc: crc1,
-                },
-            ],
-        };
-        let mcrc = write_manifest(&gen, &manifest).unwrap();
-        write_commit(&gen, mcrc).unwrap();
-        let err = ShardedPnbBst::<u64, u64>::restore(&d).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::MisroutedKey { .. }),
-            "got {err}"
-        );
+        write_generation(&d, RangePrefixPartitioner::TAG, 12, &[entries, vec![]]).unwrap();
+        match ShardedPnbBst::<u64, u64>::restore(&d) {
+            Err(CheckpointError::MisroutedKey {
+                path,
+                shard: 0,
+                key,
+            }) => {
+                assert!(
+                    path.exists(),
+                    "{} must name the loaded file",
+                    path.display()
+                );
+                assert_eq!(path, d.join("gen-000001").join("CHECKPOINT"));
+                let routed = RangePrefixPartitioner::with_block_bits(12).shard_of(&key, 2);
+                assert_ne!(routed, 0, "key {key} routes to shard 0 after all");
+            }
+            other => panic!("expected MisroutedKey, got {:?}", other.err()),
+        }
         let _ = fs::remove_dir_all(&d);
     }
 

@@ -227,6 +227,7 @@ pub fn run_batched_throughput<M: ConcurrentMap>(
     }
     let elapsed =
         totals.iter().map(|(.., dt)| dt.as_secs_f64()).sum::<f64>() / totals.len().max(1) as f64;
+    let (p50_ns, p99_ns, _) = hist.summary();
     Ok(BatchedMeasurement {
         name: map.name().to_string(),
         threads: cfg.threads,
@@ -237,8 +238,8 @@ pub fn run_batched_throughput<M: ConcurrentMap>(
         root_descents: report.root_descents,
         ops_per_descent: report.ops_per_descent(),
         ops_per_sec: rate,
-        p50_ns: hist.value_at_percentile(50.0).unwrap_or(0),
-        p99_ns: hist.value_at_percentile(99.0).unwrap_or(0),
+        p50_ns,
+        p99_ns,
     })
 }
 

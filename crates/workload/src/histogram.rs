@@ -138,7 +138,7 @@ impl HdrHistogram {
     /// `⌈q·total⌉`-th smallest sample, capped at the recorded maximum —
     /// so the result is never below the true quantile and overshoots it
     /// by at most 1/64 (~1.6%).
-    pub fn value_at_percentile(&self, q: f64) -> Option<u64> {
+    pub fn value_at_quantile(&self, q: f64) -> Option<u64> {
         if self.total == 0 {
             return None;
         }
@@ -157,9 +157,9 @@ impl HdrHistogram {
     /// Convenience: (p50, p99, p999) in the recorded unit.
     pub fn summary(&self) -> (u64, u64, u64) {
         (
-            self.value_at_percentile(0.50).unwrap_or(0),
-            self.value_at_percentile(0.99).unwrap_or(0),
-            self.value_at_percentile(0.999).unwrap_or(0),
+            self.value_at_quantile(0.50).unwrap_or(0),
+            self.value_at_quantile(0.99).unwrap_or(0),
+            self.value_at_quantile(0.999).unwrap_or(0),
         )
     }
 }
@@ -200,8 +200,8 @@ mod tests {
         for v in 0..128u64 {
             h.record(v);
         }
-        assert_eq!(h.value_at_percentile(0.0), Some(0));
-        assert_eq!(h.value_at_percentile(1.0), Some(127));
+        assert_eq!(h.value_at_quantile(0.0), Some(0));
+        assert_eq!(h.value_at_quantile(1.0), Some(127));
         assert_eq!(h.max(), 127);
     }
 
@@ -213,8 +213,8 @@ mod tests {
         for i in 0..1_000u64 {
             h.record(1_024 + i); // all within [2^10, 2^11)
         }
-        let p99 = h.value_at_percentile(0.99).unwrap();
-        let p999 = h.value_at_percentile(0.999).unwrap();
+        let p99 = h.value_at_quantile(0.99).unwrap();
+        let p999 = h.value_at_quantile(0.999).unwrap();
         assert!(p999 > p99, "p999={p999} vs p99={p99}");
         // And both are within the promised 1/64 of the exact answer.
         assert!((p99 as i64 - 2_013).unsigned_abs() <= 2_013 / 64 + 1);
@@ -225,7 +225,7 @@ mod tests {
     fn merge_round_trip() {
         let mut a = HdrHistogram::new();
         let mut b = HdrHistogram::new();
-        assert_eq!(a.value_at_percentile(0.5), None);
+        assert_eq!(a.value_at_quantile(0.5), None);
         for _ in 0..5 {
             a.record(100);
         }
@@ -235,7 +235,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 8);
         assert_eq!(a.max(), 1_000_000);
-        assert_eq!(a.value_at_percentile(0.5), Some(100));
+        assert_eq!(a.value_at_quantile(0.5), Some(100));
     }
 
     #[test]
@@ -247,7 +247,7 @@ mod tests {
         // Highest-equivalent-value convention: 500 lands in the [500,
         // 503] slot, so the report is the slot's upper bound — within
         // the promised 1/64.
-        let got = h.value_at_percentile(0.25).unwrap();
+        let got = h.value_at_quantile(0.25).unwrap();
         assert!((500..=500 + 500 / 64 + 1).contains(&got), "got {got}");
     }
 
@@ -277,7 +277,7 @@ mod tests {
             values.sort_unstable();
             for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
                 let exact = oracle(&values, q);
-                let got = h.value_at_percentile(q).unwrap();
+                let got = h.value_at_quantile(q).unwrap();
                 prop_assert!(got >= exact, "q={q}: got {got} < exact {exact}");
                 prop_assert!(
                     got <= exact + exact / 64 + 1,
@@ -303,7 +303,7 @@ mod tests {
             ha.merge(&hb);
             prop_assert_eq!(ha.len(), hu.len());
             for q in [0.25, 0.5, 0.75, 0.99] {
-                prop_assert_eq!(ha.value_at_percentile(q), hu.value_at_percentile(q));
+                prop_assert_eq!(ha.value_at_quantile(q), hu.value_at_quantile(q));
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Durable-checkpoint battery: roundtrip fidelity against a `BTreeMap`
-//! oracle, and a corruption gauntlet for the on-disk format.
+//! oracle, the file format pinned byte by byte, and every state a
+//! crash can leave a generation in.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! * **Proptest oracle** — random point-op sequences drive a
 //!   `ShardedPnbBst` at 1, 2 and 8 shards alongside a `BTreeMap`;
@@ -9,21 +10,27 @@
 //!   reproduce the model exactly (full contents, merged range queries,
 //!   point lookups), and must remain a fully functional map (updates
 //!   and a second checkpoint still work).
-//! * **Corruption gauntlet** — every way a checkpoint directory can be
-//!   torn (bit-flipped segment byte, truncated tail, missing COMMIT
-//!   marker, manifest/shard-count mismatch) must surface as a *typed*
-//!   `CheckpointError`, and — the crash-recovery contract — must never
-//!   stop an older intact generation from loading (DESIGN §9).
+//! * **The format** — a `CHECKPOINT` file assembled by hand from
+//!   DESIGN §9.1's table restores, and is byte-identical to what
+//!   `checkpoint` writes; a file whose shard count disagrees with its
+//!   runs is a typed error.
+//! * **Torn files and crash states** — a bit-flipped or truncated
+//!   `CHECKPOINT` must surface as a *typed* `CheckpointError` and must
+//!   never stop an older intact generation from loading; each state the
+//!   writer can crash in (an empty `gen-N`, a partial or complete
+//!   `CHECKPOINT.tmp`, the renamed file) restores the last committed
+//!   generation, and a later checkpoint's pruning leaves the debris
+//!   alone (DESIGN §9.2).
 //!
-//! The gauntlet manipulates files through the public `pnb_bst::persist`
-//! API plus raw `std::fs`, exactly the way a crash or bitrot would.
+//! Crash states and damage are made with raw `std::fs`, exactly the way
+//! a crash or bitrot would leave them.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
-use pnb_bst::persist::{self, Manifest, SegmentMeta};
+use pnb_bst::persist;
 use pnbbst_repro::{CheckpointError, PnbBst, ShardedPnbBst};
 
 /// Fresh scratch dir under the system temp root, unique per test.
@@ -128,7 +135,8 @@ proptest! {
     }
 }
 
-/// Build a committed generation with `n` entries and return its dir.
+/// Checkpoint a fresh 4-shard map holding `n` keys to `dir` and return
+/// the map.
 fn seeded(dir: &Path, n: u64) -> ShardedPnbBst<u64, u64> {
     let map: ShardedPnbBst<u64, u64> = ShardedPnbBst::new(4);
     {
@@ -141,123 +149,128 @@ fn seeded(dir: &Path, n: u64) -> ShardedPnbBst<u64, u64> {
     map
 }
 
-/// Newest generation directory under `dir`.
-fn newest_gen(dir: &Path) -> PathBuf {
-    persist::generations(dir).expect("list generations")[0]
-        .1
-        .clone()
+/// The committed file of generation `n` under `dir`.
+fn checkpoint_file(dir: &Path, n: u64) -> PathBuf {
+    dir.join(format!("gen-{n:06}")).join("CHECKPOINT")
+}
+
+fn restored_len(dir: &Path) -> Result<usize, CheckpointError> {
+    ShardedPnbBst::<u64, u64>::restore(dir).map(|m| m.snapshot().len())
 }
 
 #[test]
-fn bit_flipped_segment_is_typed_and_prior_generation_still_loads() {
-    let dir = scratch("bitflip");
-    let map = seeded(&dir, 50);
-    // Second generation, then flip one payload byte in one segment.
-    {
-        let s = map.pin();
-        assert!(s.insert(999 * KEY_STRIDE, 999));
-    }
-    map.checkpoint(&dir).expect("second checkpoint");
-    let gen2 = newest_gen(&dir);
-    let seg = persist::segment_path(&gen2, 0);
-    let mut bytes = std::fs::read(&seg).expect("read segment");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&seg, &bytes).expect("rewrite segment");
+fn damaged_checkpoint_is_typed_and_prior_generation_still_loads() {
+    type Damage = fn(&mut Vec<u8>);
+    let flip: Damage = |b| {
+        let mid = b.len() / 2;
+        b[mid] ^= 0x40;
+    };
+    let tear: Damage = |b| b.truncate(b.len() - 5);
+    for (tag, damage) in [("bitflip", flip), ("truncate", tear)] {
+        let dir = scratch(tag);
+        let map = seeded(&dir, 50);
+        assert!(map.insert(999 * KEY_STRIDE, 999));
+        assert_eq!(map.checkpoint(&dir).expect("gen 2").generation, 2);
+        let file = checkpoint_file(&dir, 2);
+        let mut bytes = std::fs::read(&file).expect("read checkpoint");
+        damage(&mut bytes);
+        std::fs::write(&file, &bytes).expect("rewrite checkpoint");
 
-    // Direct read of the damaged segment: typed CRC error.
-    match persist::read_segment(&seg) {
-        Err(CheckpointError::CrcMismatch { .. }) => {}
-        other => panic!("expected CrcMismatch, got {other:?}"),
+        // Restore falls back to generation 1 — 50 entries, not 51.
+        assert_eq!(restored_len(&dir).expect("fallback"), 50, "{tag}");
+        // Alone, the damaged generation is a typed error naming it.
+        std::fs::remove_dir_all(dir.join("gen-000001")).expect("drop gen 1");
+        match (tag, restored_len(&dir)) {
+            ("bitflip", Err(CheckpointError::CrcMismatch { path }))
+            | ("truncate", Err(CheckpointError::Truncated { path })) => assert_eq!(path, file),
+            (_, other) => panic!("{tag}: got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    // Restore falls back to generation 1 — 50 entries, not 51.
-    let restored: ShardedPnbBst<u64, u64> = ShardedPnbBst::restore(&dir).expect("fallback");
-    assert_eq!(restored.snapshot().len(), 50);
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Where the writer can stop: after claiming `gen-N`, part-way through
+/// writing `CHECKPOINT.tmp`, after writing it, after renaming it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum CrashState {
+    EmptyGeneration,
+    PartialTmp,
+    CompleteTmp,
+    Committed,
+}
+
+/// Leave generation `n` under `dir` as a writer that stopped at `state`
+/// would, from `bytes`, the complete file it was writing.
+fn leave_generation(dir: &Path, n: u64, state: CrashState, bytes: &[u8]) -> PathBuf {
+    let gen = dir.join(format!("gen-{n:06}"));
+    std::fs::create_dir(&gen).expect("claim the generation");
+    let tmp = gen.join("CHECKPOINT.tmp");
+    match state {
+        CrashState::EmptyGeneration => {}
+        CrashState::PartialTmp => std::fs::write(&tmp, &bytes[..bytes.len() / 2]).unwrap(),
+        CrashState::CompleteTmp => std::fs::write(&tmp, bytes).unwrap(),
+        CrashState::Committed => std::fs::write(gen.join("CHECKPOINT"), bytes).unwrap(),
+    }
+    gen
+}
+
+/// Names and lengths of the files in `dir`.
+fn listing(dir: &Path) -> Vec<(std::ffi::OsString, u64)> {
+    let entries = std::fs::read_dir(dir)
+        .expect("list")
+        .map(|e| e.expect("entry"));
+    let mut out: Vec<_> = entries
+        .map(|e| (e.file_name(), e.metadata().expect("metadata").len()))
+        .collect();
+    out.sort();
+    out
 }
 
 #[test]
-fn truncated_segment_is_typed_and_prior_generation_still_loads() {
-    let dir = scratch("truncate");
-    let map = seeded(&dir, 50);
-    {
-        let s = map.pin();
-        assert!(s.insert(999 * KEY_STRIDE, 999));
+fn every_crash_state_of_the_writer_restores_the_last_committed_generation() {
+    use CrashState::*;
+    for state in [EmptyGeneration, PartialTmp, CompleteTmp, Committed] {
+        let dir = scratch(&format!("crash_{state:?}"));
+        // Gen 1 holds 50 keys, gen 2 51, and gen 3's complete file,
+        // as its writer would have produced it, 52.
+        let map = seeded(&dir, 50);
+        assert!(map.insert(1_000 * KEY_STRIDE, 1));
+        map.checkpoint(&dir).expect("gen 2");
+        assert!(map.insert(1_001 * KEY_STRIDE, 2));
+        let side = scratch(&format!("crash_{state:?}_side"));
+        map.checkpoint(&side).expect("side checkpoint");
+        let bytes = std::fs::read(checkpoint_file(&side, 1)).expect("read side file");
+        let _ = std::fs::remove_dir_all(&side);
+
+        let gen3 = leave_generation(&dir, 3, state, &bytes);
+        let debris = listing(&gen3);
+        let want = if state == Committed { 52 } else { 51 };
+        assert_eq!(restored_len(&dir).expect("restore"), want, "{state:?}");
+
+        // The next checkpoint claims gen 4 and prunes committed
+        // generations beyond the newest two; uncommitted debris stays.
+        assert_eq!(map.checkpoint(&dir).expect("gen 4").generation, 4);
+        let kept: Vec<bool> = (1..=4).map(|n| checkpoint_file(&dir, n).exists()).collect();
+        if state == Committed {
+            assert_eq!(kept, [false, false, true, true]);
+        } else {
+            assert_eq!(kept, [false, true, false, true], "{state:?}");
+            assert_eq!(listing(&gen3), debris, "{state:?}: prune touched gen 3");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // With no committed generation before it, the debris alone is
+        // no checkpoint at all.
+        if state != Committed {
+            let lone = scratch(&format!("crash_{state:?}_lone"));
+            leave_generation(&lone, 1, state, &bytes);
+            match restored_len(&lone) {
+                Err(CheckpointError::NoCheckpoint { .. }) => {}
+                other => panic!("{state:?}: expected NoCheckpoint, got {other:?}"),
+            }
+            let _ = std::fs::remove_dir_all(&lone);
+        }
     }
-    map.checkpoint(&dir).expect("second checkpoint");
-    let gen2 = newest_gen(&dir);
-    let seg = persist::segment_path(&gen2, 1);
-    let bytes = std::fs::read(&seg).expect("read segment");
-    std::fs::write(&seg, &bytes[..bytes.len() - 5]).expect("truncate segment");
-
-    match persist::read_segment(&seg) {
-        Err(CheckpointError::Truncated { .. }) => {}
-        other => panic!("expected Truncated, got {other:?}"),
-    }
-    let restored: ShardedPnbBst<u64, u64> = ShardedPnbBst::restore(&dir).expect("fallback");
-    assert_eq!(restored.snapshot().len(), 50);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn missing_commit_marker_skips_the_generation() {
-    let dir = scratch("nocommit");
-    let map = seeded(&dir, 50);
-    {
-        let s = map.pin();
-        assert!(s.insert(999 * KEY_STRIDE, 999));
-    }
-    map.checkpoint(&dir).expect("second checkpoint");
-    // Simulate a crash between manifest write and commit write.
-    std::fs::remove_file(newest_gen(&dir).join("COMMIT")).expect("drop COMMIT");
-
-    let restored: ShardedPnbBst<u64, u64> = ShardedPnbBst::restore(&dir).expect("fallback");
-    assert_eq!(
-        restored.snapshot().len(),
-        50,
-        "uncommitted generation must be invisible"
-    );
-
-    // With no committed generation at all, the error is typed.
-    let lone = scratch("nocommit_lone");
-    let solo = seeded(&lone, 10);
-    drop(solo);
-    std::fs::remove_file(newest_gen(&lone).join("COMMIT")).expect("drop COMMIT");
-    match ShardedPnbBst::<u64, u64>::restore(&lone) {
-        Err(CheckpointError::MissingCommitMarker { .. }) => {}
-        other => panic!("expected MissingCommitMarker, got {other:?}"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&lone);
-}
-
-#[test]
-fn wrong_shard_count_in_manifest_is_typed() {
-    let dir = scratch("shardcount");
-    let map = seeded(&dir, 50);
-    {
-        let s = map.pin();
-        assert!(s.insert(999 * KEY_STRIDE, 999));
-    }
-    map.checkpoint(&dir).expect("second checkpoint");
-    let gen2 = newest_gen(&dir);
-
-    // Rewrite the manifest claiming 3 shards (files on disk say 4) and
-    // re-commit so only the shard count is wrong.
-    let (mut m, _) = persist::read_manifest(&gen2).expect("read manifest");
-    m.shard_count = 3;
-    m.segments.pop();
-    let crc = persist::write_manifest(&gen2, &m).expect("rewrite manifest");
-    persist::write_commit(&gen2, crc).expect("re-commit");
-
-    match persist::load_generation(&gen2) {
-        Err(CheckpointError::ShardCountMismatch { .. }) => {}
-        other => panic!("expected ShardCountMismatch, got {:?}", other.map(|_| ())),
-    }
-    // Fallback to generation 1 still works end to end.
-    let restored: ShardedPnbBst<u64, u64> = ShardedPnbBst::restore(&dir).expect("fallback");
-    assert_eq!(restored.snapshot().len(), 50);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -277,29 +290,60 @@ fn unsharded_tree_checkpoint_roundtrips_through_the_facade() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn hand_built_generation_loads_through_the_public_persist_api() {
-    // The format is public: a generation written with the low-level
-    // helpers must load through the high-level restore path.
-    let dir = scratch("handmade");
-    let (generation, gen_dir) = persist::begin_generation(&dir).expect("begin");
-    assert_eq!(generation, 1);
-    let entries: Vec<(u64, u64)> = (0..10u64).map(|k| (k, k * k)).collect();
-    let crc =
-        persist::write_segment(&persist::segment_path(&gen_dir, 0), &entries).expect("segment");
-    let manifest = Manifest {
-        shard_count: 1,
-        partitioner_tag: persist::PARTITIONER_NONE,
-        partitioner_param: 0,
-        segments: vec![SegmentMeta {
-            entries: entries.len() as u64,
-            crc,
-        }],
-    };
-    let mcrc = persist::write_manifest(&gen_dir, &manifest).expect("manifest");
-    persist::write_commit(&gen_dir, mcrc).expect("commit");
+/// A `CHECKPOINT` file assembled field by field from DESIGN §9.1's
+/// table: all integers little-endian, the CRC-32 over every byte
+/// before it.
+fn design_table_file(shard_count: u32, tag: u32, param: u64, runs: &[&[(u64, u64)]]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(b"PNBK");
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&shard_count.to_le_bytes());
+    bytes.extend_from_slice(&tag.to_le_bytes());
+    bytes.extend_from_slice(&param.to_le_bytes());
+    for run in runs {
+        bytes.extend_from_slice(&(run.len() as u64).to_le_bytes());
+        for (k, v) in *run {
+            bytes.extend_from_slice(&k.to_le_bytes());
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    let crc = persist::crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
 
+#[test]
+fn checkpoint_file_built_byte_by_byte_from_the_design_table_restores() {
+    let dir = scratch("handmade");
+    let entries: Vec<(u64, u64)> = (0..10u64).map(|k| (k, k * k)).collect();
+    let bytes = design_table_file(1, 0, 0, &[&entries]);
+    let gen1 = dir.join("gen-000001");
+    std::fs::create_dir_all(&gen1).expect("gen dir");
+    std::fs::write(gen1.join("CHECKPOINT"), &bytes).expect("write");
     let back: PnbBst<u64, u64> = PnbBst::restore(&dir).expect("restore handmade");
     assert_eq!(back.snapshot().to_vec(), entries);
+
+    // `checkpoint` writes exactly these bytes, as generation 2.
+    assert_eq!(back.checkpoint(&dir).expect("checkpoint").generation, 2);
+    assert_eq!(std::fs::read(checkpoint_file(&dir, 2)).unwrap(), bytes);
+
+    // One file's counts must consume it exactly: a shard count the
+    // runs do not fill, or one they overrun, is a typed error.
+    let restore_gen3 = |bytes: &[u8]| {
+        let gen3 = dir.join("gen-000003");
+        std::fs::create_dir_all(&gen3).expect("gen dir");
+        std::fs::write(gen3.join("CHECKPOINT"), bytes).expect("write");
+        std::fs::remove_dir_all(dir.join("gen-000002")).ok();
+        std::fs::remove_dir_all(&gen1).ok();
+        PnbBst::<u64, u64>::restore(&dir).map(|_| ())
+    };
+    match restore_gen3(&design_table_file(2, 0, 0, &[&entries])) {
+        Err(CheckpointError::Truncated { .. }) => {}
+        other => panic!("expected Truncated, got {other:?}"),
+    }
+    match restore_gen3(&design_table_file(1, 0, 0, &[&entries, &entries])) {
+        Err(CheckpointError::CrcMismatch { .. }) => {}
+        other => panic!("expected CrcMismatch, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
