@@ -23,23 +23,25 @@
 //! own size — not a block. So a 64-byte `Node` costs 64 bytes and sits
 //! on its own cache line, and a cold update performs no `malloc` at all.
 //!
+//! The lists are the blocks themselves (Bonwick's slab allocator): a
+//! pooled block is unreachable and at least two words long, so its
+//! first word links the next block of its list or chunk, and a chunk's
+//! first block links the next chunk with its second. Each slab lends its
+//! first block (two or three, for blocks under 40 B) to a [`SlabHead`],
+//! which threads the class's slab registry. So pooling, spilling,
+//! refilling, trimming and thread exit allocate nothing from the heap
+//! either.
+//!
 //! # Huge pages
 //!
-//! Every operation is a pointer chase from the root to a leaf, and
-//! below the top few levels of a large tree each step lands on a page
-//! no recent step touched: a TLB miss, which on a virtual machine is a
-//! two-dimensional page walk. A slab is one 2-MiB-aligned transparent
-//! huge page's worth of memory, so the moment a thread carves its last
-//! block, it asks the kernel to collapse the slab into one huge page
-//! (`madvise(MADV_COLLAPSE)`). Every block of the slab has been handed
-//! out, and [`alloc`] writes each one it hands out, so every 4-KiB page
-//! of it is resident already: the collapse replaces 512 page-table
-//! entries with one and adds no memory. The slab a thread is still
-//! carving stays in 4-KiB pages — advising huge pages at fault time
-//! instead (`MADV_HUGEPAGE`) makes each half-carved slab resident in
-//! full. The call is advice: where the kernel refuses it (Linux before
-//! 6.1, no THP support, no free 2-MiB frame), nothing changes but the
-//! speed.
+//! A slab is one 2-MiB-aligned transparent huge page's worth of memory:
+//! the moment a thread carves its last block, it asks the kernel to
+//! collapse the slab into one huge page (`madvise(MADV_COLLAPSE)`), so a
+//! descent through a large tree misses the TLB once per slab, not once
+//! per 4-KiB page. [`alloc`] has written every block by then, so the
+//! collapse adds no memory; the slab a thread is still carving stays in
+//! 4-KiB pages, and where the kernel refuses the advice nothing changes
+//! but the speed (DESIGN §3.5 has the measurements).
 //!
 //! # Why this is sound
 //!
@@ -53,55 +55,75 @@
 //!   to `malloc` (which also reuses addresses) would not.
 //! * Free lists hold *raw memory*, not values: the destructor runs
 //!   before pooling ([`recycle_raw`]), and [`alloc`] writes a fresh
-//!   value before handing the block out.
+//!   value before handing the block out — over the links, which only a
+//!   pooled block holds.
 //! * Blocks are shared across `T`s of identical size/alignment (e.g.
 //!   `Node<K, V>` for different small `K`/`V`), which the allocator
 //!   contract explicitly permits.
 //!
-//! Local lists spill past [`LOCAL_CAP`] blocks; exiting threads hand
-//! their pools to the spillover so survivors inherit the warm memory.
-//! The pools retain their peak working set by design — [`trim`] unmaps
-//! every wholly unused slab at workload boundaries. Process-global
-//! hit/miss/recycle counters ([`ArenaStats`]) are always on.
+//! A thread keeps at most two chunks' worth of blocks; past that its
+//! older chunk spills. An exiting thread hands its lists to the
+//! spillover, so survivors inherit the warm memory, and leaves its
+//! uncarved tail to [`trim`]. The pools retain their peak working set by
+//! design — [`trim`] unmaps every wholly unused slab at workload
+//! boundaries. Process-global hit/miss/recycle counters ([`ArenaStats`])
+//! are always on.
 
 use std::alloc::{alloc as global_alloc, dealloc as global_dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
-use std::sync::atomic::Ordering::{AcqRel, Relaxed, Release};
+use std::ptr::null_mut;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicPtr, AtomicUsize};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Split point for a thread's free list: past this, half the list is
-/// packaged into a [`Chunk`] and pushed onto the class's global
-/// spillover stack. Ripe garbage arrives in collection-pass bursts on
-/// whichever thread ran the pass; the spillover is what routes that
-/// surplus to the threads that are actually allocating.
-const LOCAL_CAP: usize = 4096;
-
-/// Blocks per spillover chunk (= `LOCAL_CAP / 2`).
+/// Blocks per spillover chunk. A thread's free list this long becomes
+/// its spare chunk, and the spare it had goes to the class's spillover:
+/// ripe garbage arrives in bursts on whichever thread ran the collection
+/// pass, and the spillover routes that surplus to the threads that are
+/// allocating. Holding two chunks, a thread that alternates frees and
+/// allocations at the boundary moves no block between threads.
 const CHUNK_BLOCKS: usize = 2048;
 
 /// Upper bound on pooled scan-stack buffers per thread.
 const MAX_STACK_BUFS: usize = 8;
 
-/// Bytes per slab, and the alignment of every slab: one transparent
-/// huge page, so a carved-out slab can become one TLB entry.
+/// Bytes per slab for every class with blocks up to 4 KiB, and the
+/// least alignment of every slab: one transparent huge page, so a
+/// carved-out slab can become one TLB entry.
 const SLAB_BYTES: usize = 2 << 20;
 
 /// Floor on blocks per slab, for layouts past `SLAB_BYTES / 512`.
 const MIN_SLAB_BLOCKS: usize = 512;
 
-/// Distance between two blocks of a class in its slabs.
+/// Distance between two blocks of a class in its slabs: room for the
+/// two link words a pooled block holds, and word-aligned for them.
 fn stride(block: Layout) -> usize {
-    block.pad_to_align().size()
+    let align = block.align().max(align_of::<*mut u8>());
+    (block.size().max(2 * size_of::<*mut u8>())).next_multiple_of(align)
 }
 
-/// Bytes a class maps per slab: whole huge pages, at least one.
+/// Bytes a class maps per slab, and the alignment of each: a power of
+/// two, so a block's slab is its address rounded down.
 fn slab_len(block: Layout) -> usize {
-    (MIN_SLAB_BLOCKS * stride(block)).next_multiple_of(SLAB_BYTES)
+    (MIN_SLAB_BLOCKS * stride(block))
+        .next_power_of_two()
+        .max(SLAB_BYTES)
 }
 
-/// The part of a slab a class carves: whole blocks only.
-fn carve_len(block: Layout) -> usize {
-    slab_len(block) / stride(block) * stride(block)
+/// Bytes at the base of each slab that hold its [`SlabHead`]: whole
+/// blocks, so the blocks after it keep their alignment.
+fn head_len(block: Layout) -> usize {
+    size_of::<SlabHead>().next_multiple_of(stride(block))
+}
+
+/// Blocks a slab of the class holds after its head.
+fn slab_blocks(block: Layout) -> usize {
+    (slab_len(block) - head_len(block)) / stride(block)
+}
+
+/// The head of the slab holding `raw`, a block of `block`'s class.
+fn slab_of(block: Layout, raw: *mut u8) -> *mut SlabHead {
+    raw.map_addr(|a| a & !(slab_len(block) - 1)).cast()
 }
 
 fn global_alloc_checked(layout: Layout) -> *mut u8 {
@@ -113,15 +135,54 @@ fn global_alloc_checked(layout: Layout) -> *mut u8 {
     raw
 }
 
-/// One layout class: a free list of uniform raw blocks, and the part
-/// of this thread's latest slab that has never been handed out.
+/// The two words a pooled block lends its pool: word 0 links the next
+/// block of its list or chunk, word 1 (of a chunk's first block) the
+/// next chunk on a spillover stack. Each access unpoisons just its word,
+/// for just the access.
+mod link {
+    use super::asan;
+
+    const WORD: usize = size_of::<*mut u8>();
+
+    /// # Safety
+    ///
+    /// `raw` is a pooled block the caller owns.
+    #[inline(always)]
+    pub(super) unsafe fn get(raw: *mut u8, word: usize) -> *mut u8 {
+        asan::unpoison(raw.wrapping_add(word * WORD), WORD);
+        // SAFETY: the caller's block, word-aligned and two words long.
+        let next = unsafe { raw.cast::<*mut u8>().add(word).read() };
+        asan::poison(raw.wrapping_add(word * WORD), WORD);
+        next
+    }
+
+    /// # Safety
+    ///
+    /// As for [`get`].
+    #[inline(always)]
+    pub(super) unsafe fn set(raw: *mut u8, word: usize, next: *mut u8) {
+        asan::unpoison(raw.wrapping_add(word * WORD), WORD);
+        // SAFETY: as in `get`.
+        unsafe { raw.cast::<*mut u8>().add(word).write(next) };
+        asan::poison(raw.wrapping_add(word * WORD), WORD);
+    }
+}
+
+/// One layout class: this thread's free list of uniform raw blocks, a
+/// spare chunk, and the part of its latest slab never handed out.
 struct Class {
     layout: Layout,
     /// The class's spillover and slab registry. `None` when the
     /// registry is full: such a layout is not pooled at all, each block
     /// is its own global allocation.
     global: Option<&'static GlobalClass>,
-    free: Vec<*mut u8>,
+    /// The free list's first block (null when empty), and at least its
+    /// length: a refill counts its chunk as [`CHUNK_BLOCKS`] long, which
+    /// no chunk exceeds.
+    free: *mut u8,
+    len: usize,
+    /// A chunk this thread holds back, or null.
+    spare: *mut u8,
     /// `fresh..fresh_end` is the uncarved tail of a registered slab;
     /// both are null before the first slab and after [`trim`] unmaps
     /// the slab they were in.
@@ -130,49 +191,65 @@ struct Class {
 }
 
 impl Class {
-    /// A raw block: from the free list, a spillover chunk, or the slab.
+    /// A raw block: from the free list, the spare or a spillover chunk,
+    /// or the slab.
     fn take(&mut self) -> *mut u8 {
-        if self.free.is_empty() {
-            // Local miss: pull a spillover chunk first — this is what
-            // rebalances bursts of ripe garbage from the collecting
-            // thread to the allocating ones.
-            if let Some(refill) = self.global.and_then(|g| g.free.pop()) {
-                self.free = refill;
+        if self.free.is_null() {
+            // Local miss: the spare, then a spillover chunk — this is
+            // what rebalances bursts of ripe garbage from the
+            // collecting thread to the allocating ones.
+            self.free = if self.spare.is_null() {
+                self.global.map_or(null_mut(), |g| g.free.pop())
+            } else {
+                std::mem::replace(&mut self.spare, null_mut())
+            };
+            if !self.free.is_null() {
+                self.len = CHUNK_BLOCKS;
             }
         }
-        if let Some(raw) = self.free.pop() {
+        let raw = self.free;
+        if !raw.is_null() {
             counters::hit();
-            asan::unpoison(raw, self.layout);
+            // SAFETY: the list's blocks are pooled and this thread's.
+            self.free = unsafe { link::get(raw, 0) };
+            self.len -= 1;
+            // The next take reads that block's link: fetch its line now.
+            crate::node::prefetch(self.free);
+            asan::unpoison(raw, self.layout.size());
             return raw;
         }
         let Some(g) = self.global else {
             counters::miss();
             return global_alloc_checked(self.layout);
         };
-        let carve = carve_len(self.layout);
+        let stride = stride(self.layout);
         if self.fresh == self.fresh_end {
             counters::miss();
-            self.fresh = os::map(slab_len(self.layout));
-            // SAFETY: the carved part of the slab just mapped.
-            self.fresh_end = unsafe { self.fresh.add(carve) };
-            g.slabs.push(vec![self.fresh]);
+            let slab = os::map(slab_len(self.layout)).cast::<SlabHead>();
+            g.register(slab);
+            // SAFETY: both lie in the slab just mapped.
+            unsafe {
+                self.fresh = slab.cast::<u8>().add(head_len(self.layout));
+                self.fresh_end = self.fresh.add(slab_blocks(self.layout) * stride);
+            }
         } else {
             counters::hit();
         }
         let raw = self.fresh;
         // SAFETY: the tail is a whole number of strides long.
-        self.fresh = unsafe { raw.add(stride(self.layout)) };
+        self.fresh = unsafe { raw.add(stride) };
         if self.fresh == self.fresh_end {
             // Carved out: every block but this one has been written, so
             // the slab is resident (this block's page too, unless the
             // block spans pages) and the collapse adds no memory.
-            os::collapse(self.fresh_end.wrapping_sub(carve), slab_len(self.layout));
+            os::collapse(slab_of(self.layout, raw).cast(), slab_len(self.layout));
         }
         raw
     }
 
-    /// Pool a raw block; past [`LOCAL_CAP`], half the list spills to
-    /// the global stack (other threads pull it back on their misses).
+    /// Pool a raw block; a list of [`CHUNK_BLOCKS`] becomes the spare,
+    /// and the spare it replaces goes to the global stack (other
+    /// threads pull it back on their misses).
     ///
     /// # Safety
     ///
@@ -183,11 +260,17 @@ impl Class {
             // SAFETY: unpooled layouts allocate each block with it.
             return unsafe { global_dealloc(raw, self.layout) };
         };
-        asan::poison(raw, self.layout);
-        self.free.push(raw);
-        if self.free.len() >= LOCAL_CAP {
-            g.free
-                .push(self.free.split_off(self.free.len() - CHUNK_BLOCKS));
+        asan::poison(raw, stride(self.layout));
+        // SAFETY: the block is ours and now pooled.
+        unsafe { link::set(raw, 0, self.free) };
+        self.free = raw;
+        self.len += 1;
+        if self.len == CHUNK_BLOCKS {
+            if !self.spare.is_null() {
+                g.free.push(self.spare);
+            }
+            self.spare = std::mem::replace(&mut self.free, null_mut());
+            self.len = 0;
         }
     }
 }
@@ -209,9 +292,11 @@ impl Pools {
                 self.classes.push(Class {
                     layout,
                     global: global_class(layout),
-                    free: Vec::new(),
-                    fresh: std::ptr::null_mut(),
-                    fresh_end: std::ptr::null_mut(),
+                    free: null_mut(),
+                    len: 0,
+                    spare: null_mut(),
+                    fresh: null_mut(),
+                    fresh_end: null_mut(),
                 });
                 self.classes.len() - 1
             }
@@ -222,18 +307,23 @@ impl Pools {
 
 impl Drop for Pools {
     fn drop(&mut self) {
-        // Thread exit: hand every pooled block, carved or not, to the
-        // global spillover so surviving threads inherit the warm memory
-        // (benchmark drivers respawn worker threads constantly).
+        // Thread exit: hand every pooled block to the global spillover
+        // so surviving threads inherit the warm memory (benchmark
+        // harnesses respawn worker threads constantly). The uncarved tail
+        // is marked on its slab's head, for `trim` to count: linking
+        // its blocks would fault all of them in.
         for c in &mut self.classes {
             let Some(g) = c.global else { continue };
-            while c.fresh < c.fresh_end {
-                c.free.push(c.fresh);
-                // SAFETY: the tail is a whole number of strides long.
-                c.fresh = unsafe { c.fresh.add(stride(c.layout)) };
+            for chunk in [c.free, c.spare] {
+                if !chunk.is_null() {
+                    g.free.push(chunk);
+                }
             }
-            for blocks in c.free.chunks(CHUNK_BLOCKS) {
-                g.free.push(blocks.to_vec());
+            if c.fresh < c.fresh_end {
+                let _registry = g.slabs();
+                // SAFETY: the head of a registered slab; under the
+                // registry lock, as every other access to it.
+                unsafe { (*slab_of(c.layout, c.fresh)).abandoned = c.fresh };
             }
         }
     }
@@ -266,85 +356,92 @@ fn with_pools<R>(f: impl FnOnce(&mut Pools) -> R) -> R {
 // Global spillover and slab registry (second pool level)
 // ---------------------------------------------------------------------------
 
-/// A batch of pointers travelling between threads on a [`Stack`].
-struct Chunk {
-    next: *mut Chunk,
-    blocks: Vec<*mut u8>,
-}
-
-/// A Treiber stack of [`Chunk`]s.
+/// A Treiber stack of chunks: a chunk is a list of pooled blocks, and
+/// its first block's second word links the next chunk.
 ///
 /// Takers take the *entire* stack with one `swap(null)` and then own
-/// every node outright, so there is no ABA window and no
-/// use-after-free on `next` traversal (the classic Treiber pop hazard
+/// every chunk outright, so there is no ABA window and no
+/// use-after-free on link traversal (the classic Treiber pop hazard
 /// never arises).
-struct Stack(AtomicPtr<Chunk>);
+struct Stack(AtomicPtr<u8>);
 
 impl Stack {
-    fn push(&self, blocks: Vec<*mut u8>) {
-        let chunk = Box::into_raw(Box::new(Chunk {
-            next: std::ptr::null_mut(),
-            blocks,
-        }));
-        self.push_chain(chunk, chunk);
-    }
-
-    /// Push the chain `first ..= last` (linked through `next`) as one.
-    fn push_chain(&self, first: *mut Chunk, last: *mut Chunk) {
+    fn push(&self, chunk: *mut u8) {
+        let mut head = self.0.load(Relaxed);
         loop {
-            let head = self.0.load(Relaxed);
-            // SAFETY: the chain is unpublished — we still own it.
-            unsafe { (*last).next = head };
-            // Release: publishes the chain's contents to the taker.
-            if self
-                .0
-                .compare_exchange_weak(head, first, Release, Relaxed)
-                .is_ok()
-            {
-                return;
+            // SAFETY: the chunk is unpublished — we still own it.
+            unsafe { link::set(chunk, 1, head) };
+            // Release: publishes the chunk's contents to the taker.
+            match (self.0).compare_exchange_weak(head, chunk, Release, Relaxed) {
+                Ok(_) => return,
+                Err(now) => head = now,
             }
         }
     }
 
-    fn take_all(&self) -> Vec<Vec<*mut u8>> {
+    fn take_all(&self) -> *mut u8 {
         // Acquire pairs with the push's Release; after the swap the
         // whole chain is exclusively ours.
-        let mut head = self.0.swap(std::ptr::null_mut(), AcqRel);
-        let mut all = Vec::new();
-        while !head.is_null() {
-            // SAFETY: exclusive ownership of every node in the chain.
-            let chunk = unsafe { Box::from_raw(head) };
-            head = chunk.next;
-            all.push(chunk.blocks);
-        }
-        all
+        self.0.swap(null_mut(), Acquire)
     }
 
-    /// Take one chunk: take the whole stack, keep its head and splice
-    /// the rest of the chain back, `Chunk` boxes and all.
-    fn pop(&self) -> Option<Vec<*mut u8>> {
-        // Acquire/exclusivity: as in `take_all`.
-        let head = self.0.swap(std::ptr::null_mut(), AcqRel);
-        if head.is_null() {
-            return None;
+    /// Take one chunk: take the whole stack, keep its first chunk and put
+    /// the rest back — by one CAS unless chunks were pushed meanwhile,
+    /// and then behind those.
+    fn pop(&self) -> *mut u8 {
+        let chunk = self.take_all();
+        if chunk.is_null() {
+            return chunk;
         }
-        // SAFETY: exclusive ownership of every node in the chain.
-        let chunk = unsafe { Box::from_raw(head) };
-        let rest = chunk.next;
-        if !rest.is_null() {
-            let mut last = rest;
-            // SAFETY: still ours — the chain is unpublished until the
-            // splice below.
-            unsafe {
-                while !(*last).next.is_null() {
-                    last = (*last).next;
-                }
+        // SAFETY: every chunk taken is ours until put back.
+        let mut rest = unsafe { link::get(chunk, 1) };
+        // Release: republishes the chunks to their next taker.
+        while !rest.is_null()
+            && (self.0.compare_exchange(null_mut(), rest, Release, Relaxed)).is_err()
+        {
+            // Chunks were pushed meanwhile: take them, the rest behind.
+            let mut last = self.take_all();
+            if last.is_null() {
+                continue;
             }
-            self.push_chain(rest, last);
+            let pushed = last;
+            // SAFETY: taken, so ours.
+            unsafe {
+                while !link::get(last, 1).is_null() {
+                    last = link::get(last, 1);
+                }
+                link::set(last, 1, rest);
+            }
+            rest = pushed;
         }
-        Some(chunk.blocks)
+        chunk
     }
 }
+
+/// The first bytes of every slab, never handed out: the slab's place
+/// on its class's registry, and [`trim`]'s working fields. Every field
+/// is read and written only under the registry lock.
+#[repr(C)]
+struct SlabHead {
+    next: *mut SlabHead,
+    /// Where an exited thread stopped carving the slab: no block from
+    /// here to the end was ever handed out. Null while a thread carves
+    /// it, and once one has carved it out.
+    abandoned: *mut u8,
+    /// [`trim`]'s working fields, zeroed as it starts: the slab's pooled
+    /// blocks it found, the list it sorted them into, and the full
+    /// chunks it cut off that list.
+    pooled: usize,
+    list: *mut u8,
+    chunks: *mut u8,
+}
+
+/// A class's registry: its slabs' heads, linked through `next`.
+struct Slabs(*mut SlabHead);
+
+// SAFETY: the heads are plain memory in slabs the registry owns; only
+// the holder of its lock touches them.
+unsafe impl Send for Slabs {}
 
 /// Global side of one layout class.
 struct GlobalClass {
@@ -354,10 +451,9 @@ struct GlobalClass {
     layout: AtomicUsize,
     /// Spillover: chunks of free blocks.
     free: Stack,
-    /// Base addresses of the class's live slabs. Read only by [`trim`],
-    /// which takes the lot, so a concurrent trim (or one racing a
-    /// carve) just sees fewer slabs and leaves their blocks pooled.
-    slabs: Stack,
+    /// The class's live slabs. Locked to map one (once per slab), to
+    /// mark a tail abandoned, and by [`trim`] throughout.
+    slabs: Mutex<Slabs>,
 }
 
 /// A layout as a non-zero claim word: size above the low byte, log2 of
@@ -377,9 +473,21 @@ impl GlobalClass {
     const fn new() -> Self {
         GlobalClass {
             layout: AtomicUsize::new(0),
-            free: Stack(AtomicPtr::new(std::ptr::null_mut())),
-            slabs: Stack(AtomicPtr::new(std::ptr::null_mut())),
+            free: Stack(AtomicPtr::new(null_mut())),
+            slabs: Mutex::new(Slabs(null_mut())),
         }
+    }
+
+    fn slabs(&self) -> MutexGuard<'_, Slabs> {
+        self.slabs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Put a freshly mapped slab on the registry.
+    fn register(&self, slab: *mut SlabHead) {
+        let mut slabs = self.slabs();
+        // SAFETY: the slab is mapped, zeroed and not yet shared.
+        unsafe { (*slab).next = slabs.0 };
+        slabs.0 = slab;
     }
 }
 
@@ -544,11 +652,10 @@ pub struct ArenaStats {
 }
 
 /// Slabs come from the kernel, not the global allocator: an anonymous
-/// mapping over-sized by one huge page and trimmed to an aligned one.
+/// mapping of twice the length, trimmed to an aligned half.
 /// Declared here rather than through a `libc` dependency, like the
 /// server's `epoll` calls.
 mod os {
-    use super::SLAB_BYTES;
     use std::alloc::{handle_alloc_error, Layout};
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -574,10 +681,10 @@ mod os {
     /// Bytes of slab currently mapped, process-wide.
     pub(super) static MAPPED: AtomicUsize = AtomicUsize::new(0);
 
-    /// `len` bytes (a multiple of [`SLAB_BYTES`]) of zeroed memory,
-    /// aligned to [`SLAB_BYTES`]. None of it is resident until touched.
+    /// `len` bytes (a power of two, at least a page) of zeroed memory,
+    /// aligned to `len`. None of it is resident until touched.
     pub(super) fn map(len: usize) -> *mut u8 {
-        let over = len + SLAB_BYTES;
+        let over = 2 * len;
         // SAFETY: a fresh private anonymous mapping aliases nothing.
         let raw = unsafe {
             mmap(
@@ -590,15 +697,15 @@ mod os {
             )
         };
         if raw == MAP_FAILED {
-            handle_alloc_error(Layout::from_size_align(len, SLAB_BYTES).expect("slab layout"));
+            handle_alloc_error(Layout::from_size_align(len, len).expect("slab layout"));
         }
-        let head = raw.align_offset(SLAB_BYTES);
+        let head = raw.align_offset(len);
         // SAFETY: both ends lie in the mapping just made, outside the
         // aligned `len` bytes kept, and nothing has seen them.
         unsafe {
             let base = raw.add(head);
             trim_end(raw, head);
-            trim_end(base.add(len), SLAB_BYTES - head);
+            trim_end(base.add(len), len - head);
             MAPPED.fetch_add(len, Relaxed);
             base
         }
@@ -657,32 +764,28 @@ pub(crate) fn mapped_slab_bytes() -> usize {
 /// it is a report.
 #[cfg(pnb_asan)]
 mod asan {
-    use std::alloc::Layout;
-
     extern "C" {
         fn __asan_poison_memory_region(addr: *const u8, size: usize);
         fn __asan_unpoison_memory_region(addr: *const u8, size: usize);
     }
 
-    pub(super) fn poison(raw: *mut u8, layout: Layout) {
-        // SAFETY: a whole block of the class, owned by the pool.
-        unsafe { __asan_poison_memory_region(raw, layout.size()) }
+    pub(super) fn poison(at: *mut u8, len: usize) {
+        // SAFETY: bytes of a block (or slab) the pool owns.
+        unsafe { __asan_poison_memory_region(at, len) }
     }
 
-    pub(super) fn unpoison(raw: *mut u8, layout: Layout) {
-        // SAFETY: as above; the block is leaving the pool.
-        unsafe { __asan_unpoison_memory_region(raw, layout.size()) }
+    pub(super) fn unpoison(at: *mut u8, len: usize) {
+        // SAFETY: as above; they are leaving the pool.
+        unsafe { __asan_unpoison_memory_region(at, len) }
     }
 }
 
 #[cfg(not(pnb_asan))]
 mod asan {
-    use std::alloc::Layout;
-
     #[inline(always)]
-    pub(super) fn poison(_raw: *mut u8, _layout: Layout) {}
+    pub(super) fn poison(_at: *mut u8, _len: usize) {}
     #[inline(always)]
-    pub(super) fn unpoison(_raw: *mut u8, _layout: Layout) {}
+    pub(super) fn unpoison(_at: *mut u8, _len: usize) {}
 }
 
 /// Process-global hit/miss/recycle counters, read by [`arena_stats`].
@@ -705,9 +808,9 @@ mod counters {
     }
 }
 
-/// Return to the kernel every slab whose blocks are *all*
-/// pooled — on this thread's lists or the global spillover stacks — and
-/// keep the rest pooled. Blocks held live, or by another thread's
+/// Return to the kernel every slab whose blocks are *all* pooled — on
+/// this thread's lists or the global spillover stacks, or never carved
+/// — and keep the rest pooled. Blocks held live, or by another thread's
 /// lists, pin their slab until a later call.
 ///
 /// The pools deliberately retain their peak working set (that is what
@@ -730,55 +833,104 @@ pub fn trim() {
 }
 
 fn trim_class(local: &mut Class, g: &GlobalClass) {
-    let (stride, carve) = (stride(local.layout), carve_len(local.layout));
-    // Own everything poolable outright: the chunks stay the vectors
-    // they already are, and the only new memory is one word pair per
-    // slab — a trim must not raise the footprint it is there to cut.
-    let chunks = g.free.take_all();
-    let mut slabs: Vec<(usize, usize)> = (g.slabs.take_all().into_iter().flatten())
-        .map(|base| (base as usize, 0))
-        .collect();
-    slabs.sort_unstable();
-    // The registered slab holding `block`, if this call took it.
-    let find = |slabs: &[(usize, usize)], block: *mut u8| {
-        let at = slabs.partition_point(|s| s.0 <= block as usize);
-        let i = at.checked_sub(1)?;
-        (block as usize - slabs[i].0 < carve).then_some(i)
+    let layout = local.layout;
+    let (stride, len, blocks) = (stride(layout), slab_len(layout), slab_blocks(layout));
+    // Under the registry lock no slab is mapped and no other trim runs,
+    // so every pooled block comes from a slab on the registry, and the
+    // heads' working fields are this call's.
+    let mut slabs = g.slabs();
+    let mut head = slabs.0;
+    while !head.is_null() {
+        // SAFETY: the registry's heads, ours under its lock.
+        let slab = unsafe { &mut *head };
+        (slab.pooled, slab.list, slab.chunks) = (0, null_mut(), null_mut());
+        head = slab.next;
+    }
+    // Own every pooled block this call can reach and sort each onto a
+    // list of its slab's, cut into full chunks as it grows: one pass
+    // over the blocks, with no memory but their own links.
+    let sort = |block: *mut u8| {
+        // SAFETY: a pooled block this call owns, in a mapped slab.
+        unsafe {
+            let slab = &mut *slab_of(layout, block);
+            slab.pooled += 1;
+            link::set(block, 0, slab.list);
+            slab.list = block;
+            if slab.pooled.is_multiple_of(CHUNK_BLOCKS) {
+                link::set(block, 1, slab.chunks);
+                slab.chunks = std::mem::replace(&mut slab.list, null_mut());
+            }
+        }
     };
-    for &block in chunks.iter().flatten().chain(&local.free) {
-        if let Some(i) = find(&slabs, block) {
-            slabs[i].1 += 1;
+    // The spillover and this thread's two lists, as one chain of chunks.
+    let mut chunks = g.free.take_all();
+    for list in [&mut local.free, &mut local.spare] {
+        if !list.is_null() {
+            // SAFETY: this thread's, so ours.
+            unsafe { link::set(*list, 1, chunks) };
+            chunks = std::mem::replace(list, null_mut());
+        }
+    }
+    local.len = 0;
+    // The blocks are cold and each link is a load that depends on the
+    // last: walk 16 chunks at once, so 16 of those misses overlap.
+    let mut lanes = [null_mut::<u8>(); 16];
+    while !chunks.is_null() || lanes.iter().any(|b| !b.is_null()) {
+        for lane in &mut lanes {
+            if lane.is_null() && !chunks.is_null() {
+                *lane = chunks;
+                // SAFETY: taken, so ours.
+                chunks = unsafe { link::get(chunks, 1) };
+            }
+            if !lane.is_null() {
+                let block = *lane;
+                // SAFETY: as in `sort`.
+                *lane = unsafe { link::get(block, 0) };
+                crate::node::prefetch(*lane);
+                sort(block);
+            }
         }
     }
     // This thread's uncarved tail is as good as pooled.
-    if let Some(i) = find(&slabs, local.fresh) {
-        slabs[i].1 += (local.fresh_end as usize - local.fresh as usize) / stride;
-    }
-    let whole = |s: &(usize, usize)| s.1 * stride == carve;
-    let doomed = |block: &*mut u8| find(&slabs, *block).is_some_and(|i| whole(&slabs[i]));
-    if doomed(&local.fresh) {
-        local.fresh = std::ptr::null_mut();
-        local.fresh_end = std::ptr::null_mut();
-    }
-    local.free.retain(|b| !doomed(b));
-    for mut chunk in chunks {
-        chunk.retain(|b| !doomed(b));
-        chunk.shrink_to_fit();
-        if !chunk.is_empty() {
-            g.free.push(chunk);
+    let tail = (local.fresh < local.fresh_end).then(|| slab_of(layout, local.fresh));
+    let mut at: *mut *mut SlabHead = &mut slabs.0;
+    // SAFETY: the registry's heads, ours under its lock.
+    unsafe {
+        while !(*at).is_null() {
+            let head = *at;
+            let slab = &mut *head;
+            let uncarved = |from: *mut u8| (head as usize + len - from as usize) / stride;
+            let mut pooled = slab.pooled;
+            if !slab.abandoned.is_null() {
+                pooled += uncarved(slab.abandoned);
+            }
+            if tail == Some(head) {
+                pooled += uncarved(local.fresh);
+            }
+            if pooled == blocks {
+                *at = slab.next;
+                if tail == Some(head) {
+                    local.fresh = null_mut();
+                    local.fresh_end = null_mut();
+                }
+                // Every block of it was on the lists this call owns, and
+                // is on none now: nothing can reach it again.
+                asan::unpoison(head.cast(), len);
+                os::unmap(head.cast(), len);
+                continue;
+            }
+            let mut chunk = slab.chunks;
+            if !slab.list.is_null() {
+                link::set(slab.list, 1, chunk);
+                chunk = slab.list;
+            }
+            while !chunk.is_null() {
+                let next = link::get(chunk, 1);
+                g.free.push(chunk);
+                chunk = next;
+            }
+            at = &mut slab.next;
         }
-    }
-    slabs.retain(|s| {
-        if whole(s) {
-            // SAFETY: mapped with this length by `Class::take`; every
-            // block of it was in the lists this call owns and has been
-            // dropped from them, so nothing can reach it again.
-            unsafe { os::unmap(s.0 as *mut u8, slab_len(local.layout)) };
-        }
-        !whole(s)
-    });
-    if !slabs.is_empty() {
-        g.slabs.push(slabs.iter().map(|s| s.0 as *mut u8).collect());
     }
 }
 
@@ -846,6 +998,13 @@ mod tests {
         nodes.into_iter().for_each(free_now);
     }
 
+    /// The slabs on a class's registry.
+    fn registered(class: &GlobalClass) -> Vec<*mut SlabHead> {
+        let mut at = class.slabs().0;
+        // SAFETY: single reader; a test's class is its own.
+        std::iter::from_fn(|| (!at.is_null()).then(|| unsafe { (at, at = (*at).next).0 })).collect()
+    }
+
     #[test]
     fn trim_keeps_a_slab_with_a_live_block() {
         // A layout of this test's own, so the counts are its alone.
@@ -854,13 +1013,11 @@ mod tests {
         spare.into_iter().for_each(free_now);
         trim();
         let class = global_class(Layout::new::<[u32; 11]>()).unwrap();
-        let slabs = class.slabs.take_all().concat();
-        assert_eq!(slabs.len(), 1, "its one slab must survive");
-        class.slabs.push(slabs);
+        assert_eq!(registered(class).len(), 1, "its one slab must survive");
         assert_eq!(unsafe { *live }, [7u32; 11]);
         free_now(live);
         trim();
-        assert!(class.slabs.take_all().is_empty(), "now wholly pooled");
+        assert!(registered(class).is_empty(), "now wholly pooled");
     }
 
     #[test]
@@ -871,17 +1028,58 @@ mod tests {
         let class = global_class(Layout::new::<B>()).unwrap();
         free_now(alloc([1u16; 27]));
         trim();
-        assert!(class.slabs.take_all().is_empty(), "the slab is unmapped");
+        assert!(registered(class).is_empty(), "the slab is unmapped");
         let tail = with_pools(|p| {
             let c = p.class_mut(Layout::new::<B>());
             (c.fresh, c.fresh_end)
         });
-        assert_eq!(tail, (std::ptr::null_mut(), std::ptr::null_mut()));
+        assert_eq!(tail, (null_mut(), null_mut()));
         // The next block comes from a new slab, and is writable.
         let b = alloc([2u16; 27]);
         assert_eq!(unsafe { *b }, [2u16; 27]);
-        assert_eq!(class.slabs.take_all().concat(), [b as *mut u8]);
+        assert_eq!(registered(class), [slab_of(Layout::new::<B>(), b.cast())]);
         free_now(b);
+        // A thread that carves a slab of its own and exits leaves its
+        // list to the spillover and its tail marked on the slab.
+        std::thread::spawn(|| free_now(alloc([3u16; 27])))
+            .join()
+            .unwrap();
+        assert_eq!(registered(class).len(), 2);
+        trim();
+        assert!(registered(class).is_empty(), "both slabs are wholly pooled");
+    }
+
+    #[test]
+    fn a_full_list_becomes_the_spare_and_the_old_spare_spills() {
+        // A layout of this test's own, freed three chunks deep.
+        type B = [u32; 13];
+        let layout = Layout::new::<B>();
+        let blocks: Vec<_> = (0..3 * CHUNK_BLOCKS).map(|_| alloc([0u32; 13])).collect();
+        blocks.into_iter().for_each(free_now);
+        let (free, spare) = with_pools(|p| {
+            let c = p.class_mut(layout);
+            (c.free, c.spare)
+        });
+        assert!(free.is_null() && !spare.is_null());
+        let g = global_class(layout).unwrap();
+        let (first, len) = (g.free.take_all(), |mut b: *mut u8| {
+            let mut n = 0;
+            while !b.is_null() {
+                (n, b) = (n + 1, unsafe { link::get(b, 0) });
+            }
+            n
+        });
+        let second = unsafe { link::get(first, 1) };
+        assert_eq!(
+            (len(spare), len(first), len(second)),
+            (CHUNK_BLOCKS, CHUNK_BLOCKS, CHUNK_BLOCKS)
+        );
+        assert!(
+            unsafe { link::get(second, 1) }.is_null(),
+            "two chunks spilled"
+        );
+        g.free.push(second);
+        g.free.push(first);
     }
 
     #[test]
@@ -896,9 +1094,9 @@ mod tests {
         // A layout of this test's own, so its first block is its first
         // slab's base. Carve that slab out and one block of the next.
         type B = [u64; 9];
-        let count = carve_len(Layout::new::<B>()) / size_of::<B>() + 1;
+        let count = slab_blocks(Layout::new::<B>()) + 1;
         let blocks: Vec<_> = (0..count).map(|i| alloc([i as u64; 9])).collect();
-        let base = blocks[0] as usize;
+        let base = blocks[0] as usize - head_len(Layout::new::<B>());
         assert_eq!(
             base % SLAB_BYTES,
             0,
@@ -981,28 +1179,93 @@ mod tests {
     }
 
     #[test]
-    fn stack_pop_splices_the_surplus_back() {
-        let stack = Stack(AtomicPtr::new(std::ptr::null_mut()));
-        for n in 1..=3 {
-            stack.push(vec![std::ptr::null_mut(); n]);
-        }
-        let chain = |stack: &Stack| {
-            let mut at = Vec::new();
-            let mut c = stack.0.load(Relaxed);
-            while !c.is_null() {
-                at.push(c);
-                // SAFETY: single-threaded; the chain is the stack's.
-                c = unsafe { (*c).next };
+    fn stack_pop_puts_the_rest_back() {
+        // Blocks of one chunk each on a stack of this test's own, pushed
+        // and popped by two threads at once: every pop keeps one chunk
+        // and puts the rest back, behind whatever was pushed meanwhile.
+        let layout = Layout::new::<u64>();
+        let stack = Stack(AtomicPtr::new(null_mut()));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..8 {
+                        let block = with_pools(|p| p.class_mut(layout).take());
+                        unsafe { link::set(block, 0, null_mut()) };
+                        stack.push(block);
+                    }
+                    for _ in 0..2000 {
+                        let chunk = stack.pop();
+                        if !chunk.is_null() {
+                            stack.push(chunk);
+                        }
+                    }
+                });
             }
-            at
+        });
+        let mut chunk = stack.take_all();
+        let mut chunks = Vec::new();
+        while !chunk.is_null() {
+            chunks.push(chunk);
+            chunk = unsafe { link::get(chunk, 1) };
+        }
+        chunks.sort_unstable();
+        chunks.dedup();
+        assert_eq!(chunks.len(), 16, "no chunk lost or repeated");
+        (chunks.into_iter()).for_each(|b| with_pools(|p| unsafe { p.class_mut(layout).give(b) }));
+    }
+
+    #[cfg(pnb_asan)]
+    #[test]
+    fn pooled_blocks_are_poisoned_link_words_included() {
+        use crate::{info::Body, info::Info, node::Node};
+        extern "C" {
+            fn __asan_region_is_poisoned(beg: *mut u8, size: usize) -> *mut u8;
+        }
+        let first_poisoned = |at: *mut u8, len| unsafe { __asan_region_is_poisoned(at, len) };
+        // Every byte is poisoned: each is the first poisoned byte of itself.
+        let poisoned = |raw: *mut u8, len| {
+            (0..len).all(|i| first_poisoned(raw.wrapping_add(i), 1) == raw.wrapping_add(i))
         };
-        let before = chain(&stack);
-        assert_eq!(before.len(), 3);
-        assert_eq!(stack.pop().map(|b| b.len()), Some(3), "LIFO");
-        assert_eq!(chain(&stack), before[1..], "the other two chunks, reused");
-        let lens: Vec<usize> = stack.take_all().iter().map(Vec::len).collect();
-        assert_eq!(lens, [2, 1]);
-        assert!(stack.pop().is_none());
+        let stack = Stack(AtomicPtr::new(null_mut()));
+        for layout in [
+            Layout::new::<Node<u64, u64>>(),
+            Layout::new::<Info<u64, u64>>(),
+            Layout::new::<Body<u64, u64>>(),
+        ] {
+            let take = || with_pools(|p| p.class_mut(layout).take());
+            let give = |b| with_pools(|p| unsafe { p.class_mut(layout).give(b) });
+            let (a, b) = (take(), take());
+            assert!(
+                first_poisoned(a, layout.size()).is_null(),
+                "{layout:?}: handed out whole"
+            );
+            // On a thread's list: `b`'s first word links `a`.
+            give(a);
+            give(b);
+            assert!(
+                poisoned(a, layout.size()) && poisoned(b, layout.size()),
+                "{layout:?}: listed"
+            );
+            // On a spillover stack: `b`'s second word links `a`'s chunk.
+            assert_eq!((take(), take()), (b, a));
+            for chunk in [a, b] {
+                asan::poison(chunk, stride(layout));
+                unsafe { link::set(chunk, 0, null_mut()) };
+                stack.push(chunk);
+            }
+            assert!(
+                poisoned(a, layout.size()) && poisoned(b, layout.size()),
+                "{layout:?}: chunks"
+            );
+            assert_eq!((stack.pop(), stack.pop()), (b, a));
+            // A pop read `b`'s second word: it is poisoned again.
+            assert!(
+                poisoned(a, layout.size()) && poisoned(b, layout.size()),
+                "{layout:?}: popped"
+            );
+            give(a);
+            give(b);
+        }
     }
 
     #[test]

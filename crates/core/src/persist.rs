@@ -94,6 +94,11 @@ pub enum CheckpointError {
         /// The offending file.
         path: PathBuf,
     },
+    /// The file declares no shard: no map has zero shards.
+    NoShards {
+        /// The offending file.
+        path: PathBuf,
+    },
     /// [`PnbBst::restore`] found a checkpoint of a sharded map: a
     /// single tree restores from exactly one shard.
     ShardCountMismatch {
@@ -109,6 +114,16 @@ pub enum CheckpointError {
         path: PathBuf,
         /// Partitioner tag found in the file.
         found: u32,
+    },
+    /// The file records a partitioner parameter that no partitioner of
+    /// its type has.
+    BadPartitionerParam {
+        /// The checkpoint file.
+        path: PathBuf,
+        /// Partitioner tag found in the file.
+        tag: u32,
+        /// The parameter found in the file.
+        param: u64,
     },
     /// A key in a shard's run does not route to that shard under the
     /// file's partitioner configuration.
@@ -143,6 +158,7 @@ impl std::fmt::Display for CheckpointError {
             Self::UnsortedRun { path } => {
                 write!(f, "a shard in {} is not strictly ascending", path.display())
             }
+            Self::NoShards { path } => write!(f, "{} declares 0 shards", path.display()),
             Self::ShardCountMismatch { path, found } => write!(
                 f,
                 "{} holds {found} shard(s); a single tree restores from exactly one",
@@ -151,6 +167,11 @@ impl std::fmt::Display for CheckpointError {
             Self::PartitionerMismatch { path, found } => write!(
                 f,
                 "{} records partitioner tag {found}, which this map type cannot adopt",
+                path.display()
+            ),
+            Self::BadPartitionerParam { path, tag, param } => write!(
+                f,
+                "{} records parameter {param} for partitioner tag {tag}, which has no such configuration",
                 path.display()
             ),
             Self::MisroutedKey { path, shard, key } => write!(
@@ -353,10 +374,13 @@ fn read_file(path: &Path, file: File) -> Result<LoadedGeneration, CheckpointErro
     if pos + 4 != len {
         return Err(CheckpointError::TrailingBytes { path: path.into() });
     }
-    // Order is judged only after the CRC, so a flipped bit reads as
-    // `CrcMismatch` wherever it lands in an entry.
+    // Order and the shard count are judged only after the CRC, so a
+    // flipped bit reads as `CrcMismatch` wherever it lands.
     if !sorted {
         return Err(CheckpointError::UnsortedRun { path: path.into() });
+    }
+    if shard_count == 0 {
+        return Err(CheckpointError::NoShards { path: path.into() });
     }
     Ok(LoadedGeneration {
         path: path.into(),

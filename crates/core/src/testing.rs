@@ -163,13 +163,18 @@ pub fn arena_slab_bytes() -> usize {
 /// only the collector's own allocations. That count is the calling
 /// thread's, so what the test harness's own threads allocate meanwhile
 /// does not land in the region. [`live_bytes`] counts what the
-/// arena's free lists and the collector hold, not its slabs
-/// ([`arena_slab_bytes`]).
+/// collector and the program hold on the heap; the arena's pools hold
+/// nothing there (their lists run through the pooled blocks), and its
+/// slabs are the kernel's ([`arena_slab_bytes`]). [`peak_live_bytes`]
+/// is the most [`live_bytes`] has read since [`reset_peak`].
 ///
 /// [`live_bytes`]: CountingAllocator::live_bytes
+/// [`peak_live_bytes`]: CountingAllocator::peak_live_bytes
+/// [`reset_peak`]: CountingAllocator::reset_peak
 pub struct CountingAllocator {
     bytes: std::sync::atomic::AtomicU64,
     live: std::sync::atomic::AtomicI64,
+    peak: std::sync::atomic::AtomicI64,
 }
 
 impl CountingAllocator {
@@ -179,6 +184,7 @@ impl CountingAllocator {
         CountingAllocator {
             bytes: std::sync::atomic::AtomicU64::new(0),
             live: std::sync::atomic::AtomicI64::new(0),
+            peak: std::sync::atomic::AtomicI64::new(0),
         }
     }
 
@@ -196,6 +202,26 @@ impl CountingAllocator {
     /// Bytes allocated and not yet freed.
     pub fn live_bytes(&self) -> i64 {
         self.live.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// The most bytes live at once since the last [`reset_peak`]
+    /// (or since start).
+    ///
+    /// [`reset_peak`]: CountingAllocator::reset_peak
+    pub fn peak_live_bytes(&self) -> i64 {
+        self.peak.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Start a new peak from the bytes live now.
+    pub fn reset_peak(&self) {
+        self.peak
+            .store(self.live_bytes(), std::sync::atomic::Ordering::Relaxed);
+    }
+
+    fn grow(&self, by: i64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let live = self.live.fetch_add(by, Relaxed) + by;
+        self.peak.fetch_max(live, Relaxed);
     }
 }
 
@@ -217,7 +243,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
         use std::sync::atomic::Ordering::Relaxed;
         count_allocation();
         self.bytes.fetch_add(layout.size() as u64, Relaxed);
-        self.live.fetch_add(layout.size() as i64, Relaxed);
+        self.grow(layout.size() as i64);
         unsafe { std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout) }
     }
 
@@ -232,8 +258,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
         use std::sync::atomic::Ordering::Relaxed;
         count_allocation();
         self.bytes.fetch_add(new_size as u64, Relaxed);
-        self.live
-            .fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
+        self.grow(new_size as i64 - layout.size() as i64);
         unsafe { std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size) }
     }
 }

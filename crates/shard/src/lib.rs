@@ -96,7 +96,7 @@ mod stats;
 pub use map::ShardedPnbBst;
 pub use merge::MergeRange;
 pub use partition::{HashPartitioner, Partitioner, RangePrefixPartitioner};
-pub use persist::PersistentPartitioner;
+pub use persist::{BadParam, PersistentPartitioner};
 pub use pnb_bst::persist::{CheckpointError, CheckpointReport};
 pub use pnb_bst::{BatchOp, BatchOutcome, BatchReport};
 pub use session::ShardedSession;

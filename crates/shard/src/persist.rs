@@ -47,9 +47,16 @@ pub trait PersistentPartitioner: Partitioner<u64> + Sized {
     /// reconstructs this partitioner.
     fn persist_param(&self) -> u64;
 
-    /// Rebuild the partitioner from its persisted parameter.
-    fn from_persist(param: u64) -> Self;
+    /// Rebuild the partitioner from its persisted parameter, or
+    /// [`BadParam`] for one that no partitioner of this type has.
+    fn from_persist(param: u64) -> Result<Self, BadParam>;
 }
+
+/// A persisted partitioner parameter that no partitioner of the type
+/// has. [`restore`](ShardedPnbBst::restore) reports it as
+/// [`CheckpointError::BadPartitionerParam`], naming the file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BadParam;
 
 impl PersistentPartitioner for RangePrefixPartitioner {
     const TAG: u32 = 1;
@@ -58,8 +65,13 @@ impl PersistentPartitioner for RangePrefixPartitioner {
         u64::from(self.block_size().trailing_zeros())
     }
 
-    fn from_persist(param: u64) -> Self {
-        RangePrefixPartitioner::with_block_bits(param.min(63) as u32)
+    /// `param` is the block bits, at most 63 (a block of 2^64 keys
+    /// would not fit a `u64` block size).
+    fn from_persist(param: u64) -> Result<Self, BadParam> {
+        match param {
+            0..=63 => Ok(RangePrefixPartitioner::with_block_bits(param as u32)),
+            _ => Err(BadParam),
+        }
     }
 }
 
@@ -70,8 +82,8 @@ impl PersistentPartitioner for HashPartitioner {
         0
     }
 
-    fn from_persist(_param: u64) -> Self {
-        HashPartitioner::new()
+    fn from_persist(_param: u64) -> Result<Self, BadParam> {
+        Ok(HashPartitioner::new())
     }
 }
 
@@ -98,7 +110,9 @@ where
     /// generation in `dir`. The shard count and partitioner
     /// configuration come from the checkpoint (the caller only fixes the
     /// partitioner *type*; a checkpoint recording a different type is
-    /// rejected with [`CheckpointError::PartitionerMismatch`]). Each
+    /// rejected with [`CheckpointError::PartitionerMismatch`], a
+    /// parameter the type has no configuration for with
+    /// [`CheckpointError::BadPartitionerParam`]). Each
     /// shard is bulk-loaded in O(n) via [`PnbBst::from_sorted`], and
     /// every key is verified to route to the shard whose run held it —
     /// a failure anywhere yields a typed error, naming the loaded file,
@@ -116,7 +130,13 @@ where
                 found: partitioner_tag,
             });
         }
-        let partitioner = P::from_persist(partitioner_param);
+        let Ok(partitioner) = P::from_persist(partitioner_param) else {
+            return Err(CheckpointError::BadPartitionerParam {
+                path,
+                tag: partitioner_tag,
+                param: partitioner_param,
+            });
+        };
         let shard_count = shards.len();
         for (i, entries) in shards.iter().enumerate() {
             if let Some(&(key, _)) = entries
@@ -267,6 +287,59 @@ mod tests {
             }
             other => panic!("expected MisroutedKey, got {:?}", other.err()),
         }
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    /// A 0-shard file for partitioner `P`, restored: the reader's typed
+    /// error, naming the file.
+    fn zero_shards_are_rejected<P: PersistentPartitioner>(tag: &str) {
+        let d = tmpdir(tag);
+        write_generation(&d, P::TAG, 0, &[]).unwrap();
+        match ShardedPnbBst::<u64, u64, P>::restore(&d) {
+            Err(CheckpointError::NoShards { path }) => {
+                assert_eq!(path, d.join("gen-000001").join("CHECKPOINT"));
+            }
+            other => panic!("expected NoShards, got {:?}", other.err()),
+        }
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn zero_shard_checkpoint_is_rejected_under_range_prefix() {
+        zero_shards_are_rejected::<RangePrefixPartitioner>("zero-range");
+    }
+
+    #[test]
+    fn zero_shard_checkpoint_is_rejected_under_hash() {
+        zero_shards_are_rejected::<HashPartitioner>("zero-hash");
+    }
+
+    #[test]
+    fn block_bits_above_63_are_rejected() {
+        let d = tmpdir("bits");
+        // Every key below 2^63 is in block 0, which routes to shard 1
+        // under 63 block bits: a file that clamped 64 to 63 would load.
+        write_generation(&d, RangePrefixPartitioner::TAG, 64, &[vec![], vec![(1, 1)]]).unwrap();
+        match ShardedPnbBst::<u64, u64>::restore(&d) {
+            Err(CheckpointError::BadPartitionerParam {
+                path,
+                tag: 1,
+                param: 64,
+            }) => assert!(
+                path.exists(),
+                "{} must name the loaded file",
+                path.display()
+            ),
+            other => panic!("expected BadPartitionerParam, got {:?}", other.err()),
+        }
+        assert_eq!(
+            RangePrefixPartitioner::from_persist(64).err(),
+            Some(BadParam)
+        );
+        assert_eq!(
+            RangePrefixPartitioner::from_persist(63).map(|p| p.block_size()),
+            Ok(1 << 63)
+        );
         let _ = fs::remove_dir_all(&d);
     }
 

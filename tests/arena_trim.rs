@@ -4,11 +4,13 @@
 //! kernel and keeps freed blocks pooled, so the only way the process's
 //! footprint ever falls is `arena_trim` unmapping wholly unused slabs.
 //! Two counters hold it to that: the arena's own count of mapped slab
-//! bytes, and a live-byte counting allocator for what the pools keep on
-//! the heap (free-list vectors, spillover chunks). After a 50 k-key map
-//! is dropped and the collector drained, a trim must bring both back to
-//! within a slab of where they started — and must leave the slabs that
-//! still carry a live tree's nodes alone.
+//! bytes, and a live-byte counting allocator for the heap. The pools'
+//! free lists and spillover chunks run through the pooled blocks
+//! themselves, so dropping the map, draining the collector and trimming
+//! must not raise the heap by more than the collector's own bags
+//! (under 64 KiB; about 1 MiB when the lists were vectors). After them
+//! the slab bytes must be back to within a slab of where they started,
+//! and the slabs that still carry a live tree's nodes left alone.
 //!
 //! One `#[test]`, its own binary: both counters are process-global.
 
@@ -20,9 +22,14 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 
 const KEYS: u64 = 50_000;
 /// The arena's slab size: less than this may stay behind (a class's
-/// slab with the keeper's nodes in it, free-list vectors, a straggling
-/// bag); the map took several times it.
+/// slab with the keeper's nodes in it, a straggling bag); the map took
+/// several times it.
 const SLAB: i64 = 2 << 20;
+
+/// The most the heap may grow by while the map is dropped, the
+/// collector drained and the arena trimmed: the collector's bags, not
+/// a word per pooled block.
+const TEARDOWN_HEAP: i64 = 64 << 10;
 
 fn slab_bytes() -> i64 {
     arena_slab_bytes() as i64
@@ -50,9 +57,16 @@ fn trim_returns_slabs_and_spares_live_ones() {
     // 2n + 1 nodes of 64 B, rounded up to whole slabs, plus Infos.
     assert!(built >= 2 * KEYS as i64 * 64, "built only {built} B");
 
+    ALLOC.reset_peak();
+    let before = ALLOC.live_bytes();
     drop(map);
     collector_drain(4);
     arena_trim();
+    let peak = ALLOC.peak_live_bytes() - before;
+    assert!(
+        peak < TEARDOWN_HEAP,
+        "dropping, draining and trimming raised the heap by {peak} B"
+    );
     let kept = slab_bytes() - start_slabs;
     assert!(
         kept < SLAB,
